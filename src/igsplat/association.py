@@ -16,7 +16,7 @@ import numpy as np
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 from .losses import NO_MASK, MaskStack
-from .renderer import Camera, render
+from .renderer import Camera, rasterize
 from .scene_model import SplatSet
 
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
@@ -75,23 +75,23 @@ def render_instance_id_map(
     alpha stays below the visibility floor.
 
     The winner is the instance with the largest summed alpha * T contribution
-    at that pixel; exact ties go to the lower instance id.
+    at that pixel; exact ties go to the lower instance id. Only the
+    rasterize step runs: no color or feature image is composited.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
-    out = render(splats, camera)
+    ras = rasterize(splats, camera)
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
-    if out.pix.size == 0:
+    if ras.pix.size == 0:
         return id_map.reshape(h, w)
     m = int(instance_labels.max()) + 1
-    weight = out.alpha_i * out.trans
-    inst = instance_labels[out.splat]
-    scores = np.bincount(out.pix * m + inst, weights=weight, minlength=h * w * m)
+    inst = instance_labels[ras.splat]
+    scores = np.bincount(ras.pix * m + inst, weights=ras.weight, minlength=h * w * m)
     scores = scores.reshape(h * w, m)
     winners = np.argmax(scores, axis=1)
-    visible = out.alpha.reshape(-1) >= MIN_VISIBLE_ALPHA
+    visible = ras.alpha.reshape(-1) >= MIN_VISIBLE_ALPHA
     id_map[visible] = winners[visible].astype(np.uint32)
     return id_map.reshape(h, w)
 

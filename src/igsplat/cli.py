@@ -292,6 +292,14 @@ def cmd_associate(cfg: dict, args) -> int:
     anchors, decoder = load_checkpoint(paths["checkpoint"])
     splats = decode_gaussians(anchors, decoder)
     labels, m = instantiation.load_labels(paths["labels"])
+    # Id maps and the embedding table are sized by these, so a bad label
+    # file would otherwise surface as a broadcast or allocation failure.
+    if labels.shape[0] != splats.count:
+        raise DataError(f"{paths['labels']}: {labels.shape[0]} labels for {splats.count} splats")
+    if m > splats.count:
+        raise DataError(f"{paths['labels']}: {m} instances exceed the {splats.count} splats")
+    if labels.size and labels.max() >= m:
+        raise DataError(f"{paths['labels']}: label {labels.max()} is not below the instance count {m}")
     _, _, _, _, _, masks, cameras = _load_views(paths["scene"])
     id_maps = [
         association.render_instance_id_map(splats, labels, camera) for camera in cameras

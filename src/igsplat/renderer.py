@@ -14,6 +14,13 @@ splat index, and is treated as constant in the backward pass.
 Pixel (row, col) samples the continuous image plane at (x=col, y=row);
 per-pixel contributions are accumulated in pixel-major order so forward and
 backward results are reproducible bit for bit.
+
+The forward pass is two steps. ``rasterize`` enumerates the (splat, pixel)
+contributions one row span per (splat, row) of the cutoff disk, orders them
+by a stable sort on the flat pixel index (keyed by the narrowest unsigned
+type that holds it, so depth order survives within each pixel), and yields
+alpha, transmittance, alpha * T and the alpha image. ``render`` adds the
+color and feature composite; instance id maps need only the first step.
 """
 from __future__ import annotations
 
@@ -169,122 +176,162 @@ class SplatGrads:
     centers: np.ndarray
 
 
-def _empty_output(splats, camera, proj) -> RenderOutput:
-    h, w = camera.height, camera.width
-    zero = np.zeros(0)
-    return RenderOutput(
-        color=np.zeros((h, w, 3)),
-        feature=np.zeros((h, w, 6)),
-        alpha=np.zeros((h, w)),
-        pix=np.zeros(0, dtype=np.int64),
-        splat=np.zeros(0, dtype=np.int64),
-        alpha_i=zero,
-        trans=np.zeros(0),
-        clamped=np.zeros(0, dtype=bool),
-        seg_start=np.zeros(0, dtype=np.int64),
-        seg_pix=np.zeros(0, dtype=np.int64),
-        projected=proj,
-        splats=splats,
-        camera=camera,
-    )
+@dataclass
+class Raster:
+    """One view's contributions and alpha image, without any composite.
+
+    ``weight`` is alpha_i * trans, the compositing weight of each
+    contribution; the flat arrays are sorted as in ``RenderOutput``.
+    """
+
+    pix: np.ndarray  # (q,) flat pixel index
+    splat: np.ndarray  # (q,) original splat index
+    alpha_i: np.ndarray  # (q,) clamped alpha
+    trans: np.ndarray  # (q,) transmittance before this contribution
+    weight: np.ndarray  # (q,) alpha_i * trans
+    clamped: np.ndarray  # (q,) bool, alpha hit the 0.99 clamp
+    seg_start: np.ndarray  # (#pixels with contributions,) segment starts
+    seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
+    alpha: np.ndarray  # (H, W) composited alpha
+    projected: ProjectedSplats
 
 
 def _build_contributions(proj: ProjectedSplats, camera: Camera):
     """Enumerate (splat, pixel) pairs inside each splat's cutoff disk.
 
-    Returns flat arrays sorted by (pixel, depth order). Entirely vectorized:
-    per-splat bounding boxes are expanded with a ragged-range construction.
+    Returns flat (pixel, projected slot, d2) arrays sorted by (pixel, depth
+    order), or None when no pair exists.
+
+    The expansion runs over row spans, not bounding boxes: one record per
+    (splat, row) of the splat's image-clipped box carries dv*dv and the
+    columns within the half-chord sqrt(r*r - dv*dv) of the centre, widened
+    by one column (plus 2^-24 r for the rounding of r*r - dv*dv at huge
+    radii). Box and span are clipped in float before the int cast, so an
+    infinite radius spans whole rows and a NaN radius spans none. Every
+    entry keeps the exact test du*du + dv*dv <= r*r, so the kept pairs and
+    the bits of d2 equal those of a scan over the whole box.
+
+    Records are put in (row, depth order) first, so entries come out in
+    (row, depth order, col) order and the final reordering stays within
+    one image row. A stable argsort by flat pixel index then keeps depth
+    order within each pixel. Its key is narrowed to the smallest unsigned
+    type that holds h*w - 1: up to 65 536 pixels that is uint16, which
+    NumPy's stable sort handles by radix, with the same permutation as an
+    int64 key.
     """
     w, h = camera.width, camera.height
-    x0 = np.maximum(np.ceil(proj.u - proj.radius_px), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(proj.u + proj.radius_px), w - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(proj.v - proj.radius_px), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(proj.v + proj.radius_px), h - 1).astype(np.int64)
-    widths = x1 - x0 + 1
-    heights = y1 - y0 + 1
-    valid = (widths > 0) & (heights > 0)
-    counts = np.where(valid, widths * heights, 0)
+    u, v, r = proj.u, proj.v, proj.radius_px
+    x0 = np.maximum(np.ceil(u - r), 0.0)
+    x1 = np.minimum(np.floor(u + r), w - 1.0)
+    y0 = np.maximum(np.ceil(v - r), 0.0)
+    y1 = np.minimum(np.floor(v + r), h - 1.0)
+    slots = np.flatnonzero((x1 >= x0) & (y1 >= y0))  # NaN compares False
+    if slots.size == 0:
+        return None
+
+    # One record per (splat, row), put in (row, depth order).
+    first_row = y0[slots].astype(np.int64)
+    heights = y1[slots].astype(np.int64) - first_row + 1
+    rec_slot = np.repeat(slots, heights)
+    row = np.arange(rec_slot.size, dtype=np.int64) + np.repeat(
+        first_row - (np.cumsum(heights) - heights), heights
+    )
+    by_row = np.argsort(row.astype(np.min_scalar_type(h - 1)), kind="stable")
+    rec_slot = rec_slot[by_row]
+    row = row[by_row]
+    dv = row - v[rec_slot]
+    dv2 = dv * dv
+    r_rec = r[rec_slot]
+    rr = r_rec * r_rec
+    half = np.sqrt(np.maximum(rr - dv2, 0.0)) + (1.0 + r_rec * 2.0**-24)
+    u_rec = u[rec_slot]
+    lo = np.maximum(np.ceil(u_rec - half), x0[rec_slot])
+    hi = np.minimum(np.floor(u_rec + half), x1[rec_slot])
+    counts = np.where(hi >= lo, hi - lo + 1.0, 0.0).astype(np.int64)
     total = int(counts.sum())
     if total == 0:
         return None
 
-    order_pos = np.repeat(np.arange(proj.count, dtype=np.int64), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - offsets
-    w_rep = np.repeat(widths, counts)
-    col = np.repeat(x0, counts) + within % w_rep
-    row = np.repeat(y0, counts) + within // w_rep
-
-    du = col - proj.u[order_pos]
-    dv = row - proj.v[order_pos]
-    d2 = du * du + dv * dv
-    r_rep = proj.radius_px[order_pos]
-    inside = d2 <= r_rep * r_rep
-    if not inside.any():
+    # One entry per (splat, row, col) of the spans.
+    span_base = lo.astype(np.int64) - (np.cumsum(counts) - counts)
+    k = np.arange(total, dtype=np.int64)
+    col = k + np.repeat(span_base, counts)
+    du = col - np.repeat(u_rec, counts)
+    d2 = du * du + np.repeat(dv2, counts)
+    keep = np.flatnonzero(d2 <= np.repeat(rr, counts))
+    if keep.size == 0:
         return None
-    order_pos = order_pos[inside]
-    col = col[inside]
-    row = row[inside]
-    d2 = d2[inside]
-
-    pixflat = row * w + col
-    sort_idx = np.argsort(pixflat, kind="stable")  # preserves depth order per pixel
-    return pixflat[sort_idx], order_pos[sort_idx], d2[sort_idx]
+    pixflat = k + np.repeat(row * w + span_base, counts)
+    key = pixflat[keep].astype(np.min_scalar_type(h * w - 1))
+    idx = keep[np.argsort(key, kind="stable")]
+    return pixflat[idx], np.repeat(rec_slot, counts)[idx], d2[idx]
 
 
-def render(splats: SplatSet, camera: Camera) -> RenderOutput:
-    """Rasterize color, feature, and alpha images with contributor retention."""
+def rasterize(splats: SplatSet, camera: Camera) -> Raster:
+    """Contributions, their alphas and transmittances, and the alpha image."""
     proj = project_splats(splats, camera)
-    if proj.count == 0:
-        return _empty_output(splats, camera, proj)
     built = _build_contributions(proj, camera)
+    h, w = camera.height, camera.width
     if built is None:
-        return _empty_output(splats, camera, proj)
+        none_i = np.zeros(0, dtype=np.int64)
+        none_f = np.zeros(0)
+        return Raster(
+            pix=none_i, splat=none_i, alpha_i=none_f, trans=none_f, weight=none_f,
+            clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
+            alpha=np.zeros((h, w)), projected=proj,
+        )
     pixflat, order_pos, d2 = built
 
+    splat_orig = proj.indices[order_pos]
     sigma = proj.sigma_px[order_pos]
-    opac = splats.opacities[proj.indices[order_pos]]
+    opac = splats.opacities[splat_orig]
     alpha_raw = opac * np.exp(-d2 / (2.0 * sigma * sigma))
     clamped = alpha_raw > ALPHA_MAX
     alpha = np.where(clamped, ALPHA_MAX, alpha_raw)
 
     # Exclusive per-pixel product of (1 - alpha) via a segmented log cumsum.
-    boundaries = np.empty(len(pixflat), dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = pixflat[1:] != pixflat[:-1]
-    seg_start = np.flatnonzero(boundaries)
-    seg_id = np.cumsum(boundaries) - 1
+    seg_start = np.flatnonzero(np.concatenate(([True], pixflat[1:] != pixflat[:-1])))
+    seg_len = np.diff(seg_start, append=len(pixflat))
     logs = np.log1p(-alpha)
-    csum = np.cumsum(logs)
-    excl = csum - logs
-    trans = np.exp(excl - excl[seg_start[seg_id]])
+    excl = np.cumsum(logs) - logs
+    trans = np.exp(excl - np.repeat(excl[seg_start], seg_len))
 
     weight = alpha * trans
-    splat_orig = proj.indices[order_pos]
-    h, w = camera.height, camera.width
     seg_pix = pixflat[seg_start]
-
-    color = np.zeros((h * w, 3))
-    feature = np.zeros((h * w, 6))
-    for ch in range(3):
-        color[seg_pix, ch] = np.add.reduceat(weight * splats.colors[splat_orig, ch], seg_start)
-    for ch in range(6):
-        feature[seg_pix, ch] = np.add.reduceat(weight * splats.features[splat_orig, ch], seg_start)
     alpha_img = np.zeros(h * w)
     alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
+    return Raster(
+        pix=pixflat, splat=splat_orig, alpha_i=alpha, trans=trans, weight=weight,
+        clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
+        alpha=alpha_img.reshape(h, w), projected=proj,
+    )
+
+
+def render(splats: SplatSet, camera: Camera) -> RenderOutput:
+    """Rasterize color, feature, and alpha images with contributor retention."""
+    ras = rasterize(splats, camera)
+    h, w = camera.height, camera.width
+    color = np.zeros((h * w, 3))
+    feature = np.zeros((h * w, 6))
+    for image, values in ((color, splats.colors), (feature, splats.features)):
+        # 1-D takes from contiguous per-channel rows of the (C, n) transpose
+        for ch, channel in enumerate(np.ascontiguousarray(values.T)):
+            image[ras.seg_pix, ch] = np.add.reduceat(
+                ras.weight * channel.take(ras.splat), ras.seg_start
+            )
 
     return RenderOutput(
         color=color.reshape(h, w, 3),
         feature=feature.reshape(h, w, 6),
-        alpha=alpha_img.reshape(h, w),
-        pix=pixflat,
-        splat=splat_orig,
-        alpha_i=alpha,
-        trans=trans,
-        clamped=clamped,
-        seg_start=seg_start,
-        seg_pix=seg_pix,
-        projected=proj,
+        alpha=ras.alpha,
+        pix=ras.pix,
+        splat=ras.splat,
+        alpha_i=ras.alpha_i,
+        trans=ras.trans,
+        clamped=ras.clamped,
+        seg_start=ras.seg_start,
+        seg_pix=ras.seg_pix,
+        projected=ras.projected,
         splats=splats,
         camera=camera,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from igsplat.association import (
+    MIN_VISIBLE_ALPHA,
     EmbeddingTable,
     NO_INSTANCE,
     associate_embeddings,
@@ -13,7 +14,7 @@ from igsplat.association import (
 )
 from igsplat.errors import DataError, UsageError
 from igsplat.losses import NO_MASK, MaskStack, MaskView
-from igsplat.renderer import Camera
+from igsplat.renderer import Camera, render
 from igsplat.scene_model import SplatSet
 
 
@@ -65,6 +66,41 @@ def test_id_map_visibility_floor():
     splats = make_splats([[0.0, 0.0, 2.0]], [0.01], [0.3])  # total alpha < 0.05
     id_map = render_instance_id_map(splats, np.array([0]), cam)
     assert np.all(id_map == NO_INSTANCE)
+
+
+def reference_id_map(splats, labels, cam):
+    """Winner per pixel from the full render's contributor lists."""
+    out = render(splats, cam)
+    id_map = np.full((cam.height, cam.width), NO_INSTANCE, dtype=np.uint32)
+    for row in range(cam.height):
+        for col in range(cam.width):
+            if out.alpha[row, col] < MIN_VISIBLE_ALPHA:
+                continue
+            scores = {}
+            for splat, alpha, trans in out.contributors(row, col):
+                inst = int(labels[splat])
+                scores[inst] = scores.get(inst, 0.0) + alpha * trans
+            best = max(scores.values())
+            id_map[row, col] = min(i for i, v in scores.items() if v == best)
+    return id_map
+
+
+def test_id_map_matches_render_weights():
+    rng = np.random.default_rng(9)
+    n = 60
+    centers = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(-0.4, 0.4, n),
+                               rng.uniform(1.5, 3.0, n)])
+    splats = make_splats(centers, rng.uniform(0.02, 0.6, n), rng.uniform(0.02, 0.15, n))
+    labels = rng.integers(0, 5, n)
+    cam = Camera(fx=14.0, fy=14.0, cx=7.6, cy=5.3, width=17, height=12,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    expected = reference_id_map(splats, labels, cam)
+    id_map = render_instance_id_map(splats, labels, cam)
+    assert id_map.dtype == np.uint32
+    assert np.array_equal(id_map, expected)
+    visible = expected != NO_INSTANCE
+    assert 0 < visible.sum() < visible.size  # the floor cuts some pixels
+    assert len(set(expected[visible].tolist())) >= 4
 
 
 def mask_view(ids, count, embeddings):

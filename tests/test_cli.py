@@ -2,6 +2,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
+import pytest
+
+from igsplat import instantiation
 from igsplat.cli import main
 
 SMALL_CONFIG = {
@@ -115,6 +119,39 @@ def test_export_ply(tmp_path):
     header_end = data.index(b"end_header\n") + len(b"end_header\n")
     n = 3 * 90 * 5
     assert len(data) - header_end == n * 15  # 12 bytes xyz + 3 bytes rgb
+
+
+@pytest.fixture(scope="module")
+def instantiated(tmp_path_factory):
+    config_path, out = write_config(tmp_path_factory.mktemp("labels"))
+    run_pipeline(config_path, stages=("generate", "train", "instantiate"))
+    return config_path, out
+
+
+@pytest.mark.parametrize("case", ["label_m_plus_5", "label_u32_max", "one_label_short",
+                                  "count_beyond_splats"])
+def test_associate_rejects_bad_label_file(instantiated, case, capsys):
+    config_path, out = instantiated
+    labels_path = os.path.join(out, "instantiate", "labels.iglb")
+    labels, m = instantiation.load_labels(labels_path)
+    n = labels.size
+    if case == "label_m_plus_5":
+        labels[7] = m + 5
+    elif case == "label_u32_max":
+        labels[7] = 0xFFFFFFFF
+    elif case == "one_label_short":
+        labels = labels[:-1]
+    else:
+        m = n + 1
+    good = open(labels_path, "rb").read()
+    instantiation.save_labels(labels_path, labels.astype(np.uint32), m)
+    try:
+        assert main(["associate", "--config", config_path]) == 2
+    finally:
+        with open(labels_path, "wb") as fh:
+            fh.write(good)
+    assert "labels.iglb" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "associate", "instance_embeddings.igem"))
 
 
 def test_selftest_passes():

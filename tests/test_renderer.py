@@ -4,6 +4,8 @@ import pytest
 from igsplat.errors import DataError, UsageError
 from igsplat.renderer import (
     Camera,
+    ProjectedSplats,
+    _build_contributions,
     load_camera,
     project_splats,
     read_raw_f32,
@@ -203,6 +205,65 @@ def test_forward_matches_per_pixel_reference():
     assert np.allclose(out.color, ref_color, atol=1e-12)
     assert np.allclose(out.feature, ref_feature, atol=1e-12)
     assert np.allclose(out.alpha, ref_alpha, atol=1e-12)
+
+
+def brute_force_contributions(proj, cam):
+    """Every pixel x splat under the same d2 <= r*r test, pixel-major with
+    depth order inside each pixel."""
+    du = np.arange(cam.width)[None, :] - proj.u[:, None]  # (k, w)
+    dv = np.arange(cam.height)[None, :] - proj.v[:, None]  # (k, h)
+    d2 = du[:, None, :] * du[:, None, :] + dv[:, :, None] * dv[:, :, None]  # (k, h, w)
+    inside = d2 <= (proj.radius_px * proj.radius_px)[:, None, None]
+    row, col, slot = np.nonzero(inside.transpose(1, 2, 0))
+    return row * cam.width + col, slot, d2[slot, row, col]
+
+
+def assert_same_contributions(proj, cam):
+    built = _build_contributions(proj, cam)
+    expected = brute_force_contributions(proj, cam)
+    assert expected[0].size > 0
+    assert built is not None
+    for got, want in zip(built, expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width,height", [(13, 9), (9, 13), (1, 7), (300, 230)])
+def test_contributions_match_brute_force(width, height):
+    rng = np.random.default_rng(width * 1000 + height)
+    n = 40
+    # centers spread past the frustum edges: partly and fully off-image splats
+    centers = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n),
+                               rng.uniform(0.5, 3.0, n)])
+    scales = 10.0 ** rng.uniform(-3.5, -0.5, n)  # sub-pixel to a quarter image
+    scales[:3] = [np.inf, np.nan, 1e-6]
+    splats = make_splats(centers, scales=scales)
+    fx = 0.6 * max(width, height)
+    cam = Camera(fx=fx, fy=fx, cx=width / 2 - 0.3, cy=height / 2 + 0.2, width=width,
+                 height=height, rotation=np.eye(3), translation=np.zeros(3))
+    with np.errstate(invalid="ignore"):
+        proj = project_splats(splats, cam)
+        assert_same_contributions(proj, cam)
+    assert (proj.radius_px < 1.0).sum() >= 5
+
+
+def test_contributions_on_near_tangent_rows():
+    # Rows that graze the cutoff circle, where the rounded d2 <= r*r test
+    # keeps columns just past the computed half-chord sqrt(r*r - dv*dv):
+    # at r = 2^30, dv == r exactly on row 0 (half-chord 0) while columns up
+    # to 11 px either side stay in; at r = 1000, column 3 of row 0 lies
+    # 1e-13 px beyond the half-chord and is kept.
+    big = 2.0**30
+    u = np.array([20.3, 5.0, 27.493060241626015])
+    v = np.array([-big, 40 + big, -(1000.0 - 0.3)])
+    r = np.array([big, big, 1000.0])
+    proj = ProjectedSplats(
+        indices=np.arange(3), u=u, v=v, depth=np.ones(3), radius_px=r,
+        sigma_px=r / 3, cam_points=np.zeros((3, 3)),
+    )
+    cam = Camera(fx=1, fy=1, cx=0, cy=0, width=41, height=41,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    assert_same_contributions(proj, cam)
 
 
 def test_contributor_list_accessor():
