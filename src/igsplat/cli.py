@@ -21,6 +21,7 @@ from . import association, evaluation, instantiation, synthdata
 from .binio import write_atomic, write_atomic_text
 from .errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from .scene_model import (
+    CHILDREN_PER_ANCHOR,
     ModelConfig,
     decode_gaussians,
     init_anchors,
@@ -287,19 +288,28 @@ def cmd_instantiate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _load_checked_labels(path: str, num_splats: int) -> tuple[np.ndarray, int]:
+    """Instance labels and count, checked against the checkpoint's splats.
+
+    Id maps, embedding tables and class lookups are sized or indexed by
+    these, so a bad label file would otherwise surface as a broadcast,
+    index or allocation failure.
+    """
+    labels, m = instantiation.load_labels(path)
+    if labels.shape[0] != num_splats:
+        raise DataError(f"{path}: {labels.shape[0]} labels for {num_splats} splats")
+    if m > num_splats:
+        raise DataError(f"{path}: {m} instances exceed the {num_splats} splats")
+    if labels.size and labels.max() >= m:
+        raise DataError(f"{path}: label {labels.max()} is not below the instance count {m}")
+    return labels, m
+
+
 def cmd_associate(cfg: dict, args) -> int:
     paths = _paths(cfg)
     anchors, decoder = load_checkpoint(paths["checkpoint"])
     splats = decode_gaussians(anchors, decoder)
-    labels, m = instantiation.load_labels(paths["labels"])
-    # Id maps and the embedding table are sized by these, so a bad label
-    # file would otherwise surface as a broadcast or allocation failure.
-    if labels.shape[0] != splats.count:
-        raise DataError(f"{paths['labels']}: {labels.shape[0]} labels for {splats.count} splats")
-    if m > splats.count:
-        raise DataError(f"{paths['labels']}: {m} instances exceed the {splats.count} splats")
-    if labels.size and labels.max() >= m:
-        raise DataError(f"{paths['labels']}: label {labels.max()} is not below the instance count {m}")
+    labels, m = _load_checked_labels(paths["labels"], splats.count)
     _, _, _, _, _, masks, cameras = _load_views(paths["scene"])
     id_maps = [
         association.render_instance_id_map(splats, labels, camera) for camera in cameras
@@ -321,7 +331,12 @@ def cmd_query(cfg: dict, args) -> int:
     with open(names_path) as fh:
         names = json.load(fh)
     instances = association.load_embeddings(paths["instance_embeddings"])
-    labels, m = instantiation.load_labels(paths["labels"])
+    anchors, _ = load_checkpoint(paths["checkpoint"])
+    labels, m = _load_checked_labels(paths["labels"], anchors.count * CHILDREN_PER_ANCHOR)
+    if instances.count != m:
+        raise DataError(
+            f"{paths['instance_embeddings']}: {instances.count} embeddings for {m} instances"
+        )
     point_classes, inst_classes = association.semantic_assign(text, instances, labels)
     instantiation.save_labels(paths["semantic"], point_classes.astype(np.uint32), text.count)
     scores = {}

@@ -73,6 +73,8 @@ class AnchorSet:
             raise DataError("embeddings must be (n, d_e)")
         if self.features.shape != (n, FEATURE_DIM):
             raise DataError(f"features must be (n, {FEATURE_DIM}), got {self.features.shape}")
+        if not (np.isfinite(self.embeddings).all() and np.isfinite(self.features).all()):
+            raise DataError("anchor embeddings and features must be finite")
 
     @property
     def count(self) -> int:
@@ -113,6 +115,12 @@ class DecoderParams:
     scale: HeadParams
 
     def __post_init__(self):
+        if not np.isfinite([self.offset_range, self.base_scale]).all():
+            raise DataError("offset_range and base_scale must be finite")
+        for name in HEAD_ORDER:
+            for tensor_name, tensor in self.head(name).tensors().items():
+                if not np.isfinite(tensor).all():
+                    raise DataError(f"decoder {name}.{tensor_name} must be finite")
         if self.offset_range <= 0 or self.base_scale <= 0:
             raise UsageError("offset_range and base_scale must be positive")
 

@@ -113,7 +113,7 @@ def _check_gradients(rng) -> None:
     )
     out = render(splats, camera)
     g_color = rng.normal(size=out.color.shape)
-    grads = render_backward(out, grad_color=g_color)
+    grads, _ = render_backward(out, grad_color=g_color)
     h = 1e-5
     idx = 3
     for dim in range(3):

@@ -222,10 +222,27 @@ def train_step(
     feature_active = phase is not Phase.APPEARANCE
     joint_active = schedule.mode == PROGRESSIVE and phase is Phase.JOINT
 
-    # Reconstruction pass: color gradients reach embeddings, every decoder
-    # head, and anchor positions.
+    # Feature gradient: smoothness pulls pixels toward their (stop-gradient)
+    # mask mean; the contrastive term flows through the means into the image.
+    g_feat_img = None
+    if feature_active:
+        g_feat_img = schedule.lambda_smooth * g_smooth_img
+        if g_means_present.size:
+            g_means = np.zeros_like(means)
+            g_means[present] = schedule.lambda_contrast * g_means_present
+            g_feat_img = g_feat_img + spread_mean_gradient(view.masks, g_means, counts)
+
+    # One backward pass, two chains: color gradients reach embeddings, every
+    # decoder head, and anchor positions; feature gradients reach the
+    # features, and geometry only in the joint phase.
+    sg, sgf = render_backward(
+        out,
+        grad_color=g_rgb if rgb_active else None,
+        grad_feature=g_feat_img,
+        feature_geometry=joint_active,
+    )
+    a_grads = d_grads = None
     if rgb_active:
-        sg = render_backward(out, grad_color=g_rgb)
         a_grads, d_grads = decode_backward(
             anchors,
             decoder,
@@ -234,29 +251,18 @@ def train_step(
             d_opacities=sg.opacities,
             d_scales=sg.scales,
         )
-    else:
-        a_grads = d_grads = None
 
-    # Feature pass: smoothness pulls pixels toward their (stop-gradient) mask
-    # mean; the contrastive term flows through the means into the image.
     fa_grads = fd_grads = None
-    if feature_active:
-        g_feat_img = schedule.lambda_smooth * g_smooth_img
-        if g_means_present.size:
-            g_means = np.zeros_like(means)
-            g_means[present] = schedule.lambda_contrast * g_means_present
-            g_feat_img = g_feat_img + spread_mean_gradient(view.masks, g_means, counts)
-        sgf = render_backward(out, grad_feature=g_feat_img, geometry=joint_active)
-        if joint_active:
-            fa_grads, fd_grads = decode_backward(
-                anchors,
-                decoder,
-                d_centers=sgf.centers,
-                d_opacities=sgf.opacities,
-                d_features=sgf.features,
-            )
-        else:
-            fa_grads, _ = decode_backward(anchors, decoder, d_features=sgf.features)
+    if joint_active:
+        fa_grads, fd_grads = decode_backward(
+            anchors,
+            decoder,
+            d_centers=sgf.centers,
+            d_opacities=sgf.opacities,
+            d_features=sgf.features,
+        )
+    elif feature_active:
+        fa_grads, _ = decode_backward(anchors, decoder, d_features=sgf.features)
 
     # Single adaptive-moment update per tensor, with phase-routed sums.
     if rgb_active:

@@ -85,7 +85,10 @@ def render_fd_suite(rng):
                  rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
     g_color = rng.normal(size=(8, 8, 3))
     g_feat = rng.normal(size=(8, 8, 6))
-    grads = render_backward(render(splats, cam), g_color, g_feat)
+    color_grads, feature_grads = render_backward(
+        render(splats, cam), g_color, g_feat, feature_geometry=True
+    )
+    grads = color_grads + feature_grads
 
     def objective():
         out = render(splats, cam)

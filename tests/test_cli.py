@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from igsplat import instantiation
+from igsplat import association, instantiation
 from igsplat.cli import main
+from igsplat.scene_model import load_checkpoint, save_checkpoint
 
 SMALL_CONFIG = {
     "scene": {
@@ -128,10 +129,18 @@ def instantiated(tmp_path_factory):
     return config_path, out
 
 
-@pytest.mark.parametrize("case", ["label_m_plus_5", "label_u32_max", "one_label_short",
-                                  "count_beyond_splats"])
-def test_associate_rejects_bad_label_file(instantiated, case, capsys):
-    config_path, out = instantiated
+@pytest.fixture(scope="module")
+def associated(tmp_path_factory):
+    config_path, out = write_config(tmp_path_factory.mktemp("embeddings"))
+    run_pipeline(config_path, stages=("generate", "train", "instantiate", "associate"))
+    return config_path, out
+
+
+BAD_LABEL_CASES = ["label_m_plus_5", "label_u32_max", "one_label_short", "count_beyond_splats"]
+
+
+def run_with_bad_labels(config_path, out, stage, case):
+    """Run ``stage`` on a corrupted copy of the label file, then restore it."""
     labels_path = os.path.join(out, "instantiate", "labels.iglb")
     labels, m = instantiation.load_labels(labels_path)
     n = labels.size
@@ -146,12 +155,60 @@ def test_associate_rejects_bad_label_file(instantiated, case, capsys):
     good = open(labels_path, "rb").read()
     instantiation.save_labels(labels_path, labels.astype(np.uint32), m)
     try:
-        assert main(["associate", "--config", config_path]) == 2
+        return main([stage, "--config", config_path])
     finally:
         with open(labels_path, "wb") as fh:
             fh.write(good)
+
+
+@pytest.mark.parametrize("case", BAD_LABEL_CASES)
+def test_associate_rejects_bad_label_file(instantiated, case, capsys):
+    config_path, out = instantiated
+    assert run_with_bad_labels(config_path, out, "associate", case) == 2
     assert "labels.iglb" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "associate", "instance_embeddings.igem"))
+
+
+@pytest.mark.parametrize("case", BAD_LABEL_CASES)
+def test_query_rejects_bad_label_file(associated, case, capsys):
+    config_path, out = associated
+    assert run_with_bad_labels(config_path, out, "query", case) == 2
+    assert "labels.iglb" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "query"))
+
+
+def test_query_rejects_embedding_table_of_other_size(associated, capsys):
+    config_path, out = associated
+    path = os.path.join(out, "associate", "instance_embeddings.igem")
+    good = open(path, "rb").read()
+    table = association.load_embeddings(path)
+    association.save_embeddings(path, association.EmbeddingTable(table.vectors[:-1]))
+    try:
+        assert main(["query", "--config", config_path]) == 2
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(good)
+    assert "instance_embeddings.igem" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "query"))
+
+
+@pytest.mark.parametrize("tensor, stage", [("embedding", "associate"), ("head", "instantiate")])
+def test_non_finite_checkpoint_exits_2(instantiated, tensor, stage, capsys):
+    config_path, out = instantiated
+    path = os.path.join(out, "train", "checkpoint.igck")
+    good = open(path, "rb").read()
+    anchors, decoder = load_checkpoint(path)
+    if tensor == "embedding":
+        anchors.embeddings[3, 1] = np.nan
+    else:
+        decoder.scale.w2[2, 0] = np.nan
+    save_checkpoint(path, anchors, decoder)
+    try:
+        assert main([stage, "--config", config_path]) == 2
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(good)
+    assert "finite" in capsys.readouterr().err
 
 
 def test_selftest_passes():

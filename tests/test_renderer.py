@@ -282,12 +282,17 @@ def test_contributor_list_accessor():
     assert out.contributors(0, 0) == [] or all(a < 0.5 for _, a, _ in out.contributors(0, 0))
 
 
+GRAD_FIELDS = ("colors", "features", "opacities", "scales", "centers")
+GEOMETRY_FIELDS = ("opacities", "scales", "centers")
+
+
 def test_backward_zero_grads_give_zero():
     splats, cam = random_cover_scene()
     out = render(splats, cam)
-    grads = render_backward(out, np.zeros((8, 8, 3)), np.zeros((8, 8, 6)))
-    for field in ("colors", "features", "opacities", "scales", "centers"):
-        assert not getattr(grads, field).any()
+    chains = render_backward(out, np.zeros((8, 8, 3)), np.zeros((8, 8, 6)), feature_geometry=True)
+    for grads in chains:
+        for field in GRAD_FIELDS:
+            assert not getattr(grads, field).any()
 
 
 def test_backward_single_splat_color_grad_is_alpha():
@@ -297,29 +302,16 @@ def test_backward_single_splat_color_grad_is_alpha():
     out = render(splats, cam)
     g = np.zeros((8, 8, 3))
     g[3, 3, 0] = 1.0
-    grads = render_backward(out, grad_color=g)
+    grads, _ = render_backward(out, grad_color=g)
     assert grads.colors[0, 0] == pytest.approx(0.4, abs=1e-12)  # alpha * T, T = 1
 
 
-def test_backward_matches_finite_differences():
-    splats, cam = random_cover_scene(n=5, seed=11)
-    rng = np.random.default_rng(2)
-    g_color = rng.normal(size=(8, 8, 3))
-    g_feat = rng.normal(size=(8, 8, 6))
-    out = render(splats, cam)
-    grads = render_backward(out, g_color, g_feat)
-
-    def objective(s):
-        o = render(s, cam)
-        return (o.color * g_color).sum() + (o.feature * g_feat).sum()
-
-    h = 1e-4
-    fields = {
-        "colors": splats.colors, "features": splats.features,
-        "opacities": splats.opacities, "scales": splats.scales, "centers": splats.centers,
-    }
+def worst_fd_error(splats, objective, grads, fields, h=1e-4):
+    """Largest relative gap between analytic gradients and central
+    differences of ``objective``; asserts each entry is within 1e-4."""
     worst = 0.0
-    for name, arr in fields.items():
+    for name in fields:
+        arr = getattr(splats, name)
         analytic = getattr(grads, name).ravel()
         for idx in range(arr.size):
             orig = arr.ravel()[idx]
@@ -332,7 +324,110 @@ def test_backward_matches_finite_differences():
             rel = abs(analytic[idx] - fd) / max(abs(fd), abs(analytic[idx]), 1e-6)
             worst = max(worst, rel)
             assert rel <= 1e-4, f"{name}[{idx}]: analytic {analytic[idx]}, fd {fd}"
-    assert worst <= 1e-4
+    return worst
+
+
+def test_backward_matches_finite_differences():
+    splats, cam = random_cover_scene(n=5, seed=11)
+    rng = np.random.default_rng(2)
+    g_color = rng.normal(size=(8, 8, 3))
+    g_feat = rng.normal(size=(8, 8, 6))
+    out = render(splats, cam)
+    color_grads, feature_grads = render_backward(out, g_color, g_feat, feature_geometry=True)
+
+    def objective(s):
+        o = render(s, cam)
+        return (o.color * g_color).sum() + (o.feature * g_feat).sum()
+
+    assert worst_fd_error(splats, objective, color_grads + feature_grads, GRAD_FIELDS) <= 1e-4
+
+
+@pytest.mark.parametrize("chain", ["color", "feature"])
+def test_backward_chain_matches_finite_differences(chain):
+    # each chain alone is the gradient of its own image objective
+    splats, cam = random_cover_scene(n=5, seed=11)
+    rng = np.random.default_rng(2)
+    g_color = rng.normal(size=(8, 8, 3))
+    g_feat = rng.normal(size=(8, 8, 6))
+    color_grads, feature_grads = render_backward(
+        render(splats, cam), g_color, g_feat, feature_geometry=True
+    )
+    grads, own, other = {
+        "color": (color_grads, "colors", "features"),
+        "feature": (feature_grads, "features", "colors"),
+    }[chain]
+
+    def objective(s):
+        o = render(s, cam)
+        return (o.color * g_color).sum() if chain == "color" else (o.feature * g_feat).sum()
+
+    assert not getattr(grads, other).any()
+    assert worst_fd_error(splats, objective, grads, (own,) + GEOMETRY_FIELDS) <= 1e-4
+
+
+def clamping_scene():
+    """40 splats at 16x16 in a mix of footprints, about a third of them
+    opaque enough to hit the alpha clamp near their centres."""
+    rng = np.random.default_rng(5)
+    n = 40
+    centers = np.column_stack(
+        [rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n), rng.uniform(0.0, 1.5, n)]
+    )
+    splats = make_splats(
+        centers,
+        colors=rng.uniform(0.0, 1.0, (n, 3)),
+        opacities=np.where(rng.uniform(size=n) < 0.3, 1.5, rng.uniform(0.1, 0.9, n)),
+        scales=rng.uniform(0.02, 0.3, n),
+        features=rng.normal(size=(n, 6)),
+    )
+    return splats, identity_camera(size=16)
+
+
+def test_fused_backward_chains_equal_single_chain_calls():
+    splats, cam = clamping_scene()
+    out = render(splats, cam)
+    assert out.clamped.any() and not out.clamped.all()
+    rng = np.random.default_rng(3)
+    g_color = rng.normal(size=(16, 16, 3))
+    g_feat = rng.normal(size=(16, 16, 6))
+    for feature_geometry in (False, True):
+        color_grads, feature_grads = render_backward(
+            out, g_color, g_feat, feature_geometry=feature_geometry
+        )
+        color_only, empty = render_backward(out, grad_color=g_color)
+        empty_too, feature_only = render_backward(
+            out, grad_feature=g_feat, feature_geometry=feature_geometry
+        )
+        for field in GRAD_FIELDS:
+            assert getattr(color_grads, field).tobytes() == getattr(color_only, field).tobytes()
+            assert getattr(feature_grads, field).tobytes() == getattr(feature_only, field).tobytes()
+            assert not getattr(empty, field).any() and not getattr(empty_too, field).any()
+        assert not color_grads.features.any() and not feature_grads.colors.any()
+        assert color_grads.centers.any() and feature_grads.features.any()
+        for field in GEOMETRY_FIELDS:
+            assert getattr(feature_grads, field).any() == feature_geometry
+
+
+def test_backward_fully_clamped_splat_has_zero_geometry_grads():
+    # splat 1 is so opaque that its alpha hits the clamp at every pixel it
+    # covers, in front of and behind splats that keep their gradients
+    cam = identity_camera(size=8)
+    splats = make_splats(
+        [[0.05, 0.0, 0.0], [0.0, 0.0, 0.5], [-0.05, 0.02, 1.0]],
+        opacities=[0.4, 1000.0, 0.6], scales=[0.3, 0.2, 0.4],
+    )
+    out = render(splats, cam)
+    assert out.clamped[out.splat == 1].all()
+    assert not out.clamped[out.splat != 1].any()
+    rng = np.random.default_rng(4)
+    chains = render_backward(
+        out, rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 6)), feature_geometry=True
+    )
+    for grads in chains:
+        for field in GEOMETRY_FIELDS:
+            values = getattr(grads, field)
+            assert not values[1].any(), field
+            assert values[0].any() and values[2].any(), field
 
 
 def test_backward_requires_contributor_lists():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from igsplat import trainer
 from igsplat.errors import NumericalError, UsageError
 from igsplat.losses import loss_contrast_truncated, loss_smooth
-from igsplat.renderer import render
+from igsplat.renderer import render, render_backward
 from igsplat.scene_model import (
     ModelConfig,
     checkpoint_bytes,
@@ -143,6 +144,27 @@ def test_joint_phase_moves_offset_and_opacity_heads_not_color(tiny_scene):
     assert checkpoint_head_bytes(decoder, "offset") != offset_before
     assert checkpoint_head_bytes(decoder, "opacity") != opacity_before
     assert anchors.embeddings.tobytes() == embeddings_before
+
+
+@pytest.mark.parametrize("mode", ["progressive", "appearance_frozen"])
+def test_one_render_backward_per_step(tiny_scene, monkeypatch, mode):
+    calls = []
+
+    def counting_backward(out, grad_color=None, grad_feature=None, feature_geometry=False):
+        calls.append((grad_color is not None, grad_feature is not None, feature_geometry))
+        return render_backward(out, grad_color, grad_feature, feature_geometry)
+
+    monkeypatch.setattr(trainer, "render_backward", counting_backward)
+    anchors, decoder, _ = setup_training(tiny_scene)
+    sched = Schedule(total_steps=6, t1=2, t2=4, mode=mode)
+    state = train(anchors, decoder, tiny_scene["views"], sched, seed=0)
+    assert len(calls) == len(state.loss_log) == 6
+    phases = [row[1] for row in state.loss_log]
+    assert phases == ["appearance"] * 2 + ["independent"] * 2 + ["joint"] * 2
+    for phase, (has_color, has_feature, feature_geometry) in zip(phases, calls):
+        assert has_color == (mode == "progressive" or phase == "appearance")
+        assert has_feature == (phase != "appearance")
+        assert feature_geometry == (mode == "progressive" and phase == "joint")
 
 
 def test_training_is_deterministic(tiny_scene):
