@@ -15,7 +15,7 @@ import numpy as np
 
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
-from .losses import NO_MASK, MaskStack
+from .losses import MaskStack
 from .renderer import Camera, rasterize
 from .scene_model import SplatSet
 
@@ -127,15 +127,14 @@ def associate_embeddings(
         if mv == 0:
             continue
         ids = id_map.reshape(-1)
-        mids = view.ids.reshape(-1)
-        inst_valid = ids != NO_INSTANCE
-        mask_valid = mids != NO_MASK
-        inst_sizes = np.bincount(ids[inst_valid].astype(np.int64), minlength=num_instances)
-        mask_sizes = np.bincount(mids[mask_valid].astype(np.int64), minlength=mv)
-        both = inst_valid & mask_valid
+        inst_sizes = np.bincount(ids[ids != NO_INSTANCE].astype(np.int64), minlength=num_instances)
+        mask_sizes = np.bincount(view.label_ids, minlength=mv)
+        # instance id at each labeled pixel, in the order of view.label_ids
+        inst_in_mask = ids[view.labeled]
+        both = inst_in_mask != NO_INSTANCE
         if not both.any():
             continue
-        joint = ids[both].astype(np.int64) * mv + mids[both].astype(np.int64)
+        joint = inst_in_mask[both].astype(np.int64) * mv + view.label_ids[both]
         inter = np.bincount(joint, minlength=num_instances * mv).reshape(num_instances, mv)
         union = inst_sizes[:, None] + mask_sizes[None, :] - inter
         iou = np.where(union > 0, inter / np.maximum(union, 1), 0.0)

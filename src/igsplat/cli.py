@@ -102,7 +102,6 @@ _SCHEMA = {
     },
     "query": {"text_embeddings": str, "class_names": str},
     "output": str,
-    "threads": int,
 }
 
 
@@ -137,22 +136,6 @@ def load_config(path: str) -> dict:
         for i, obj in enumerate(cfg["scene"]["synth"]["objects"]):
             _check_schema(obj, _OBJECT_SCHEMA, f"scene.synth.objects[{i}].")
     return cfg
-
-
-def _resolve_threads(cfg: dict, args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("IGS_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"IGS_THREADS must be an integer, got {env!r}") from exc
-        else:
-            threads = cfg.get("threads", 0)
-    if threads < 0:
-        raise ConfigError("threads must be >= 0 (0 = auto)")
-    return threads
 
 
 def _scene_spec(cfg: dict) -> synthdata.SceneSpec:
@@ -360,11 +343,11 @@ def cmd_query(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     paths = _paths(cfg)
     manifest, points, gt_inst, gt_cls, _, _, _ = _load_views(paths["scene"])
-    labels, m = instantiation.load_labels(paths["labels"])
     anchors, _ = load_checkpoint(paths["checkpoint"])
+    labels, _ = _load_checked_labels(paths["labels"], anchors.count * CHILDREN_PER_ANCHOR)
     # splats inherit the GT label of the seed point their anchor came from
-    per_splat_gt = np.repeat(gt_inst, 5)
-    per_splat_cls = np.repeat(gt_cls, 5)
+    per_splat_gt = np.repeat(gt_inst, CHILDREN_PER_ANCHOR)
+    per_splat_cls = np.repeat(gt_cls, CHILDREN_PER_ANCHOR)
     if labels.shape[0] != per_splat_gt.shape[0]:
         raise UsageError("label count does not match the scene's splat count")
     pred_classes = None
@@ -412,9 +395,8 @@ def cmd_export_ply(cfg: dict, args) -> int:
     paths = _paths(cfg)
     anchors, decoder = load_checkpoint(paths["checkpoint"])
     splats = decode_gaussians(anchors, decoder)
-    labels, m = instantiation.load_labels(paths["labels"])
-    palette = instance_palette(max(m, 1))
-    colors = np.clip(palette[labels % max(m, 1)] * 255.0, 0, 255).astype(np.uint8)
+    labels, m = _load_checked_labels(paths["labels"], splats.count)
+    colors = np.clip(instance_palette(m)[labels] * 255.0, 0, 255).astype(np.uint8)
     rec = np.zeros(splats.count, dtype=np.dtype([("xyz", "<f4", 3), ("rgb", "u1", 3)]))
     rec["xyz"] = splats.centers.astype("<f4")
     rec["rgb"] = colors
@@ -443,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train shared-feature anchor splats, segment 3D instances "
         "bottom-up, and answer open-vocabulary queries.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (0 = auto); IGS_THREADS is the env fallback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, needs_config in [
@@ -490,7 +471,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return cmd_selftest(None, args)
         cfg = load_config(args.config)
-        _resolve_threads(cfg, args)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

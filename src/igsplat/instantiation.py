@@ -12,14 +12,15 @@ them back into whole instances:
 4. voxelize each sub-object's member points,
 5. connect sub-objects that share or 26-neighbor voxels, weighting edges by
    the L2 distance of their mean features,
-6. union-find over edges with feature distance <= gamma, relabeling the
-   resulting components largest-first.
+6. connected components over edges with feature distance <= gamma,
+   relabeled largest-first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .binio import pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
@@ -69,8 +70,6 @@ class ConnectivityGraph:
     weights: np.ndarray  # (s, s) symmetric, zero diagonal
     adjacency: np.ndarray  # (s, s) bool, voxel-adjacent sub-objects
     alive: np.ndarray  # (s,) bool, not tombstoned
-    voxels: list  # per-cluster arrays of occupied voxel keys
-    voxel_size: float
     gamma: float
 
 
@@ -83,31 +82,6 @@ class InstanceResult:
     @property
     def instance_count(self) -> int:
         return self.features.shape[0]
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 def positional_encode(unit_positions: np.ndarray) -> np.ndarray:
@@ -273,7 +247,6 @@ def build_connectivity_graph(
     voxels: list,
     gamma: float,
     node_features: np.ndarray | None = None,
-    voxel_size: float = 0.0,
 ) -> ConnectivityGraph:
     """Edge weight = L2 feature distance gated by voxel adjacency (shared or
     26-neighborhood-adjacent voxels). Tombstoned clusters get no edges.
@@ -312,14 +285,7 @@ def build_connectivity_graph(
     diff = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     weights = np.where(adjacency, dist, 0.0)
-    return ConnectivityGraph(
-        weights=weights,
-        adjacency=adjacency,
-        alive=alive,
-        voxels=voxels,
-        voxel_size=voxel_size,
-        gamma=gamma,
-    )
+    return ConnectivityGraph(weights=weights, adjacency=adjacency, alive=alive, gamma=gamma)
 
 
 def aggregate_components(
@@ -328,41 +294,32 @@ def aggregate_components(
     labels: np.ndarray,
     features: np.ndarray,
 ) -> InstanceResult:
-    """Union-find over adjacent cluster pairs whose feature distance is
-    <= gamma (inclusive of exact zero), then relabel components 0..m-1 by
+    """Connected components over adjacent live cluster pairs whose feature
+    distance is <= gamma (inclusive of exact zero), relabeled 0..m-1 by
     descending member-point count (ties: smallest member cluster id).
+    Tombstoned clusters belong to no instance.
     """
     if gamma != graph.gamma:
         raise UsageError("graph was built with a different gamma")
     labels = np.asarray(labels, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
-    s = graph.weights.shape[0]
-    uf = UnionFind(s)
-    merge = graph.adjacency & (graph.weights <= gamma)
-    for i, j in zip(*np.nonzero(np.triu(merge, k=1))):
-        if graph.alive[i] and graph.alive[j]:
-            uf.union(int(i), int(j))
+    alive = graph.alive
+    merge = graph.adjacency & (graph.weights <= gamma) & np.outer(alive, alive)
+    count, component = connected_components(merge, directed=False)
 
-    point_counts = np.bincount(labels, minlength=s)
-    roots = np.array([uf.find(k) if graph.alive[k] else -1 for k in range(s)])
-    components: dict[int, list[int]] = {}
-    for k in range(s):
-        if roots[k] >= 0:
-            components.setdefault(int(roots[k]), []).append(k)
+    # components of tombstoned clusters are singletons, dropped here
+    _, first = np.unique(component, return_index=True)  # smallest member id
+    point_counts = np.bincount(component[labels], minlength=count)
+    kept = np.flatnonzero(alive[first])
+    ordered = kept[np.lexsort((first[kept], -point_counts[kept]))]
+    component_to_instance = np.full(count, -1, dtype=np.int64)
+    component_to_instance[ordered] = np.arange(ordered.size)
 
-    ordered = sorted(
-        components.values(),
-        key=lambda members: (-int(point_counts[members].sum()), min(members)),
-    )
-    cluster_to_instance = np.full(s, -1, dtype=np.int64)
-    for inst, members in enumerate(ordered):
-        cluster_to_instance[members] = inst
-
-    inst_labels = cluster_to_instance[labels]
+    inst_labels = component_to_instance[component][labels]
     if (inst_labels < 0).any():
         raise AssertionError("a point mapped to a tombstoned cluster")
 
-    m = len(ordered)
+    m = ordered.size
     sizes = np.bincount(inst_labels, minlength=m)
     feat_means = np.zeros((m, FEATURE_DIM))
     for ch in range(FEATURE_DIM):
@@ -392,7 +349,7 @@ def instantiate(
     seeds = farthest_point_sample(x, s, start)
     state = kmeans_cluster(x, positions, features, seeds)
     voxels = voxelize_subobjects(positions, state.labels, r, state.cluster_count)
-    graph = build_connectivity_graph(state, voxels, gamma, voxel_size=r)
+    graph = build_connectivity_graph(state, voxels, gamma)
     return aggregate_components(graph, gamma, state.labels, features)
 
 

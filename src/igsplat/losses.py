@@ -36,11 +36,19 @@ MASK_VERSION = 1
 @dataclass
 class MaskView:
     """One view's mask image: ids in [0, count) with NO_MASK background,
-    plus optional per-mask embedding vectors aligned with the id space."""
+    plus optional per-mask embedding vectors aligned with the id space.
+
+    Masks are static, so the labeled-pixel index is built once here:
+    ``labeled`` selects the flat pixels inside a mask and ``label_ids``
+    holds their mask ids as int64, in flat pixel order. ``ids`` must not be
+    modified after construction.
+    """
 
     ids: np.ndarray  # (H, W) uint32
     count: int
     embeddings: np.ndarray | None = None  # (count, d_emb)
+    labeled: np.ndarray = field(init=False, repr=False)  # (H*W,) bool
+    label_ids: np.ndarray = field(init=False, repr=False)  # (#labeled,) int64
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.uint32)
@@ -48,10 +56,12 @@ class MaskView:
             raise DataError("mask image must be 2-D")
         if self.count < 0:
             raise DataError("mask count must be non-negative")
-        labeled = self.ids[self.ids != NO_MASK]
-        if labeled.size and int(labeled.max()) >= self.count:
+        flat_ids = self.ids.reshape(-1)
+        self.labeled = flat_ids != NO_MASK
+        self.label_ids = flat_ids[self.labeled].astype(np.int64)
+        if self.label_ids.size and int(self.label_ids.max()) >= self.count:
             raise DataError(
-                f"mask id {int(labeled.max())} out of range for count {self.count}"
+                f"mask id {int(self.label_ids.max())} out of range for count {self.count}"
             )
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -134,11 +144,9 @@ def mask_mean_features(feature_image: np.ndarray, view: MaskView):
     counts = np.zeros(m, dtype=np.int64)
     if m == 0:
         return means, counts, np.zeros(0, dtype=bool)
-    flat_ids = view.ids.reshape(-1)
-    labeled = flat_ids != NO_MASK
-    idx = flat_ids[labeled].astype(np.int64)
+    idx = view.label_ids
     counts = np.bincount(idx, minlength=m)
-    feats = feature_image.reshape(-1, FEATURE_DIM)[labeled]
+    feats = feature_image.reshape(-1, FEATURE_DIM)[view.labeled]
     for ch in range(FEATURE_DIM):
         means[:, ch] = np.bincount(idx, weights=feats[:, ch], minlength=m)
     present = counts > 0
@@ -159,19 +167,14 @@ def loss_smooth(feature_image: np.ndarray, view: MaskView, normalize: str = "pix
         raise UsageError(f"unknown smoothness normalization {normalize!r}")
     feature_image = np.asarray(feature_image, dtype=np.float64)
     means, counts, present = mask_mean_features(feature_image, view)
-    h, w = view.shape
     grad = np.zeros_like(feature_image)
     total = int(counts.sum())
     if total == 0:
         return 0.0, grad, means, counts, present
     scale = 1.0 / total if normalize == "pixels" else 1.0
-    flat_ids = view.ids.reshape(-1)
-    labeled = flat_ids != NO_MASK
-    idx = flat_ids[labeled].astype(np.int64)
-    dev = feature_image.reshape(-1, FEATURE_DIM)[labeled] - means[idx]
+    dev = feature_image.reshape(-1, FEATURE_DIM)[view.labeled] - means[view.label_ids]
     value = float((dev * dev).sum() * scale)
-    grad_flat = grad.reshape(-1, FEATURE_DIM)
-    grad_flat[labeled] = 2.0 * dev * scale
+    grad.reshape(-1, FEATURE_DIM)[view.labeled] = 2.0 * dev * scale
     return value, grad, means, counts, present
 
 
@@ -210,11 +213,9 @@ def spread_mean_gradient(view: MaskView, grad_means: np.ndarray, counts: np.ndar
     (each masked pixel receives grad_mean / mask pixel count)."""
     h, w = view.shape
     grad = np.zeros((h, w, FEATURE_DIM))
-    flat_ids = view.ids.reshape(-1)
-    labeled = flat_ids != NO_MASK
-    if not labeled.any():
+    if view.label_ids.size == 0:
         return grad
-    idx = flat_ids[labeled].astype(np.int64)
+    idx = view.label_ids
     safe_counts = np.maximum(counts, 1)
-    grad.reshape(-1, FEATURE_DIM)[labeled] = grad_means[idx] / safe_counts[idx, None]
+    grad.reshape(-1, FEATURE_DIM)[view.labeled] = grad_means[idx] / safe_counts[idx, None]
     return grad

@@ -1,0 +1,41 @@
+"""Brute-force references for the sampler and the component aggregation.
+
+Shared by ``igsplat selftest`` and the test suite; each recomputes its
+answer in full instead of incrementally, so it checks the fast path
+without sharing its shortcuts.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:
+    """Farthest point sampling with a full recompute each round (no
+    incremental minimum), O(n^2 s) work; ties go to the smallest index."""
+    chosen = [start]
+    for _ in range(s - 1):
+        d2 = ((points[:, None, :] - points[chosen][None, :, :]) ** 2).sum(axis=2)
+        min_d2 = d2.min(axis=1)
+        min_d2[chosen] = -1.0
+        chosen.append(int(np.argmax(min_d2)))
+    return np.array(chosen)
+
+
+def dfs_components(merge: np.ndarray, alive: np.ndarray) -> dict[int, int]:
+    """Component number of every alive node, by depth-first search over the
+    boolean ``merge`` matrix."""
+    s = merge.shape[0]
+    comp: dict[int, int] = {}
+    next_comp = 0
+    for k in range(s):
+        if not alive[k] or k in comp:
+            continue
+        stack = [k]
+        while stack:
+            node = stack.pop()
+            if node in comp:
+                continue
+            comp[node] = next_comp
+            stack.extend(j for j in range(s) if merge[node, j] and j not in comp)
+        next_comp += 1
+    return comp

@@ -147,37 +147,6 @@ def project_splats(splats: SplatSet, camera: Camera) -> ProjectedSplats:
 
 
 @dataclass
-class RenderOutput:
-    color: np.ndarray  # (H, W, 3)
-    feature: np.ndarray  # (H, W, 6)
-    alpha: np.ndarray  # (H, W)
-    # Flat per-contribution arrays, sorted by (pixel, depth order); these are
-    # the per-pixel contributor lists retained for the backward pass.
-    pix: np.ndarray  # (q,) flat pixel index
-    splat: np.ndarray  # (q,) original splat index
-    slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays
-    alpha_i: np.ndarray  # (q,) clamped alpha
-    trans: np.ndarray  # (q,) transmittance before this contribution
-    weight: np.ndarray  # (q,) alpha_i * trans
-    clamped: np.ndarray  # (q,) bool, alpha hit the 0.99 clamp
-    seg_start: np.ndarray  # (#pixels with contributions,) segment starts into the flat arrays
-    seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
-    projected: ProjectedSplats | None
-    splats: SplatSet | None
-    camera: Camera | None
-
-    def contributors(self, row: int, col: int):
-        """(splat index, alpha, T) triples for one pixel, front to back."""
-        flat = row * self.color.shape[1] + col
-        pos = np.searchsorted(self.seg_pix, flat)
-        if pos == len(self.seg_pix) or self.seg_pix[pos] != flat:
-            return []
-        lo = self.seg_start[pos]
-        hi = self.seg_start[pos + 1] if pos + 1 < len(self.seg_start) else len(self.pix)
-        return list(zip(self.splat[lo:hi], self.alpha_i[lo:hi], self.trans[lo:hi]))
-
-
-@dataclass
 class SplatGrads:
     colors: np.ndarray
     features: np.ndarray
@@ -204,8 +173,10 @@ class SplatGrads:
 class Raster:
     """One view's contributions and alpha image, without any composite.
 
+    The flat per-contribution arrays are sorted by (pixel, depth order):
+    they are the per-pixel contributor lists the backward pass reads.
     ``weight`` is alpha_i * trans, the compositing weight of each
-    contribution; the flat arrays are sorted as in ``RenderOutput``.
+    contribution.
     """
 
     pix: np.ndarray  # (q,) flat pixel index
@@ -219,6 +190,27 @@ class Raster:
     seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
     alpha: np.ndarray  # (H, W) composited alpha
     projected: ProjectedSplats
+
+    def contributors(self, row: int, col: int):
+        """(splat index, alpha, T) triples for one pixel, front to back."""
+        flat = row * self.alpha.shape[1] + col
+        pos = np.searchsorted(self.seg_pix, flat)
+        if pos == len(self.seg_pix) or self.seg_pix[pos] != flat:
+            return []
+        lo = self.seg_start[pos]
+        hi = self.seg_start[pos + 1] if pos + 1 < len(self.seg_start) else len(self.pix)
+        return list(zip(self.splat[lo:hi], self.alpha_i[lo:hi], self.trans[lo:hi]))
+
+
+@dataclass
+class RenderOutput(Raster):
+    """A raster plus its color and feature composites, and the splats and
+    camera the backward pass needs."""
+
+    color: np.ndarray  # (H, W, 3)
+    feature: np.ndarray  # (H, W, 6)
+    splats: SplatSet | None
+    camera: Camera | None
 
 
 def _build_contributions(proj: ProjectedSplats, camera: Camera):
@@ -345,23 +337,8 @@ def render(splats: SplatSet, camera: Camera) -> RenderOutput:
                 ras.weight * channel.take(ras.splat), ras.seg_start
             )
 
-    return RenderOutput(
-        color=color.reshape(h, w, 3),
-        feature=feature.reshape(h, w, 6),
-        alpha=ras.alpha,
-        pix=ras.pix,
-        splat=ras.splat,
-        slot=ras.slot,
-        alpha_i=ras.alpha_i,
-        trans=ras.trans,
-        weight=ras.weight,
-        clamped=ras.clamped,
-        seg_start=ras.seg_start,
-        seg_pix=ras.seg_pix,
-        projected=ras.projected,
-        splats=splats,
-        camera=camera,
-    )
+    return RenderOutput(**vars(ras), color=color.reshape(h, w, 3), feature=feature.reshape(h, w, 6),
+                        splats=splats, camera=camera)
 
 
 def render_backward(

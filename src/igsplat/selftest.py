@@ -17,28 +17,15 @@ from .instantiation import (
     voxelize_subobjects,
 )
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
+from .oracles import dfs_components, fps_oracle
 from .renderer import Camera, render, render_backward
 from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
-
-
-def _fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:
-    chosen = [start]
-    for _ in range(s - 1):
-        best_idx, best_d2 = -1, -1.0
-        for i in range(len(points)):
-            if i in chosen:
-                continue
-            d2 = min(((points[i] - points[j]) ** 2).sum() for j in chosen)
-            if d2 > best_d2:
-                best_d2, best_idx = d2, i
-        chosen.append(best_idx)
-    return np.array(chosen)
 
 
 def _check_fps(rng) -> None:
     pts = rng.normal(size=(60, 4))
     got = farthest_point_sample(pts, 12, 3)
-    want = _fps_oracle(pts, 12, 3)
+    want = fps_oracle(pts, 12, 3)
     assert np.array_equal(got, want), f"{got} != {want}"
 
 
@@ -60,24 +47,10 @@ def _check_components(rng) -> None:
     init = farthest_point_sample(x, s, 0)
     state = kmeans_cluster(x, pts, feats, init)
     voxels = voxelize_subobjects(pts, state.labels, 0.5, state.cluster_count)
-    graph = build_connectivity_graph(state, voxels, 0.8, voxel_size=0.5)
+    graph = build_connectivity_graph(state, voxels, 0.8)
     result = aggregate_components(graph, 0.8, state.labels, feats)
 
-    # brute-force DFS over the same merge condition
-    merge = graph.adjacency & (graph.weights <= 0.8)
-    seen = {}
-    comp = 0
-    for k in range(s):
-        if not graph.alive[k] or k in seen:
-            continue
-        stack = [k]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen[node] = comp
-            stack.extend(j for j in range(s) if merge[node, j] and j not in seen)
-        comp += 1
+    seen = dfs_components(graph.adjacency & (graph.weights <= 0.8), graph.alive)
     for i in range(s):
         for j in range(s):
             if graph.alive[i] and graph.alive[j]:

@@ -31,6 +31,7 @@ from igsplat.losses import (
     loss_rgb,
     loss_smooth,
 )
+from igsplat.oracles import dfs_components, fps_oracle
 from igsplat.renderer import Camera, render, render_backward
 from igsplat.scene_model import (
     ModelConfig,
@@ -202,17 +203,6 @@ def test_criterion_2_loss_identities():
 # --- criterion 3: farthest point sampling vs brute force -------------------
 
 
-def fps_oracle(points, s, start):
-    """Full recompute each round (no incremental minimum), O(n^2 s) work."""
-    chosen = [start]
-    for _ in range(s - 1):
-        d2 = ((points[:, None, :] - points[chosen][None, :, :]) ** 2).sum(axis=2)
-        min_d2 = d2.min(axis=1)
-        min_d2[chosen] = -1.0
-        chosen.append(int(np.argmax(min_d2)))
-    return np.array(chosen)
-
-
 def test_criterion_3_fps_oracle():
     rng = np.random.default_rng(11)
     for trial in range(100):
@@ -241,24 +231,6 @@ def make_cluster_instance(rng, s):
     return state, voxels, positions, features
 
 
-def dfs_partition(merge, alive):
-    s = merge.shape[0]
-    comp = {}
-    nxt = 0
-    for k in range(s):
-        if not alive[k] or k in comp:
-            continue
-        stack = [k]
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp[node] = nxt
-            stack.extend(j for j in range(s) if merge[node, j] and j not in comp)
-        nxt += 1
-    return comp
-
-
 def test_criterion_4_components_and_monotonicity():
     rng = np.random.default_rng(13)
     for trial in range(100):
@@ -270,7 +242,7 @@ def test_criterion_4_components_and_monotonicity():
         res1 = aggregate_components(graph1, float(g1), state.labels, features)
         res2 = aggregate_components(graph2, float(g2), state.labels, features)
 
-        comp = dfs_partition(graph2.adjacency & (graph2.weights <= g2), graph2.alive)
+        comp = dfs_components(graph2.adjacency & (graph2.weights <= g2), graph2.alive)
         cluster_inst = {}
         for k in range(s):
             if graph2.alive[k] and (state.labels == k).any():
@@ -284,7 +256,7 @@ def test_criterion_4_components_and_monotonicity():
             coarse = res2.labels[res1.labels == inst]
             assert len(set(coarse.tolist())) == 1
         assert res1.instance_count >= res2.instance_count
-    report(4, "union-find equals DFS partitions and gamma refinement holds on 100 graphs")
+    report(4, "connected components equal DFS partitions and gamma refinement holds on 100 graphs")
 
 
 # --- criterion 5: k-means objective behavior --------------------------------
@@ -350,8 +322,7 @@ def segmentation_with(splats, node_features=None, voxel_gate=True):
     state = kmeans_cluster(x, splats.centers, splats.features, seeds)
     voxels = voxelize_subobjects(splats.centers, state.labels, p["r"], state.cluster_count)
     feats = state.features if node_features is None else node_features(state)
-    graph = build_connectivity_graph(state, voxels, p["gamma"], node_features=feats,
-                                     voxel_size=p["r"])
+    graph = build_connectivity_graph(state, voxels, p["gamma"], node_features=feats)
     if not voxel_gate:
         alive = graph.alive[:, None] & graph.alive[None, :]
         graph.adjacency = alive & ~np.eye(len(graph.alive), dtype=bool)

@@ -177,6 +177,16 @@ def test_query_rejects_bad_label_file(associated, case, capsys):
     assert not os.path.exists(os.path.join(out, "query"))
 
 
+@pytest.mark.parametrize("case", BAD_LABEL_CASES)
+@pytest.mark.parametrize("stage, artifact", [("eval", "eval/metrics.json"),
+                                             ("export-ply", "instances.ply")])
+def test_eval_and_export_reject_bad_label_file(instantiated, stage, artifact, case, capsys):
+    config_path, out = instantiated
+    assert run_with_bad_labels(config_path, out, stage, case) == 2
+    assert "labels.iglb" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, artifact))
+
+
 def test_query_rejects_embedding_table_of_other_size(associated, capsys):
     config_path, out = associated
     path = os.path.join(out, "associate", "instance_embeddings.igem")
@@ -213,11 +223,6 @@ def test_non_finite_checkpoint_exits_2(instantiated, tensor, stage, capsys):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
-
-
-def test_threads_flag_validated(tmp_path):
-    config_path, _ = write_config(tmp_path)
-    assert main(["--threads", "-1", "generate", "--config", config_path]) == 2
 
 
 def hash_tree(root):

@@ -14,22 +14,7 @@ from igsplat.instantiation import (
     save_labels,
     voxelize_subobjects,
 )
-
-
-def fps_bruteforce(points, s, start):
-    """O(n^2 s) reference: recompute min distances to the chosen set each
-    round, pick the argmax (ties to the smallest index)."""
-    chosen = [start]
-    for _ in range(s - 1):
-        best_idx, best = -1, -np.inf
-        for i in range(len(points)):
-            if i in chosen:
-                continue
-            d2 = min(((points[i] - points[j]) ** 2).sum() for j in chosen)
-            if d2 > best:
-                best, best_idx = d2, i
-        chosen.append(best_idx)
-    return np.array(chosen)
+from igsplat.oracles import dfs_components, fps_oracle
 
 
 def test_fps_line_example():
@@ -52,7 +37,7 @@ def test_fps_matches_bruteforce():
         pts = rng.normal(size=(n, 5))
         start = int(rng.integers(n))
         assert np.array_equal(farthest_point_sample(pts, s, start),
-                              fps_bruteforce(pts, s, start))
+                              fps_oracle(pts, s, start))
 
 
 def test_fps_duplicate_points_stay_distinct():
@@ -295,22 +280,23 @@ def test_aggregate_gamma_mismatch():
         aggregate_components(graph, 0.2, labels, np.zeros((2, 6)))
 
 
-def dfs_components(merge, alive):
-    s = merge.shape[0]
-    comp = {}
-    next_comp = 0
-    for k in range(s):
-        if not alive[k] or k in comp:
-            continue
-        stack = [k]
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp[node] = next_comp
-            stack.extend(j for j in range(s) if merge[node, j] and j not in comp)
-        next_comp += 1
-    return comp
+def test_aggregate_relabels_largest_first_then_smallest_member():
+    # Components {4, 6} (6 points), {2, 7} and {3} (4 points each), {1}
+    # (1 point); clusters 0 and 5 are tombstoned. {3}'s points come first
+    # and its only id is below {2, 7}'s largest, yet {2, 7} wins the tie.
+    cluster_x = {3: 4.0, 2: 2.0, 7: 2.25, 4: 0.0, 6: 0.25, 1: 6.0}
+    labels = np.array([3, 3, 7, 2, 3, 7, 2, 3, 6, 4, 6, 1, 4, 6, 4])
+    positions = np.zeros((labels.size, 3))
+    positions[:, 0] = [cluster_x[k] for k in labels]
+    features = np.zeros((labels.size, 6))
+    state = cluster_state_from(labels, features, positions)
+    assert state.tombstone.tolist() == [True, False, False, False, False, True, False, False]
+    voxels = voxelize_subobjects(positions, labels, 0.2, 8)
+    graph = build_connectivity_graph(state, voxels, 0.1)
+    result = aggregate_components(graph, 0.1, labels, features)
+    assert result.sizes.tolist() == [6, 4, 4, 1]
+    instance_of = {k: int(result.labels[labels == k][0]) for k in cluster_x}
+    assert instance_of == {4: 0, 6: 0, 2: 1, 7: 1, 3: 2, 1: 3}
 
 
 def random_graph_instance(rng, s):
