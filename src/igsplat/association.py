@@ -15,7 +15,7 @@ import numpy as np
 
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
-from .losses import MaskStack
+from .losses import MaskView
 from .renderer import Camera, rasterize
 from .scene_model import SplatSet
 
@@ -25,7 +25,6 @@ MIN_VISIBLE_ALPHA = 0.05
 
 EMBEDDING_MAGIC = b"IGEM"
 EMBEDDING_VERSION = 1
-DEFAULT_EMBEDDING_DIM = 32
 
 
 @dataclass
@@ -97,7 +96,7 @@ def render_instance_id_map(
 
 
 def associate_embeddings(
-    id_maps: list[np.ndarray], masks: MaskStack, num_instances: int
+    id_maps: list[np.ndarray], masks: list[MaskView], num_instances: int
 ) -> EmbeddingTable:
     """IoU-weighted accumulation of mask embeddings per instance.
 

@@ -353,9 +353,14 @@ def cmd_eval(cfg: dict, args) -> int:
     pred_classes = None
     num_classes = manifest.get("num_classes", 0)
     if os.path.exists(paths["semantic"]):
-        semantic, _ = instantiation.load_labels(paths["semantic"])
-        pred_classes = semantic.astype(np.int64)
-        pred_classes[pred_classes == 0xFFFFFFFF] = -1
+        semantic, class_count = instantiation.load_labels(paths["semantic"])
+        unassigned = semantic == 0xFFFFFFFF
+        bad = semantic[~unassigned & (semantic >= class_count)]
+        if bad.size:
+            raise DataError(
+                f"{paths['semantic']}: class id {bad[0]} is not below the class count {class_count}"
+            )
+        pred_classes = np.where(unassigned, -1, semantic)
     report = evaluation.build_report(
         labels, per_splat_gt, pred_classes, per_splat_cls if pred_classes is not None else None,
         num_classes,

@@ -2,8 +2,8 @@
 
 Instance metrics follow a per-ground-truth best-match protocol: every GT
 instance is scored against the predicted instance with maximal IoU, and
-predictions may be reused across GT instances (a one-to-one assignment is
-available as a switch for sensitivity checks). Semantic metrics are the
+predictions may be reused across GT instances; mAcc counts the GT
+instances whose best IoU reaches 0.25. Semantic metrics are the
 usual per-class IoU plus macro-averaged per-class recall, restricted to
 classes present in the ground truth.
 """
@@ -13,13 +13,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .binio import write_atomic
 from .errors import UsageError
 
 GT_UNLABELED = -1
-DEFAULT_ACC_THRESHOLD = 0.25
+ACC_THRESHOLD = 0.25  # mAcc@0.25, the instance_macc_at_25 of metrics.json
 
 
 @dataclass
@@ -63,26 +62,20 @@ def save_metrics(path: str, report: MetricsReport) -> None:
     write_atomic(path, (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode())
 
 
-def _contingency(pred: np.ndarray, gt: np.ndarray):
+def _contingency(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(#GT ids, #predicted ids) point counts, ids in ascending order."""
     gt_ids, gt_idx = np.unique(gt, return_inverse=True)
     pred_ids, pred_idx = np.unique(pred, return_inverse=True)
-    table = np.bincount(
+    return np.bincount(
         gt_idx * len(pred_ids) + pred_idx, minlength=len(gt_ids) * len(pred_ids)
     ).reshape(len(gt_ids), len(pred_ids))
-    return table, gt_ids, pred_ids
 
 
-def instance_metrics(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    threshold: float = DEFAULT_ACC_THRESHOLD,
-    one_to_one: bool = False,
-) -> tuple[float, float]:
-    """(mIoU, mAcc@threshold) of predicted instances against GT instances.
+def instance_metrics(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+    """(mIoU, mAcc@ACC_THRESHOLD) of predicted instances against GT instances.
 
     Points whose GT label is the unlabeled sentinel are excluded from scoring
-    entirely. With ``one_to_one=True`` predictions are assigned to GT
-    instances by a maximum-IoU matching instead of independent argmaxes.
+    entirely.
     """
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
@@ -93,18 +86,13 @@ def instance_metrics(
     gt = gt[valid]
     if gt.size == 0:
         return 0.0, 0.0
-    table, gt_ids, _ = _contingency(pred, gt)
+    table = _contingency(pred, gt)
     gt_sizes = table.sum(axis=1)
     pred_sizes = table.sum(axis=0)
     union = gt_sizes[:, None] + pred_sizes[None, :] - table
     iou = table / np.maximum(union, 1)
-    if one_to_one:
-        rows, cols = linear_sum_assignment(-iou)
-        best = np.zeros(len(gt_ids))
-        best[rows] = iou[rows, cols]
-    else:
-        best = iou.max(axis=1)
-    return float(best.mean()), float((best >= threshold).mean())
+    best = iou.max(axis=1)
+    return float(best.mean()), float((best >= ACC_THRESHOLD).mean())
 
 
 def semantic_metrics(
@@ -148,9 +136,8 @@ def build_report(
     pred_classes: np.ndarray | None = None,
     gt_classes: np.ndarray | None = None,
     num_classes: int = 0,
-    one_to_one: bool = False,
 ) -> MetricsReport:
-    miou, macc = instance_metrics(pred_instances, gt_instances, one_to_one=one_to_one)
+    miou, macc = instance_metrics(pred_instances, gt_instances)
     gt_valid = gt_instances[np.asarray(gt_instances) != GT_UNLABELED]
     report = MetricsReport(
         instance_miou=miou,

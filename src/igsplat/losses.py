@@ -26,7 +26,6 @@ from .errors import DataError, UsageError
 
 NO_MASK = np.uint32(0xFFFFFFFF)
 DEGENERATE_PAIR_EPS = 1e-8
-DEFAULT_TAU = 0.4
 FEATURE_DIM = 6
 
 MASK_MAGIC = b"IGMK"
@@ -71,20 +70,6 @@ class MaskView:
     @property
     def shape(self) -> tuple[int, int]:
         return self.ids.shape
-
-
-@dataclass
-class MaskStack:
-    views: list[MaskView] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.views)
-
-    def __iter__(self):
-        return iter(self.views)
-
-    def __getitem__(self, i: int) -> MaskView:
-        return self.views[i]
 
 
 @dataclass
@@ -154,24 +139,20 @@ def mask_mean_features(feature_image: np.ndarray, view: MaskView):
     return means, counts, present
 
 
-def loss_smooth(feature_image: np.ndarray, view: MaskView, normalize: str = "pixels"):
+def loss_smooth(feature_image: np.ndarray, view: MaskView):
     """Intra-mask smoothness: sum over masked pixels of the squared deviation
-    from the pixel's mask mean, divided by the masked pixel count
-    (``normalize="pixels"``, the default) or left as the raw sum
-    (``normalize="none"``).
+    from the pixel's mask mean, divided by the masked pixel count.
 
     Returns (value, gradient w.r.t. the feature image, means, counts, present).
     The means are held constant in the gradient.
     """
-    if normalize not in ("pixels", "none"):
-        raise UsageError(f"unknown smoothness normalization {normalize!r}")
     feature_image = np.asarray(feature_image, dtype=np.float64)
     means, counts, present = mask_mean_features(feature_image, view)
     grad = np.zeros_like(feature_image)
     total = int(counts.sum())
     if total == 0:
         return 0.0, grad, means, counts, present
-    scale = 1.0 / total if normalize == "pixels" else 1.0
+    scale = 1.0 / total
     dev = feature_image.reshape(-1, FEATURE_DIM)[view.labeled] - means[view.label_ids]
     value = float((dev * dev).sum() * scale)
     grad.reshape(-1, FEATURE_DIM)[view.labeled] = 2.0 * dev * scale

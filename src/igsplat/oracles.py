@@ -1,4 +1,5 @@
-"""Brute-force references for the sampler and the component aggregation.
+"""Brute-force references for the sampler, the component aggregation and
+the analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -39,3 +40,25 @@ def dfs_components(merge: np.ndarray, alive: np.ndarray) -> dict[int, int]:
             stack.extend(j for j in range(s) if merge[node, j] and j not in comp)
         next_comp += 1
     return comp
+
+
+def central_differences(objective, array: np.ndarray, h: float, indices=None) -> np.ndarray:
+    """(objective() at x + h minus objective() at x - h) / 2h along each
+    probed flat entry x of ``array`` (all of them by default), one row per
+    entry. ``array`` is perturbed in place and restored exactly after each
+    entry; ``objective`` may return a scalar or an array."""
+    out = []
+    for idx in range(array.size) if indices is None else indices:
+        orig = array.flat[idx]
+        array.flat[idx] = orig + h
+        plus = objective()
+        array.flat[idx] = orig - h
+        minus = objective()
+        array.flat[idx] = orig
+        out.append((plus - minus) / (2 * h))
+    return np.array(out)
+
+
+def relative_errors(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """|analytic - fd| / max(|analytic|, |fd|, 1e-6), entrywise."""
+    return np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)

@@ -21,6 +21,8 @@ by a stable sort on the flat pixel index (keyed by the narrowest unsigned
 type that holds it, so depth order survives within each pixel), and yields
 alpha, transmittance, alpha * T and the alpha image. ``render`` adds the
 color and feature composite; instance id maps need only the first step.
+The same row-span enumeration, fed point disks instead of splat cutoffs,
+gives the ground-truth point z-buffer (``zbuffer_owners``).
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -124,15 +126,22 @@ class ProjectedSplats:
         return self.indices.shape[0]
 
 
-def project_splats(splats: SplatSet, camera: Camera) -> ProjectedSplats:
-    """Project to the image plane, cull splats at depth <= the near plane."""
-    cam = camera.world_to_camera(splats.centers)
-    z = cam[:, 2]
-    keep = np.flatnonzero(z > NEAR_PLANE)
+def _project(points: np.ndarray, camera: Camera):
+    """Indices of the points in front of the near plane, their camera-space
+    positions and their pixel coordinates (u, v), in index order."""
+    cam = camera.world_to_camera(points)
+    keep = np.flatnonzero(cam[:, 2] > NEAR_PLANE)
     cam = cam[keep]
-    z = z[keep]
+    z = cam[:, 2]
     u = camera.fx * cam[:, 0] / z + camera.cx
     v = camera.fy * cam[:, 1] / z + camera.cy
+    return keep, cam, u, v
+
+
+def project_splats(splats: SplatSet, camera: Camera) -> ProjectedSplats:
+    """Project to the image plane, cull splats at depth <= the near plane."""
+    keep, cam, u, v = _project(splats.centers, camera)
+    z = cam[:, 2]
     sigma_px = splats.scales[keep] * camera.fx / z
     order = np.argsort(z, kind="stable")  # stable: equal depths stay in index order
     return ProjectedSplats(
@@ -213,11 +222,13 @@ class RenderOutput(Raster):
     camera: Camera | None
 
 
-def _build_contributions(proj: ProjectedSplats, camera: Camera):
-    """Enumerate (splat, pixel) pairs inside each splat's cutoff disk.
+def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
+    """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
+    radius r on a w x h image; the arrays are indexed by slot, in depth
+    order.
 
-    Returns flat (pixel, projected slot, d2) arrays sorted by (pixel, depth
-    order), or None when no pair exists.
+    Returns flat (pixel, slot, d2) arrays sorted by (pixel, depth order),
+    or None when no pair exists.
 
     The expansion runs over row spans, not bounding boxes: one record per
     (splat, row) of the splat's image-clipped box carries dv*dv and the
@@ -236,8 +247,6 @@ def _build_contributions(proj: ProjectedSplats, camera: Camera):
     NumPy's stable sort handles by radix, with the same permutation as an
     int64 key.
     """
-    w, h = camera.width, camera.height
-    u, v, r = proj.u, proj.v, proj.radius_px
     x0 = np.maximum(np.ceil(u - r), 0.0)
     x1 = np.minimum(np.floor(u + r), w - 1.0)
     y0 = np.maximum(np.ceil(v - r), 0.0)
@@ -287,8 +296,8 @@ def _build_contributions(proj: ProjectedSplats, camera: Camera):
 def rasterize(splats: SplatSet, camera: Camera) -> Raster:
     """Contributions, their alphas and transmittances, and the alpha image."""
     proj = project_splats(splats, camera)
-    built = _build_contributions(proj, camera)
     h, w = camera.height, camera.width
+    built = _build_contributions(proj.u, proj.v, proj.radius_px, w, h)
     if built is None:
         none_i = np.zeros(0, dtype=np.int64)
         none_f = np.zeros(0)
@@ -322,6 +331,28 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
         clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
         alpha=alpha_img.reshape(h, w), projected=proj,
     )
+
+
+def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.ndarray:
+    """Nearest point per pixel (-1 where none), each point stamping a disk
+    of world radius ``radii`` (pixel radius radii * fx / depth).
+
+    Points at depth <= the near plane are dropped. Disks come from the same
+    row-span builder as the splat contributions; where disks overlap, the
+    point of smallest depth wins, ties going to the lower point index.
+    """
+    h, w = camera.height, camera.width
+    owners = np.full(h * w, -1, dtype=np.int64)
+    keep, cam, u, v = _project(points, camera)
+    z = cam[:, 2]
+    radius = radii[keep] * camera.fx / z
+    order = np.argsort(z, kind="stable")  # stable: equal depths stay in index order
+    built = _build_contributions(u[order], v[order], radius[order], w, h)
+    if built is not None:
+        pix, slot, _ = built
+        first = np.concatenate(([True], pix[1:] != pix[:-1]))
+        owners[pix[first]] = keep[order[slot[first]]]
+    return owners.reshape(h, w)
 
 
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:

@@ -55,8 +55,6 @@ class AnchorSet:
     embeddings: np.ndarray  # (n, d_e) appearance codes
     features: np.ndarray  # (n, 6) shared instance features
     train_positions: bool = True
-    train_embeddings: bool = True
-    train_features: bool = True
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)

@@ -17,7 +17,7 @@ from .instantiation import (
     voxelize_subobjects,
 )
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
-from .oracles import dfs_components, fps_oracle
+from .oracles import central_differences, dfs_components, fps_oracle
 from .renderer import Camera, render, render_backward
 from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
 
@@ -87,22 +87,10 @@ def _check_gradients(rng) -> None:
     out = render(splats, camera)
     g_color = rng.normal(size=out.color.shape)
     grads, _ = render_backward(out, grad_color=g_color)
-    h = 1e-5
     idx = 3
-    for dim in range(3):
-        shifted = splats.centers.copy()
-        shifted[idx, dim] += h
-        plus = render(
-            type(splats)(shifted, splats.colors, splats.opacities, splats.scales,
-                         splats.features, splats.parent), camera
-        ).color
-        shifted[idx, dim] -= 2 * h
-        minus = render(
-            type(splats)(shifted, splats.colors, splats.opacities, splats.scales,
-                         splats.features, splats.parent), camera
-        ).color
-        fd = ((plus - minus) * g_color).sum() / (2 * h)
-        an = grads.centers[idx, dim]
+    fds = central_differences(lambda: (render(splats, camera).color * g_color).sum(),
+                              splats.centers, 1e-5, indices=range(3 * idx, 3 * idx + 3))
+    for an, fd in zip(grads.centers[idx], fds):
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"center grad {an} vs fd {fd}"
 
 

@@ -2,9 +2,11 @@
 
 Scenes are collections of axis-aligned boxes and spheres with solid colors
 and class ids. Points are sampled uniformly on the primitive surfaces, and
-ground-truth masks plus RGB targets come from a point z-buffer (each point
-stamps a small disk sized by 2x its object's local point spacing) so the
-supervision is independent of the differentiable renderer under test.
+ground-truth masks plus RGB targets come from one point z-buffer per view
+(each point stamps a small disk sized by 2x its object's local point
+spacing; the nearest point owns the pixel). The z-buffer shares only the
+renderer's disk enumeration, not its Gaussian weights or compositing, so
+the supervision is independent of the differentiable renderer under test.
 Mask corruption knobs emulate 2D segmentation failures: dropped masks,
 masks split by a random line, and adjacent masks merged under one id.
 """
@@ -20,8 +22,10 @@ import numpy as np
 from .association import EmbeddingTable, load_embeddings, save_embeddings
 from .binio import pack_u32, read_file, write_atomic, write_atomic_text
 from .errors import DataError, UsageError
-from .losses import NO_MASK, MaskStack, MaskView, load_masks, save_masks
-from .renderer import Camera, load_camera, read_raw_f32, save_camera, write_raw_f32
+from .losses import NO_MASK, MaskView, load_masks, save_masks
+from .renderer import (
+    Camera, load_camera, read_raw_f32, save_camera, write_raw_f32, zbuffer_owners,
+)
 from .scene_model import median_spacing
 
 POINTS_MAGIC = b"IGPC"
@@ -266,75 +270,24 @@ def generate_scene(spec: SceneSpec) -> Scene:
     )
 
 
-def _zbuffer_owners(scene: Scene, camera: Camera) -> np.ndarray:
-    """Nearest scene point per pixel (-1 where empty), via disk stamping."""
-    cam = camera.world_to_camera(scene.points)
-    z = cam[:, 2]
-    keep = np.flatnonzero(z > 0.01)
-    h, w = camera.height, camera.width
-    owners = np.full(h * w, -1, dtype=np.int64)
-    if keep.size == 0:
-        return owners.reshape(h, w)
-    z = z[keep]
-    u = camera.fx * cam[keep, 0] / z + camera.cx
-    v = camera.fy * cam[keep, 1] / z + camera.cy
-    radius = scene.point_radii[keep] * camera.fx / z
+def render_gt_view(scene: Scene, camera: Camera) -> tuple[MaskView, list[int], np.ndarray]:
+    """GT instance masks and RGB target from one point z-buffer.
 
-    x0 = np.maximum(np.ceil(u - radius), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(u + radius), w - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(v - radius), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(v + radius), h - 1).astype(np.int64)
-    widths = x1 - x0 + 1
-    heights = y1 - y0 + 1
-    counts = np.where((widths > 0) & (heights > 0), widths * heights, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return owners.reshape(h, w)
-    rep = np.repeat(np.arange(keep.size), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total) - offsets
-    w_rep = np.repeat(widths, counts)
-    col = np.repeat(x0, counts) + within % w_rep
-    row = np.repeat(y0, counts) + within // w_rep
-    d2 = (col - u[rep]) ** 2 + (row - v[rep]) ** 2
-    inside = d2 <= (radius[rep]) ** 2
-    rep, col, row = rep[inside], col[inside], row[inside]
-    pix = row * w + col
-    # nearest point wins; ties resolved toward the lower point index
-    order = np.lexsort((keep[rep], z[rep], pix))
-    pix = pix[order]
-    rep = rep[order]
-    first = np.ones(len(pix), dtype=bool)
-    first[1:] = pix[1:] != pix[:-1]
-    owners[pix[first]] = keep[rep[first]]
-    return owners.reshape(h, w)
-
-
-def render_gt_masks(scene: Scene, camera: Camera) -> tuple[MaskView, list[int]]:
-    """GT instance masks via the point z-buffer: one mask id per visible
-    object (in ascending object order), background = NO_MASK.
-
-    Returns the view plus the object index behind each mask id.
+    Masks get one id per visible object (in ascending object order),
+    background = NO_MASK; the RGB target is the owning point's colour,
+    black where no point lands. Returns the mask view, the object index
+    behind each mask id, and the (H, W, 3) target.
     """
-    owners = _zbuffer_owners(scene, camera)
-    h, w = owners.shape
-    ids = np.full((h, w), NO_MASK, dtype=np.uint32)
+    owners = zbuffer_owners(scene.points, scene.point_radii, camera)
     covered = owners >= 0
     obj_of_pixel = np.where(covered, scene.gt_instances[np.maximum(owners, 0)], -1)
     visible = sorted(int(o) for o in np.unique(obj_of_pixel[covered]))
-    remap = {obj: i for i, obj in enumerate(visible)}
-    for obj, mask_id in remap.items():
+    ids = np.full(owners.shape, NO_MASK, dtype=np.uint32)
+    for mask_id, obj in enumerate(visible):
         ids[obj_of_pixel == obj] = mask_id
-    return MaskView(ids=ids, count=len(visible)), visible
-
-
-def render_gt_color(scene: Scene, camera: Camera) -> np.ndarray:
-    """GT RGB target via the same z-buffer; background is black."""
-    owners = _zbuffer_owners(scene, camera)
-    img = np.zeros((*owners.shape, 3))
-    covered = owners >= 0
-    img[covered] = scene.colors[owners[covered]]
-    return img
+    color = np.zeros((*owners.shape, 3))
+    color[covered] = scene.colors[owners[covered]]
+    return MaskView(ids=ids, count=len(visible)), visible, color
 
 
 def _mask_adjacency(ids: np.ndarray, a: int) -> set[int]:
@@ -355,12 +308,12 @@ def _mask_adjacency(ids: np.ndarray, a: int) -> set[int]:
 
 
 def corrupt_masks(
-    masks: MaskStack,
+    masks: list[MaskView],
     p_drop: float = 0.0,
     p_split: float = 0.0,
     p_merge: float = 0.0,
     seed: int = 0,
-) -> MaskStack:
+) -> list[MaskView]:
     """Emulate 2D segmentation failures, independently per view.
 
     Per mask (in id order): with ``p_drop`` its pixels become background;
@@ -425,7 +378,7 @@ def corrupt_masks(
                 embeddings=None if emb is None else np.array(emb),
             )
         )
-    return MaskStack(views=out_views)
+    return out_views
 
 
 def class_prototypes(num_classes: int, dim: int) -> EmbeddingTable:
@@ -511,24 +464,23 @@ def write_scene_dir(
     embeddings per view as embeddings/view_*.igem, text_embeddings.igem,
     class_names.json, manifest.json.
     """
-    views = []
+    targets = []
     mask_views = []
-    for camera in scene.cameras:
-        mask_view, visible = render_gt_masks(scene, camera)
+    for i, camera in enumerate(scene.cameras):
+        mask_view, visible, target = render_gt_view(scene, camera)
         classes = [scene.objects[obj].class_id for obj in visible]
         mask_view.embeddings = generate_embeddings(
             np.array(classes, dtype=np.int64) if classes else np.zeros(0, dtype=np.int64),
             scene.spec.num_classes,
             embedding_dim,
             embedding_sigma,
-            embedding_seed + len(views),
+            embedding_seed + i,
         ).vectors
         mask_views.append(mask_view)
-        views.append((camera, render_gt_color(scene, camera)))
+        targets.append(target)
 
-    stack = MaskStack(views=mask_views)
     if p_drop or p_split or p_merge:
-        stack = corrupt_masks(stack, p_drop, p_split, p_merge, corruption_seed)
+        mask_views = corrupt_masks(mask_views, p_drop, p_split, p_merge, corruption_seed)
 
     os.makedirs(out_dir, exist_ok=True)
     save_pointcloud(
@@ -538,7 +490,7 @@ def write_scene_dir(
         scene.gt_instances,
         scene.gt_classes,
     )
-    for i, ((camera, target), mask_view) in enumerate(zip(views, stack)):
+    for i, (camera, target, mask_view) in enumerate(zip(scene.cameras, targets, mask_views)):
         save_camera(os.path.join(out_dir, "cameras", f"cam_{i:03d}.json"), camera)
         write_raw_f32(os.path.join(out_dir, "views", f"view_{i:03d}.f32"), target)
         save_masks(os.path.join(out_dir, "masks", f"view_{i:03d}.igmk"), mask_view)
@@ -556,16 +508,16 @@ def write_scene_dir(
         os.path.join(out_dir, "class_names.json"), json.dumps(names, indent=2) + "\n"
     )
     manifest = {
-        "num_views": len(views),
+        "num_views": len(targets),
         "image_size": scene.spec.image_size,
         "num_classes": scene.spec.num_classes,
         "num_objects": len(scene.objects),
         "embedding_dim": embedding_dim,
         "points": "points.igpc",
-        "cameras": [f"cameras/cam_{i:03d}.json" for i in range(len(views))],
-        "views": [f"views/view_{i:03d}.f32" for i in range(len(views))],
-        "masks": [f"masks/view_{i:03d}.igmk" for i in range(len(views))],
-        "mask_embeddings": [f"embeddings/view_{i:03d}.igem" for i in range(len(views))],
+        "cameras": [f"cameras/cam_{i:03d}.json" for i in range(len(targets))],
+        "views": [f"views/view_{i:03d}.f32" for i in range(len(targets))],
+        "masks": [f"masks/view_{i:03d}.igmk" for i in range(len(targets))],
+        "mask_embeddings": [f"embeddings/view_{i:03d}.igem" for i in range(len(targets))],
         "text_embeddings": "text_embeddings.igem",
         "class_names": "class_names.json",
     }
@@ -578,7 +530,7 @@ def load_scene_dir(scene_dir: str):
     """Read back the bundle written by ``write_scene_dir``.
 
     Returns (manifest dict, points, colors, gt_instances, gt_classes,
-    cameras, target images, MaskStack with embeddings).
+    cameras, target images, mask views with embeddings).
     """
     with open(os.path.join(scene_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -593,4 +545,4 @@ def load_scene_dir(scene_dir: str):
         view = load_masks(os.path.join(scene_dir, mask_path))
         view.embeddings = load_embeddings(os.path.join(scene_dir, emb_path)).vectors
         views.append(view)
-    return manifest, points, colors, gt_instances, gt_classes, cameras, targets, MaskStack(views)
+    return manifest, points, colors, gt_instances, gt_classes, cameras, targets, views

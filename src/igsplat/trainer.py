@@ -266,8 +266,7 @@ def train_step(
 
     # Single adaptive-moment update per tensor, with phase-routed sums.
     if rgb_active:
-        if anchors.train_embeddings:
-            _apply(state, "embeddings", anchors.embeddings, a_grads.embeddings, lrs["embeddings"])
+        _apply(state, "embeddings", anchors.embeddings, a_grads.embeddings, lrs["embeddings"])
         pos_grad = a_grads.positions
         if joint_active and fa_grads is not None:
             pos_grad = pos_grad + fa_grads.positions
@@ -283,7 +282,7 @@ def train_step(
                     g = g + getattr(extra, tensor_name)
                 _apply(state, f"decoder.{head_name}.{tensor_name}", tensor, g, lrs["decoder"])
 
-    if feature_active and anchors.train_features:
+    if feature_active:
         _apply(state, "features", anchors.features, fa_grads.features, lrs["features"])
 
     state.step += 1

@@ -31,7 +31,7 @@ from igsplat.losses import (
     loss_rgb,
     loss_smooth,
 )
-from igsplat.oracles import dfs_components, fps_oracle
+from igsplat.oracles import central_differences, dfs_components, fps_oracle, relative_errors
 from igsplat.renderer import Camera, render, render_backward
 from igsplat.scene_model import (
     ModelConfig,
@@ -47,24 +47,11 @@ def report(criterion: int, message: str) -> None:
     print(f"[criterion {criterion:2d}] PASS: {message}")
 
 
-def relative_error(analytic: float, fd: float) -> float:
-    return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
-
-
 # --- criterion 1: analytic gradients vs central finite differences --------
 
 
-def fd_check(objective, array, analytic, h=1e-4, stride=1):
-    worst = 0.0
-    for idx in range(0, array.size, stride):
-        orig = array.ravel()[idx]
-        array.ravel()[idx] = orig + h
-        plus = objective()
-        array.ravel()[idx] = orig - h
-        minus = objective()
-        array.ravel()[idx] = orig
-        worst = max(worst, relative_error(analytic.ravel()[idx], (plus - minus) / (2 * h)))
-    return worst
+def fd_check(objective, array, analytic, h=1e-4):
+    return relative_errors(analytic.ravel(), central_differences(objective, array, h)).max()
 
 
 def render_fd_suite(rng):

@@ -13,7 +13,7 @@ from igsplat.association import (
     semantic_assign,
 )
 from igsplat.errors import DataError, UsageError
-from igsplat.losses import NO_MASK, MaskStack, MaskView
+from igsplat.losses import NO_MASK, MaskView
 from igsplat.renderer import Camera, render
 from igsplat.scene_model import SplatSet
 
@@ -112,7 +112,7 @@ def test_associate_identical_footprint_copies_embedding():
     ids = np.full((4, 4), NO_MASK, dtype=np.uint32)
     ids[:2, :2] = 0
     emb = np.array([[3.0, 0.0, 0.0, 4.0]])
-    masks = MaskStack([mask_view(ids, 1, emb)])
+    masks = [mask_view(ids, 1, emb)]
     id_map = np.full((4, 4), NO_INSTANCE, dtype=np.uint32)
     id_map[:2, :2] = 0
     table = associate_embeddings([id_map], masks, 1)
@@ -129,7 +129,7 @@ def test_associate_weights_by_iou():
     ids[0, 3] = 1
     u = np.array([1.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0, 0.0])
-    masks = MaskStack([mask_view(ids, 2, np.stack([u, v]))])
+    masks = [mask_view(ids, 2, np.stack([u, v]))]
     id_map = np.full((4, 4), NO_INSTANCE, dtype=np.uint32)
     id_map[0, 0:4] = 0  # shares (0,0),(0,1),(0,2) with mask 0 and (0,3) with mask 1
     table = associate_embeddings([id_map], masks, 1)
@@ -141,7 +141,7 @@ def test_associate_weights_by_iou():
 def test_associate_invisible_instance_stays_zero():
     ids = np.full((3, 3), NO_MASK, dtype=np.uint32)
     ids[0, 0] = 0
-    masks = MaskStack([mask_view(ids, 1, np.array([[1.0, 0.0]]))])
+    masks = [mask_view(ids, 1, np.array([[1.0, 0.0]]))]
     id_map = np.full((3, 3), NO_INSTANCE, dtype=np.uint32)
     id_map[0, 0] = 0
     table = associate_embeddings([id_map], masks, 3)
@@ -152,7 +152,7 @@ def test_associate_requires_embeddings():
     view = MaskView(ids=np.full((2, 2), NO_MASK, dtype=np.uint32), count=0)
     with pytest.raises(UsageError):
         associate_embeddings([np.full((2, 2), NO_INSTANCE, dtype=np.uint32)],
-                             MaskStack([view]), 1)
+                             [view], 1)
 
 
 def test_score_query_examples():

@@ -187,6 +187,34 @@ def test_eval_and_export_reject_bad_label_file(instantiated, stage, artifact, ca
     assert not os.path.exists(os.path.join(out, artifact))
 
 
+@pytest.fixture(scope="module")
+def queried(tmp_path_factory):
+    config_path, out = write_config(tmp_path_factory.mktemp("semantic"))
+    run_pipeline(config_path, stages=("generate", "train", "instantiate", "associate", "query"))
+    return config_path, out
+
+
+@pytest.mark.parametrize("case, code", [("class_count_plus_7", 2), ("unassigned", 0)])
+def test_eval_checks_semantic_label_file(queried, case, code, capsys):
+    config_path, out = queried
+    path = os.path.join(out, "query", "semantic_labels.iglb")
+    metrics_path = os.path.join(out, "eval", "metrics.json")
+    good = open(path, "rb").read()
+    classes, class_count = instantiation.load_labels(path)
+    classes[7] = class_count + 7 if case == "class_count_plus_7" else 0xFFFFFFFF
+    instantiation.save_labels(path, classes.astype(np.uint32), class_count)
+    try:
+        assert main(["eval", "--config", config_path]) == code
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(good)
+    if code:
+        assert "semantic_labels.iglb" in capsys.readouterr().err
+        assert not os.path.exists(metrics_path)
+    else:
+        os.remove(metrics_path)
+
+
 def test_query_rejects_embedding_table_of_other_size(associated, capsys):
     config_path, out = associated
     path = os.path.join(out, "associate", "instance_embeddings.igem")

@@ -63,17 +63,6 @@ def test_empty_predicted_instance_changes_nothing():
     assert instance_metrics(pred2, gt) == base
 
 
-def test_one_to_one_matching_switch():
-    # two GT instances best-matched by the same prediction: greedy argmax
-    # reuses it, one-to-one cannot
-    gt = np.array([0] * 4 + [1] * 4)
-    pred = np.array([0] * 8)
-    miou_greedy, _ = instance_metrics(pred, gt)
-    miou_1to1, _ = instance_metrics(pred, gt, one_to_one=True)
-    assert miou_greedy == pytest.approx(0.5)
-    assert miou_1to1 == pytest.approx(0.25)  # one GT instance left unmatched
-
-
 def test_semantic_perfect():
     gt = np.array([0, 1, 2, 2])
     per_class, miou, macc = semantic_metrics(gt, gt, 3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from igsplat.errors import DataError, UsageError
+from igsplat.oracles import central_differences, relative_errors
 from igsplat.scene_model import (
     CHILDREN_PER_ANCHOR,
     ModelConfig,
@@ -139,67 +140,32 @@ def test_decode_gradients_match_finite_differences():
         anchors, decoder, d_centers, d_colors, d_opac, d_scales, d_feats
     )
 
-    def objective(a, d):
-        s = decode_gaussians(a, d)
+    def objective():
+        s = decode_gaussians(anchors, decoder)
         return (
             (s.centers * d_centers).sum() + (s.colors * d_colors).sum()
             + (s.opacities * d_opac).sum() + (s.scales * d_scales).sum()
             + (s.features * d_feats).sum()
         )
 
-    h = 1e-3
-
-    def check(analytic, bump):
-        flat = analytic.ravel()
-        for idx in range(flat.size):
-            plus = objective(*bump(idx, +h))
-            minus = objective(*bump(idx, -h))
-            fd = (plus - minus) / (2 * h)
-            rel = abs(flat[idx] - fd) / max(abs(fd), abs(flat[idx]), 1e-6)
-            assert rel <= 1e-4, f"index {idx}: analytic {flat[idx]}, fd {fd}"
-
-    def bump_embeddings(idx, delta):
-        a2 = make_anchors(3, seed=21)
-        a2.embeddings.ravel()[idx] += delta
-        return a2, decoder
-
-    check(a_grads.embeddings, bump_embeddings)
-
-    def bump_positions(idx, delta):
-        a2 = make_anchors(3, seed=21)
-        a2.positions.ravel()[idx] += delta
-        return a2, decoder
-
-    check(a_grads.positions, bump_positions)
-
-    def bump_features(idx, delta):
-        a2 = make_anchors(3, seed=21)
-        a2.features.ravel()[idx] += delta
-        return a2, decoder
-
-    check(a_grads.features, bump_features)
-
-    for head_name in ("offset", "color", "opacity", "scale"):
-        for tensor_name in ("w1", "b1", "w2", "b2"):
-            def bump_decoder(idx, delta, head_name=head_name, tensor_name=tensor_name):
-                d2 = init_decoder(16, 0.3, 0.2, 36)
-                getattr(d2.head(head_name), tensor_name).ravel()[idx] += delta
-                return anchors, d2
-
-            check(getattr(d_grads.head(head_name), tensor_name), bump_decoder)
+    checks = [(name, getattr(anchors, name), getattr(a_grads, name))
+              for name in ("embeddings", "positions", "features")]
+    checks += [(f"{head}.{tensor}", getattr(decoder.head(head), tensor),
+                getattr(d_grads.head(head), tensor))
+               for head in ("offset", "color", "opacity", "scale")
+               for tensor in ("w1", "b1", "w2", "b2")]
+    for name, array, analytic in checks:
+        fd = central_differences(objective, array, 1e-3)
+        bad = np.flatnonzero(~(relative_errors(analytic.ravel(), fd) <= 1e-4))
+        assert bad.size == 0, f"{name}{bad}: analytic {analytic.ravel()[bad]}, fd {fd[bad]}"
 
 
 def test_single_embedding_perturbation_matches_jacobian():
     anchors = make_anchors(2, seed=5)
     decoder = init_decoder(16, 0.25, 0.1, 6)
-    h = 1e-3
     coord = 7
-    plus = make_anchors(2, seed=5)
-    plus.embeddings[0, coord] += h
-    minus = make_anchors(2, seed=5)
-    minus.embeddings[0, coord] -= h
-    fd = (_flatten_outputs(decode_gaussians(plus, decoder))
-          - _flatten_outputs(decode_gaussians(minus, decoder))) / (2 * h)
+    (fd,) = central_differences(lambda: _flatten_outputs(decode_gaussians(anchors, decoder)),
+                                anchors.embeddings, 1e-3, indices=[coord])
 
     # jacobian row via one backward per output element is slow; use a random
     # probe vector instead: <probe, J e_k> both ways

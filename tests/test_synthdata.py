@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from igsplat.errors import DataError, UsageError
-from igsplat.losses import NO_MASK, MaskStack, MaskView
+from igsplat.losses import NO_MASK, MaskView
+from igsplat.renderer import Camera, zbuffer_owners
 from igsplat.synthdata import (
     ObjectSpec,
     SceneSpec,
@@ -12,11 +13,9 @@ from igsplat.synthdata import (
     generate_scene,
     load_pointcloud,
     load_scene_dir,
-    render_gt_color,
-    render_gt_masks,
+    render_gt_view,
     save_pointcloud,
     write_scene_dir,
-    _zbuffer_owners,
 )
 
 
@@ -89,7 +88,7 @@ def test_cameras_look_at_scene():
 
 def test_single_object_mask_is_one_contiguous_blob():
     scene = generate_scene(single_sphere_spec(points=400))
-    view, visible = render_gt_masks(scene, scene.cameras[0])
+    view, visible, _ = render_gt_view(scene, scene.cameras[0])
     assert visible == [0]
     covered = view.ids == 0
     assert covered.any()
@@ -129,13 +128,13 @@ def test_fully_occluded_object_absent_from_masks():
     scene = generate_scene(two_object_scene(offset=[-1.2, 0.0, 0.0]))
     cam = orbit_camera(np.zeros(3), angle=0.0, radius=2.5, height=0.0,
                        image_size=48, fov_degrees=55.0)
-    view, visible = render_gt_masks(scene, cam)
+    view, visible, _ = render_gt_view(scene, cam)
     assert visible == [0]
 
 
 def test_side_by_side_objects_have_disjoint_masks():
     scene = generate_scene(two_object_scene(offset=[0.0, 1.4, 0.0]))
-    view, visible = render_gt_masks(scene, scene.cameras[0])
+    view, visible, _ = render_gt_view(scene, scene.cameras[0])
     assert visible == [0, 1]
     a = view.ids == 0
     b = view.ids == 1
@@ -146,8 +145,8 @@ def test_side_by_side_objects_have_disjoint_masks():
 def test_masks_consistent_with_nearest_point():
     scene = generate_scene(single_sphere_spec(points=300))
     cam = scene.cameras[1]
-    view, visible = render_gt_masks(scene, cam)
-    owners = _zbuffer_owners(scene, cam)
+    view, visible, _ = render_gt_view(scene, cam)
+    owners = zbuffer_owners(scene.points, scene.point_radii, cam)
     covered = owners >= 0
     assert np.array_equal(view.ids != NO_MASK, covered)
     pixel_objects = scene.gt_instances[owners[covered]]
@@ -157,16 +156,55 @@ def test_masks_consistent_with_nearest_point():
 
 def test_gt_color_matches_owner_colors():
     scene = generate_scene(single_sphere_spec(points=300))
-    img = render_gt_color(scene, scene.cameras[0])
+    _, _, img = render_gt_view(scene, scene.cameras[0])
     covered = img.any(axis=2)
     assert covered.any()
     assert np.allclose(img[covered], [0.8, 0.2, 0.2])
 
 
+def brute_force_owners(points, radii, cam):
+    """Per pixel, a scan over every point: the nearest one in front of the
+    near plane whose disk covers the pixel, ties to the lower index."""
+    cam_points = cam.world_to_camera(points)
+    owners = np.full((cam.height, cam.width), -1, dtype=np.int64)
+    for row in range(cam.height):
+        for col in range(cam.width):
+            best_z = None
+            for i, (x, y, z) in enumerate(cam_points):
+                if z <= 0.01:
+                    continue
+                du = col - (cam.fx * x / z + cam.cx)
+                dv = row - (cam.fy * y / z + cam.cy)
+                r = radii[i] * cam.fx / z
+                if du * du + dv * dv <= r * r and (best_z is None or z < best_z):
+                    best_z, owners[row, col] = z, i
+    return owners
+
+
+def test_zbuffer_owners_match_brute_force_scan():
+    rng = np.random.default_rng(17)
+    n = 30
+    points = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
+                              rng.uniform(0.5, 2.0, n)])
+    radii = rng.uniform(0.02, 0.15, n)
+    # equal depth in front of everything else: pixel (3, 5) lies nearer the
+    # centre of point 9, but point 5 has the lower index and owns it
+    points[5], points[9] = [0.05, 0.0, 0.3], [0.0, 0.0, 0.3]
+    radii[5] = radii[9] = 0.1
+    # behind the near plane: each disk would cover the whole image
+    points[12], points[13] = [0.0, 0.0, 0.005], [0.0, 0.0, -1.0]
+    radii[12] = radii[13] = 1.0
+    cam = Camera(fx=6.0, fy=6.0, cx=5.2, cy=2.9, width=11, height=7,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    owners = zbuffer_owners(points, radii, cam)
+    assert owners.shape == (7, 11)
+    assert owners[3, 5] == 5 and (owners == 9).any()
+    assert np.array_equal(owners, brute_force_owners(points, radii, cam))
+
+
 def masks_with_embeddings(ids, count):
     emb = np.eye(max(count, 1), 4)[:count]
-    return MaskStack([MaskView(ids=np.asarray(ids, dtype=np.uint32), count=count,
-                               embeddings=emb)])
+    return [MaskView(ids=np.asarray(ids, dtype=np.uint32), count=count, embeddings=emb)]
 
 
 def test_corrupt_noop_without_probabilities():
@@ -218,7 +256,7 @@ def test_corrupt_deterministic():
 
 def test_corrupt_rejects_bad_probability():
     with pytest.raises(UsageError):
-        corrupt_masks(MaskStack([]), p_drop=1.5)
+        corrupt_masks([], p_drop=1.5)
 
 
 def test_prototypes_are_normalized_one_hots():
