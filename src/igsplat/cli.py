@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -123,10 +124,19 @@ def _check_schema(value, schema, path: str) -> None:
         raise ConfigError(f"{path[:-1]}: expected {schema}, got {type(value).__name__}")
 
 
+def _finite_number(token: str) -> float:
+    """JSON number hook: ``NaN``/``Infinity`` literals and overflowing
+    numbers such as ``1e999`` are config errors."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {token}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_schema(cfg, _SCHEMA, "")
@@ -246,12 +256,19 @@ def cmd_instantiate(cfg: dict, args) -> int:
     paths = _paths(cfg)
     anchors, decoder = load_checkpoint(paths["checkpoint"])
     splats = decode_gaussians(anchors, decoder)
-    icfg = cfg.get("instantiate", {})
-    samples = args.samples if args.samples is not None else icfg.get("samples", 1000)
-    voxel_size = args.voxel_size if args.voxel_size is not None else icfg.get("voxel_size", 0.2)
-    gamma = args.gamma if args.gamma is not None else icfg.get("gamma", 0.1)
-    lambda_pos = args.lambda_pos if args.lambda_pos is not None else icfg.get("lambda_pos", 0.5)
-    seed = args.seed if args.seed is not None else icfg.get("seed", 0)
+    icfg = {
+        "samples": instantiation.DEFAULT_SAMPLES,
+        "voxel_size": instantiation.DEFAULT_VOXEL_SIZE,
+        "gamma": instantiation.DEFAULT_GAMMA,
+        "lambda_pos": instantiation.DEFAULT_LAMBDA_POS,
+        "seed": 0,
+        **cfg.get("instantiate", {}),
+    }
+    samples = args.samples if args.samples is not None else icfg["samples"]
+    voxel_size = args.voxel_size if args.voxel_size is not None else icfg["voxel_size"]
+    gamma = args.gamma if args.gamma is not None else icfg["gamma"]
+    lambda_pos = args.lambda_pos if args.lambda_pos is not None else icfg["lambda_pos"]
+    seed = args.seed if args.seed is not None else icfg["seed"]
     result = instantiation.instantiate(
         splats.centers, splats.features, s=samples, r=voxel_size, gamma=gamma,
         lambda_pos=lambda_pos, seed=seed,

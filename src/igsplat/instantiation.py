@@ -26,9 +26,7 @@ from .binio import pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 
 PE_BANDS = 2
-PE_DIM = 3 + 3 * 2 * PE_BANDS  # raw coords + sin/cos per band per axis
 FEATURE_DIM = 6
-CLUSTER_SPACE_DIM = PE_DIM + FEATURE_DIM
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_VOXEL_SIZE = 0.2
@@ -48,13 +46,11 @@ _NEIGHBOR_OFFSETS = np.array(
 
 @dataclass
 class ClusterState:
-    """k-means output: point labels, per-cluster mean features/positions,
-    and tombstone flags for clusters that lost all members."""
+    """k-means output: point labels, per-cluster mean features, and
+    tombstone flags for clusters that lost all members."""
 
     labels: np.ndarray  # (n,) int64 in [0, s)
     features: np.ndarray  # (s, 6) mean member features
-    centers: np.ndarray  # (s, 3) mean member positions
-    centers_x: np.ndarray  # (s, CLUSTER_SPACE_DIM) centers in clustering space
     tombstone: np.ndarray  # (s,) bool
     objective: float
     iterations: int
@@ -76,12 +72,11 @@ class ConnectivityGraph:
 @dataclass
 class InstanceResult:
     labels: np.ndarray  # (n,) int64 in [0, m)
-    features: np.ndarray  # (m, 6) mean member-point features
     sizes: np.ndarray  # (m,) member point counts
 
     @property
     def instance_count(self) -> int:
-        return self.features.shape[0]
+        return self.sizes.shape[0]
 
 
 def positional_encode(unit_positions: np.ndarray) -> np.ndarray:
@@ -110,6 +105,8 @@ def build_cluster_space(
         raise DataError("positions and features must be finite")
     if positions.shape[0] != features.shape[0]:
         raise DataError("positions and features must have matching point counts")
+    if not np.isfinite(lambda_pos):
+        raise UsageError(f"lambda_pos must be finite, got {lambda_pos}")
     lo = positions.min(axis=0)
     hi = positions.max(axis=0)
     size = hi - lo
@@ -144,16 +141,15 @@ def farthest_point_sample(points: np.ndarray, s: int, start: int) -> np.ndarray:
 
 def kmeans_cluster(
     x: np.ndarray,
-    positions: np.ndarray,
     features: np.ndarray,
     init_indices: np.ndarray,
     max_iters: int = KMEANS_MAX_ITERS,
-    tol: float = KMEANS_TOL,
 ) -> ClusterState:
-    """Lloyd iterations from the given seed points.
+    """Lloyd iterations from the given seed points; the clusters carry the
+    mean of their members' ``features``.
 
     Assignment ties go to the lower cluster id; iteration stops when the
-    largest center movement drops below ``tol`` or after ``max_iters``.
+    largest center movement drops below ``KMEANS_TOL`` or after ``max_iters``.
     Empty clusters are tombstoned (excluded from later assignments), never
     reseeded. The objective (sum of squared distances to assigned centers)
     is checked to be non-increasing every iteration.
@@ -198,25 +194,18 @@ def kmeans_cluster(
 
         movement = np.linalg.norm(new_centers[live] - centers[live], axis=1).max() if live.any() else 0.0
         centers = new_centers
-        if movement < tol:
+        if movement < KMEANS_TOL:
             break
 
+    # counts and live belong to the final labels
     feat_means = np.zeros((s, FEATURE_DIM))
-    pos_means = np.zeros((s, 3))
-    counts = np.bincount(labels, minlength=s)
-    live = counts > 0
     for ch in range(FEATURE_DIM):
         feat_means[:, ch] = np.bincount(labels, weights=features[:, ch], minlength=s)
-    for ch in range(3):
-        pos_means[:, ch] = np.bincount(labels, weights=positions[:, ch], minlength=s)
     feat_means[live] /= counts[live, None]
-    pos_means[live] /= counts[live, None]
 
     return ClusterState(
         labels=labels,
         features=feat_means,
-        centers=pos_means,
-        centers_x=centers,
         tombstone=~live,
         objective=history[-1],
         iterations=iterations,
@@ -225,16 +214,18 @@ def kmeans_cluster(
 
 
 def voxelize_subobjects(
-    positions: np.ndarray, labels: np.ndarray, r: float, cluster_count: int | None = None
+    positions: np.ndarray, labels: np.ndarray, r: float, cluster_count: int
 ) -> list:
     """Per-cluster sets of occupied voxel keys, key = floor(position / r)."""
-    if r <= 0:
-        raise UsageError("voxel size must be positive")
+    if not r > 0:
+        raise UsageError(f"voxel size must be positive, got {r}")
     positions = np.asarray(positions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    keys = np.floor(positions / r).astype(np.int64)
-    if cluster_count is None:
-        cluster_count = int(labels.max()) + 1 if labels.size else 0
+    keys = np.floor(positions / r)
+    # 2^62 leaves room for the +-1 neighbor offsets in int64
+    if not (np.abs(keys) < 2.0**62).all():
+        raise UsageError(f"voxel size {r} puts voxel keys at or beyond 2^62")
+    keys = keys.astype(np.int64)
     out = []
     for k in range(cluster_count):
         member_keys = keys[labels == k]
@@ -246,22 +237,17 @@ def build_connectivity_graph(
     clusters: ClusterState,
     voxels: list,
     gamma: float,
-    node_features: np.ndarray | None = None,
 ) -> ConnectivityGraph:
-    """Edge weight = L2 feature distance gated by voxel adjacency (shared or
-    26-neighborhood-adjacent voxels). Tombstoned clusters get no edges.
-
-    ``node_features`` overrides the cluster mean features as edge attributes
-    (used by the color-substitute ablation); the merge semantics are unchanged.
+    """Edge weight = L2 distance of the clusters' mean features, gated by
+    voxel adjacency (shared or 26-neighborhood-adjacent voxels). Tombstoned
+    clusters get no edges. ``gamma`` is the merge threshold the graph
+    carries to ``aggregate_components``.
     """
-    if gamma <= 0:
-        raise UsageError("gamma must be positive")
+    if not gamma > 0:
+        raise UsageError(f"gamma must be positive, got {gamma}")
     s = clusters.cluster_count
     if len(voxels) != s:
         raise UsageError("voxel list length must match cluster count")
-    feats = clusters.features if node_features is None else np.asarray(node_features, dtype=np.float64)
-    if feats.shape[0] != s:
-        raise UsageError("node feature count must match cluster count")
     alive = ~clusters.tombstone
 
     occupancy: dict[tuple[int, int, int], list[int]] = {}
@@ -282,29 +268,22 @@ def build_connectivity_graph(
                     adjacency[k, j] = True
                     adjacency[j, k] = True
 
+    feats = clusters.features
     diff = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     weights = np.where(adjacency, dist, 0.0)
     return ConnectivityGraph(weights=weights, adjacency=adjacency, alive=alive, gamma=gamma)
 
 
-def aggregate_components(
-    graph: ConnectivityGraph,
-    gamma: float,
-    labels: np.ndarray,
-    features: np.ndarray,
-) -> InstanceResult:
+def aggregate_components(graph: ConnectivityGraph, labels: np.ndarray) -> InstanceResult:
     """Connected components over adjacent live cluster pairs whose feature
-    distance is <= gamma (inclusive of exact zero), relabeled 0..m-1 by
-    descending member-point count (ties: smallest member cluster id).
+    distance is <= graph.gamma (inclusive of exact zero), relabeled 0..m-1
+    by descending member-point count (ties: smallest member cluster id).
     Tombstoned clusters belong to no instance.
     """
-    if gamma != graph.gamma:
-        raise UsageError("graph was built with a different gamma")
     labels = np.asarray(labels, dtype=np.int64)
-    features = np.asarray(features, dtype=np.float64)
     alive = graph.alive
-    merge = graph.adjacency & (graph.weights <= gamma) & np.outer(alive, alive)
+    merge = graph.adjacency & (graph.weights <= graph.gamma) & np.outer(alive, alive)
     count, component = connected_components(merge, directed=False)
 
     # components of tombstoned clusters are singletons, dropped here
@@ -319,13 +298,8 @@ def aggregate_components(
     if (inst_labels < 0).any():
         raise AssertionError("a point mapped to a tombstoned cluster")
 
-    m = ordered.size
-    sizes = np.bincount(inst_labels, minlength=m)
-    feat_means = np.zeros((m, FEATURE_DIM))
-    for ch in range(FEATURE_DIM):
-        feat_means[:, ch] = np.bincount(inst_labels, weights=features[:, ch], minlength=m)
-    feat_means /= np.maximum(sizes, 1)[:, None]
-    return InstanceResult(labels=inst_labels, features=feat_means, sizes=sizes)
+    sizes = np.bincount(inst_labels, minlength=ordered.size)
+    return InstanceResult(labels=inst_labels, sizes=sizes)
 
 
 def instantiate(
@@ -347,10 +321,10 @@ def instantiate(
     start = int(rng.integers(n))
     x = build_cluster_space(positions, features, lambda_pos)
     seeds = farthest_point_sample(x, s, start)
-    state = kmeans_cluster(x, positions, features, seeds)
+    state = kmeans_cluster(x, features, seeds)
     voxels = voxelize_subobjects(positions, state.labels, r, state.cluster_count)
     graph = build_connectivity_graph(state, voxels, gamma)
-    return aggregate_components(graph, gamma, state.labels, features)
+    return aggregate_components(graph, state.labels)
 
 
 def save_labels(path: str, labels: np.ndarray, instance_count: int) -> None:

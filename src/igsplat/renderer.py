@@ -35,13 +35,12 @@ call, from the compositing weights and projected slots the forward keeps.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .binio import write_atomic
-from .errors import DataError, UsageError
+from .errors import DataError
 from .scene_model import SplatSet
 
 NEAR_PLANE = 0.01
@@ -218,8 +217,8 @@ class RenderOutput(Raster):
 
     color: np.ndarray  # (H, W, 3)
     feature: np.ndarray  # (H, W, 6)
-    splats: SplatSet | None
-    camera: Camera | None
+    splats: SplatSet
+    camera: Camera
 
 
 def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
@@ -396,8 +395,6 @@ def render_backward(
     offsets, sigma, d2, the Gaussian term, 1 - alpha) are built once; the
     segmented suffix scan and the per-splat sums then run once per chain.
     """
-    if output.splats is None or output.projected is None:
-        raise UsageError("render output does not retain contributor lists")
     splats = output.splats
     camera = output.camera
     proj = output.projected
@@ -475,25 +472,6 @@ def render_backward(
         grads.scales[proj.indices] = dsig_s * fx / z
         grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
     return color_grads, feature_grads
-
-
-def save_png(path: str, image: np.ndarray) -> None:
-    """8-bit PNG export of an (H, W, 3) image in [0, 1] (deterministic bytes)."""
-    arr = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    data = np.round(arr * 255.0).astype(np.uint8)
-    if data.ndim != 3 or data.shape[2] != 3:
-        raise UsageError("save_png expects an (H, W, 3) image")
-    h, w = data.shape[:2]
-    raw = b"".join(b"\x00" + data[r].tobytes() for r in range(h))
-
-    def chunk(tag: bytes, payload: bytes) -> bytes:
-        body = tag + payload
-        return len(payload).to_bytes(4, "big") + body + zlib.crc32(body).to_bytes(4, "big")
-
-    header = w.to_bytes(4, "big") + h.to_bytes(4, "big") + bytes([8, 2, 0, 0, 0])
-    png = b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
-    png += chunk(b"IDAT", zlib.compress(raw, 6)) + chunk(b"IEND", b"")
-    write_atomic(path, png)
 
 
 def write_raw_f32(path: str, image: np.ndarray) -> None:

@@ -34,7 +34,7 @@ def _check_kmeans(rng) -> None:
     feats = rng.normal(size=(120, 6))
     x = build_cluster_space(pts, feats)
     init = farthest_point_sample(x, 10, 0)
-    state = kmeans_cluster(x, pts, feats, init)
+    state = kmeans_cluster(x, feats, init)
     hist = state.objective_history
     assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:])), "objective rose"
 
@@ -45,10 +45,10 @@ def _check_components(rng) -> None:
     feats = rng.uniform(0, 1, size=(200, 6))
     x = build_cluster_space(pts, feats)
     init = farthest_point_sample(x, s, 0)
-    state = kmeans_cluster(x, pts, feats, init)
+    state = kmeans_cluster(x, feats, init)
     voxels = voxelize_subobjects(pts, state.labels, 0.5, state.cluster_count)
     graph = build_connectivity_graph(state, voxels, 0.8)
-    result = aggregate_components(graph, 0.8, state.labels, feats)
+    result = aggregate_components(graph, state.labels)
 
     seen = dfs_components(graph.adjacency & (graph.weights <= 0.8), graph.alive)
     for i in range(s):

@@ -4,6 +4,7 @@ Criteria 6-10 share the session-scoped ``bench`` fixture (8-object scene,
 ~2000 anchors, 20 views at 64x64, 300/300/400 schedule) plus comparison
 trainings; the property criteria run on fresh random instances every time.
 """
+import dataclasses
 import hashlib
 import json
 import os
@@ -213,21 +214,21 @@ def make_cluster_instance(rng, s):
     labels = rng.integers(0, s, size=n)
     labels[:s] = np.arange(s)
     x = build_cluster_space(positions, features, 0.5)
-    state = kmeans_cluster(x, positions, features, np.arange(s), max_iters=3)
+    state = kmeans_cluster(x, features, np.arange(s), max_iters=3)
     voxels = voxelize_subobjects(positions, state.labels, 0.5, state.cluster_count)
-    return state, voxels, positions, features
+    return state, voxels
 
 
 def test_criterion_4_components_and_monotonicity():
     rng = np.random.default_rng(13)
     for trial in range(100):
         s = int(rng.integers(4, 51))
-        state, voxels, positions, features = make_cluster_instance(rng, s)
+        state, voxels = make_cluster_instance(rng, s)
         g1, g2 = np.sort(rng.uniform(0.05, 0.9, size=2))
         graph1 = build_connectivity_graph(state, voxels, float(g1))
         graph2 = build_connectivity_graph(state, voxels, float(g2))
-        res1 = aggregate_components(graph1, float(g1), state.labels, features)
-        res2 = aggregate_components(graph2, float(g2), state.labels, features)
+        res1 = aggregate_components(graph1, state.labels)
+        res2 = aggregate_components(graph2, state.labels)
 
         comp = dfs_components(graph2.adjacency & (graph2.weights <= g2), graph2.alive)
         cluster_inst = {}
@@ -256,12 +257,12 @@ def test_criterion_5_kmeans():
         s = int(rng.integers(2, 20))
         x = rng.normal(size=(n, 21))
         init = farthest_point_sample(x, s, int(rng.integers(n)))
-        state = kmeans_cluster(x, x[:, :3], x[:, 15:21], init)
+        state = kmeans_cluster(x, x[:, 15:21], init)
         hist = state.objective_history
         for a, b in zip(hist, hist[1:]):
             assert b <= a * (1 + 1e-12) + 1e-12
     x = rng.normal(size=(40, 21))
-    state = kmeans_cluster(x, x[:, :3], x[:, 15:21], np.arange(40))
+    state = kmeans_cluster(x, x[:, 15:21], np.arange(40))
     assert state.objective == 0.0
     report(5, "objective non-increasing on 50 instances; s == n gives objective 0")
 
@@ -306,16 +307,17 @@ def segmentation_with(splats, node_features=None, voxel_gate=True):
     x = build_cluster_space(splats.centers, splats.features, p["lambda_pos"])
     rng = np.random.default_rng(p["seed"])
     seeds = farthest_point_sample(x, p["s"], int(rng.integers(len(x))))
-    state = kmeans_cluster(x, splats.centers, splats.features, seeds)
+    state = kmeans_cluster(x, splats.features, seeds)
     voxels = voxelize_subobjects(splats.centers, state.labels, p["r"], state.cluster_count)
-    feats = state.features if node_features is None else node_features(state)
-    graph = build_connectivity_graph(state, voxels, p["gamma"], node_features=feats)
+    if node_features is not None:
+        state = dataclasses.replace(state, features=node_features(state))
+    graph = build_connectivity_graph(state, voxels, p["gamma"])
     if not voxel_gate:
         alive = graph.alive[:, None] & graph.alive[None, :]
         graph.adjacency = alive & ~np.eye(len(graph.alive), dtype=bool)
-        diff = feats[:, None, :] - feats[None, :, :]
+        diff = state.features[:, None, :] - state.features[None, :, :]
         graph.weights = np.where(graph.adjacency, np.sqrt((diff * diff).sum(2)), 0.0)
-    return aggregate_components(graph, p["gamma"], state.labels, splats.features)
+    return aggregate_components(graph, state.labels)
 
 
 def test_criterion_8_aggregation_condition_ordering(bench):

@@ -86,6 +86,19 @@ def test_invalid_json_exits_2(tmp_path):
     assert main(["generate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key, token", [("train.tau", "NaN"), ("instantiate.gamma", "Infinity"),
+                                        ("train.tau", "-1e999")])
+def test_non_finite_config_number_exits_2(tmp_path, key, token, capsys):
+    config_path, out = write_config(tmp_path, **{key: "@"})
+    with open(config_path) as fh:
+        text = fh.read().replace('"@"', token)
+    with open(config_path, "w") as fh:
+        fh.write(text)
+    assert main(["generate", "--config", config_path]) == 2
+    assert not os.path.exists(out)
+    assert f"finite, got {token}" in capsys.readouterr().err
+
+
 def test_missing_inputs_exit_3(tmp_path):
     config_path, out = write_config(tmp_path)
     assert main(["train", "--config", config_path]) == 3  # no scene yet
@@ -120,6 +133,26 @@ def test_export_ply(tmp_path):
     header_end = data.index(b"end_header\n") + len(b"end_header\n")
     n = 3 * 90 * 5
     assert len(data) - header_end == n * 15  # 12 bytes xyz + 3 bytes rgb
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    config_path, out = write_config(tmp_path_factory.mktemp("trained"))
+    run_pipeline(config_path, stages=("generate", "train"))
+    return config_path, out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--voxel-size", "nan", "voxel size must be positive"),
+    ("--voxel-size", "1e-300", "voxel keys at or beyond 2^62"),
+    ("--lambda-pos", "nan", "lambda_pos must be finite"),
+    ("--gamma", "nan", "gamma must be positive"),
+], ids=["voxel_nan", "voxel_tiny", "lambda_nan", "gamma_nan"])
+def test_instantiate_rejects_bad_flag_value(trained, flag, value, message, capsys):
+    config_path, out = trained
+    assert main(["instantiate", "--config", config_path, flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "instantiate", "labels.iglb"))
 
 
 @pytest.fixture(scope="module")

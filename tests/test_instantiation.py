@@ -103,7 +103,7 @@ def test_cluster_space_matches_reference_formula():
 def test_kmeans_singleton_clusters():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(15, 21))
-    state = kmeans_cluster(x, x[:, :3], x[:, 15:], np.arange(15))
+    state = kmeans_cluster(x, x[:, 15:], np.arange(15))
     assert state.objective == 0.0
     assert state.iterations == 1
     assert sorted(state.labels.tolist()) == list(range(15))
@@ -116,7 +116,7 @@ def test_kmeans_separable_blobs():
     positions = np.vstack([blob_a, blob_b])
     features = rng.uniform(size=(80, 6)) * 0.01
     x = build_cluster_space(positions, features, 1.0)
-    state = kmeans_cluster(x, positions, features, np.array([0, 40]))
+    state = kmeans_cluster(x, features, np.array([0, 40]))
     assert len(set(state.labels[:40].tolist())) == 1
     assert len(set(state.labels[40:].tolist())) == 1
     assert state.labels[0] != state.labels[40]
@@ -127,7 +127,7 @@ def test_kmeans_objective_monotone():
     for trial in range(10):
         x = rng.normal(size=(100, 21))
         init = farthest_point_sample(x, 8, 0)
-        state = kmeans_cluster(x, x[:, :3], x[:, 15:], init)
+        state = kmeans_cluster(x, x[:, 15:], init)
         hist = state.objective_history
         for a, b in zip(hist, hist[1:]):
             assert b <= a * (1 + 1e-12) + 1e-12
@@ -135,23 +135,21 @@ def test_kmeans_objective_monotone():
 
 def test_kmeans_assignment_tie_goes_to_lower_id():
     x = np.array([[-1.0], [1.0], [0.0]])
-    state = kmeans_cluster(x, np.zeros((3, 3)), np.zeros((3, 6)), np.array([0, 1]),
-                           max_iters=1)
+    state = kmeans_cluster(x, np.zeros((3, 6)), np.array([0, 1]), max_iters=1)
     assert state.labels[2] == 0  # equidistant from both centers
 
 
 def test_kmeans_tombstones_empty_clusters():
     # second seed duplicates the first point, so it drains immediately
     x = np.array([[0.0], [0.0], [5.0], [5.1]])
-    state = kmeans_cluster(x, np.zeros((4, 3)), np.zeros((4, 6)), np.array([0, 1, 2]))
+    state = kmeans_cluster(x, np.zeros((4, 6)), np.array([0, 1, 2]))
     assert state.tombstone.sum() == 1
     assert not state.tombstone[0] and not state.tombstone[2]
 
 
 def test_kmeans_rejects_duplicate_init():
     with pytest.raises(UsageError):
-        kmeans_cluster(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 6)),
-                       np.array([1, 1]))
+        kmeans_cluster(np.zeros((4, 2)), np.zeros((4, 6)), np.array([1, 1]))
 
 
 def test_voxelize_same_and_adjacent_cells():
@@ -178,22 +176,19 @@ def test_voxelize_matches_hash_grid_oracle():
 
 def test_voxelize_rejects_bad_resolution():
     with pytest.raises(UsageError):
-        voxelize_subobjects(np.zeros((2, 3)), np.zeros(2, dtype=int), 0.0)
+        voxelize_subobjects(np.zeros((2, 3)), np.zeros(2, dtype=int), 0.0, 1)
 
 
-def cluster_state_from(labels, features, positions):
+def cluster_state_from(labels, features):
     labels = np.asarray(labels)
     s = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=s)
     f = np.zeros((s, 6))
-    p = np.zeros((s, 3))
     for k in range(s):
         if counts[k]:
             f[k] = features[labels == k].mean(axis=0)
-            p[k] = positions[labels == k].mean(axis=0)
     return ClusterState(
-        labels=labels, features=f, centers=p, centers_x=np.zeros((s, 21)),
-        tombstone=counts == 0, objective=0.0, iterations=1,
+        labels=labels, features=f, tombstone=counts == 0, objective=0.0, iterations=1,
     )
 
 
@@ -201,7 +196,7 @@ def test_graph_gates_by_adjacency():
     positions = np.array([[0.0, 0, 0], [0.05, 0, 0], [5.0, 0, 0], [5.05, 0, 0]])
     labels = np.array([0, 0, 1, 1])
     features = np.zeros((4, 6))  # identical features everywhere
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.2, 2)
     graph = build_connectivity_graph(state, voxels, 0.1)
     assert not graph.adjacency[0, 1]
@@ -213,7 +208,7 @@ def test_graph_edge_weight_is_feature_distance():
     labels = np.array([0, 1])
     features = np.zeros((2, 6))
     features[1, 0] = 0.05
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.2, 2)
     graph = build_connectivity_graph(state, voxels, 0.1)
     assert graph.adjacency[0, 1]
@@ -226,7 +221,7 @@ def test_graph_symmetry_on_random_instances():
     positions = rng.uniform(-1, 1, size=(120, 3))
     features = rng.uniform(size=(120, 6))
     labels = rng.integers(0, 12, size=120)
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.4, 12)
     graph = build_connectivity_graph(state, voxels, 0.5)
     assert np.array_equal(graph.weights, graph.weights.T)
@@ -240,10 +235,10 @@ def test_aggregate_chain_example():
     features = np.zeros((3, 6))
     features[1, 0] = 0.05
     features[2, 0] = 0.55
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.2, 3)
     graph = build_connectivity_graph(state, voxels, 0.1)
-    result = aggregate_components(graph, 0.1, labels, features)
+    result = aggregate_components(graph, labels)
     assert result.instance_count == 2
     assert result.labels[0] == result.labels[1] != result.labels[2]
 
@@ -252,10 +247,10 @@ def test_aggregate_no_edges_keeps_alive_clusters():
     positions = np.array([[0.0, 0, 0], [5.0, 0, 0], [10.0, 0, 0]])
     labels = np.array([0, 1, 2])
     features = np.random.default_rng(10).uniform(size=(3, 6))
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.2, 3)
     graph = build_connectivity_graph(state, voxels, 0.1)
-    result = aggregate_components(graph, 0.1, labels, features)
+    result = aggregate_components(graph, labels)
     assert result.instance_count == 3
 
 
@@ -263,21 +258,11 @@ def test_aggregate_merges_zero_distance_pairs():
     positions = np.array([[0.0, 0, 0], [0.15, 0, 0]])
     labels = np.array([0, 1])
     features = np.zeros((2, 6))
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.2, 2)
     graph = build_connectivity_graph(state, voxels, 0.1)
-    result = aggregate_components(graph, 0.1, labels, features)
+    result = aggregate_components(graph, labels)
     assert result.instance_count == 1
-
-
-def test_aggregate_gamma_mismatch():
-    positions = np.zeros((2, 3))
-    labels = np.array([0, 1])
-    state = cluster_state_from(labels, np.zeros((2, 6)), positions)
-    voxels = voxelize_subobjects(positions, labels, 0.2, 2)
-    graph = build_connectivity_graph(state, voxels, 0.1)
-    with pytest.raises(UsageError):
-        aggregate_components(graph, 0.2, labels, np.zeros((2, 6)))
 
 
 def test_aggregate_relabels_largest_first_then_smallest_member():
@@ -289,11 +274,11 @@ def test_aggregate_relabels_largest_first_then_smallest_member():
     positions = np.zeros((labels.size, 3))
     positions[:, 0] = [cluster_x[k] for k in labels]
     features = np.zeros((labels.size, 6))
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     assert state.tombstone.tolist() == [True, False, False, False, False, True, False, False]
     voxels = voxelize_subobjects(positions, labels, 0.2, 8)
     graph = build_connectivity_graph(state, voxels, 0.1)
-    result = aggregate_components(graph, 0.1, labels, features)
+    result = aggregate_components(graph, labels)
     assert result.sizes.tolist() == [6, 4, 4, 1]
     instance_of = {k: int(result.labels[labels == k][0]) for k in cluster_x}
     assert instance_of == {4: 0, 6: 0, 2: 1, 7: 1, 3: 2, 1: 3}
@@ -305,20 +290,20 @@ def random_graph_instance(rng, s):
     features = rng.uniform(size=(n, 6)) * rng.uniform(0.2, 1.0)
     labels = rng.integers(0, s, size=n)
     labels[:s] = np.arange(s)  # every cluster non-empty
-    state = cluster_state_from(labels, features, positions)
+    state = cluster_state_from(labels, features)
     voxels = voxelize_subobjects(positions, labels, 0.5, s)
     gamma = float(rng.uniform(0.1, 0.8))
     graph = build_connectivity_graph(state, voxels, gamma)
-    return state, voxels, graph, gamma, labels, features
+    return state, voxels, graph, labels
 
 
 def test_aggregate_matches_dfs_on_random_graphs():
     rng = np.random.default_rng(11)
     for trial in range(20):
         s = int(rng.integers(5, 30))
-        state, voxels, graph, gamma, labels, features = random_graph_instance(rng, s)
-        result = aggregate_components(graph, gamma, labels, features)
-        merge = graph.adjacency & (graph.weights <= gamma)
+        state, voxels, graph, labels = random_graph_instance(rng, s)
+        result = aggregate_components(graph, labels)
+        merge = graph.adjacency & (graph.weights <= graph.gamma)
         comp = dfs_components(merge, graph.alive)
         for i in range(s):
             for j in range(s):
@@ -331,10 +316,10 @@ def test_gamma_monotone_refinement():
     rng = np.random.default_rng(12)
     for trial in range(10):
         s = int(rng.integers(5, 25))
-        state, voxels, _, _, labels, features = random_graph_instance(rng, s)
+        state, voxels, _, labels = random_graph_instance(rng, s)
         g1, g2 = sorted(rng.uniform(0.05, 0.9, size=2))
-        a = aggregate_components(build_connectivity_graph(state, voxels, g1), g1, labels, features)
-        b = aggregate_components(build_connectivity_graph(state, voxels, g2), g2, labels, features)
+        a = aggregate_components(build_connectivity_graph(state, voxels, g1), labels)
+        b = aggregate_components(build_connectivity_graph(state, voxels, g2), labels)
         # partition at the smaller gamma refines the one at the larger gamma
         for inst in range(a.instance_count):
             members = b.labels[a.labels == inst]
@@ -342,15 +327,13 @@ def test_gamma_monotone_refinement():
         assert a.instance_count >= b.instance_count
 
 
-def test_instance_features_are_member_means():
+def test_instance_sizes_count_members():
     rng = np.random.default_rng(13)
     s = 10
-    state, voxels, graph, gamma, labels, features = random_graph_instance(rng, s)
-    result = aggregate_components(graph, gamma, labels, features)
+    _, _, graph, labels = random_graph_instance(rng, s)
+    result = aggregate_components(graph, labels)
     for inst in range(result.instance_count):
-        member = result.labels == inst
-        assert np.allclose(result.features[inst], features[member].mean(axis=0))
-        assert result.sizes[inst] == member.sum()
+        assert result.sizes[inst] == (result.labels == inst).sum()
     assert result.sizes.sum() == len(labels)  # every point labeled exactly once
 
 
