@@ -6,9 +6,19 @@ IoU between every instance footprint and every 2D mask, and accumulating
 IoU-weighted mask embeddings across views (then L2-normalizing). Text-side
 queries score instances by cosine similarity; instances that were never
 visible keep a zero vector and score -1.
+
+The id maps of independent views render on a small thread pool
+(``render_instance_id_maps``), at most ``ID_MAP_WORKERS`` views at once.
+A view in flight peaks at its rasterize bound,
+``RASTER_BYTES_PER_CONTRIBUTION`` bytes per contribution, plus the dense
+(pixel, instance) score table of H * W * m doubles. The maps come back in
+view order, so the accumulation, and every artifact, is the same as a
+sequential run.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +32,11 @@ from .scene_model import SplatSet
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
 NO_CLASS = -1
 MIN_VISIBLE_ALPHA = 0.05
+# Views rendered at once by render_instance_id_maps. It is sized by memory,
+# not only by cores: each view in flight holds up to
+# RASTER_BYTES_PER_CONTRIBUTION bytes per contribution, and two views stay
+# under the training stage's own peak.
+ID_MAP_WORKERS = 2
 
 EMBEDDING_MAGIC = b"IGEM"
 EMBEDDING_VERSION = 1
@@ -75,24 +90,47 @@ def render_instance_id_map(
 
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
-    rasterize step runs: no color or feature image is composited.
+    rasterize step runs: no color or feature image is composited, and only
+    the raster's pixel, splat and weight arrays outlive it.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
     ras = rasterize(splats, camera)
+    pix, splat, weight, alpha = ras.pix, ras.splat, ras.weight, ras.alpha
+    del ras
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
-    if ras.pix.size == 0:
+    if pix.size == 0:
         return id_map.reshape(h, w)
     m = int(instance_labels.max()) + 1
-    inst = instance_labels[ras.splat]
-    scores = np.bincount(ras.pix * m + inst, weights=ras.weight, minlength=h * w * m)
-    scores = scores.reshape(h * w, m)
-    winners = np.argmax(scores, axis=1)
-    visible = ras.alpha.reshape(-1) >= MIN_VISIBLE_ALPHA
+    # the (pixel, instance) key, built in the pixel buffer
+    pix *= m
+    pix += instance_labels[splat]
+    del splat
+    scores = np.bincount(pix, weights=weight, minlength=h * w * m)
+    del pix, weight
+    winners = np.argmax(scores.reshape(h * w, m), axis=1)
+    visible = alpha.reshape(-1) >= MIN_VISIBLE_ALPHA
     id_map[visible] = winners[visible].astype(np.uint32)
     return id_map.reshape(h, w)
+
+
+def render_instance_id_maps(
+    splats: SplatSet, instance_labels: np.ndarray, cameras: list[Camera]
+) -> list[np.ndarray]:
+    """``render_instance_id_map`` for every camera, in camera order.
+
+    The views run on a pool of up to ``ID_MAP_WORKERS`` threads (never more
+    than the usable cores or the views); NumPy releases the interpreter lock
+    in the kernels that dominate a view. An exception in any view is raised
+    here.
+    """
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(cameras), ID_MAP_WORKERS))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(
+            lambda camera: render_instance_id_map(splats, instance_labels, camera), cameras
+        ))
 
 
 def associate_embeddings(

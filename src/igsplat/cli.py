@@ -39,6 +39,12 @@ EXIT_NUMERIC = 4
 
 _LR_SCHEMA = {key: float for key in DEFAULT_LEARNING_RATES}
 
+
+class _Seed:
+    """Schema type of a seed key: a non-negative int, as the random
+    generators require."""
+
+
 _OBJECT_SCHEMA = {
     "kind": str,
     "center": list,
@@ -60,22 +66,22 @@ _SYNTH_SCHEMA = {
     "center_height": float,
     "num_classes": int,
     "class_names": list,
-    "seed": int,
+    "seed": _Seed,
 }
 
 _SCHEMA = {
     "scene": {
         "synth": _SYNTH_SCHEMA,
-        "corrupt": {"p_drop": float, "p_split": float, "p_merge": float, "seed": int},
+        "corrupt": {"p_drop": float, "p_split": float, "p_merge": float, "seed": _Seed},
         "embedding_dim": int,
         "embedding_sigma": float,
-        "embedding_seed": int,
+        "embedding_seed": _Seed,
     },
     "model": {
         "embedding_dim": int,
         "offset_range": float,
         "base_scale": float,
-        "seed": int,
+        "seed": _Seed,
     },
     "train": {
         "total_steps": int,
@@ -90,7 +96,7 @@ _SCHEMA = {
             "independent": _LR_SCHEMA,
             "joint": _LR_SCHEMA,
         },
-        "seed": int,
+        "seed": _Seed,
         "freeze_positions": bool,
         "mode": str,
     },
@@ -99,7 +105,7 @@ _SCHEMA = {
         "voxel_size": float,
         "gamma": float,
         "lambda_pos": float,
-        "seed": int,
+        "seed": _Seed,
     },
     "query": {"text_embeddings": str, "class_names": str},
     "output": str,
@@ -114,6 +120,11 @@ def _check_schema(value, schema, path: str) -> None:
             if key not in schema:
                 raise ConfigError(f"unknown config key {path + key!r}")
             _check_schema(sub, schema[key], f"{path}{key}.")
+        return
+    if schema is _Seed:
+        _check_schema(value, int, path)
+        if value is not None and value < 0:
+            raise ConfigError(f"{path[:-1]}: seeds must be non-negative, got {value}")
         return
     types = schema if isinstance(schema, tuple) else (schema,)
     if float in types:
@@ -268,6 +279,8 @@ def cmd_instantiate(cfg: dict, args) -> int:
     voxel_size = args.voxel_size if args.voxel_size is not None else icfg["voxel_size"]
     gamma = args.gamma if args.gamma is not None else icfg["gamma"]
     lambda_pos = args.lambda_pos if args.lambda_pos is not None else icfg["lambda_pos"]
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else icfg["seed"]
     result = instantiation.instantiate(
         splats.centers, splats.features, s=samples, r=voxel_size, gamma=gamma,
@@ -311,9 +324,7 @@ def cmd_associate(cfg: dict, args) -> int:
     splats = decode_gaussians(anchors, decoder)
     labels, m = _load_checked_labels(paths["labels"], splats.count)
     _, _, _, _, _, masks, cameras = _load_views(paths["scene"])
-    id_maps = [
-        association.render_instance_id_map(splats, labels, camera) for camera in cameras
-    ]
+    id_maps = association.render_instance_id_maps(splats, labels, cameras)
     table = association.associate_embeddings(id_maps, masks, m)
     association.save_embeddings(paths["instance_embeddings"], table)
     covered = int((np.linalg.norm(table.vectors, axis=1) > 0).sum())

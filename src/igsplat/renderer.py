@@ -24,6 +24,12 @@ color and feature composite; instance id maps need only the first step.
 The same row-span enumeration, fed point disks instead of splat cutoffs,
 gives the ground-truth point z-buffer (``zbuffer_owners``).
 
+``rasterize`` frees each temporary at its last use and computes the alpha
+and transmittance chains in place, with the same floating-point operations
+in the same order. Its peak is then the Raster it returns, about 49 bytes
+per contribution; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound
+(per-splat and per-pixel arrays aside), which the tests check.
+
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
 training schedule routes them to different parameters. The color chain
@@ -31,6 +37,9 @@ always reaches geometry (opacities, scales, centers); the feature chain
 reaches it only when asked (the joint phase) and otherwise stops at the
 features. Per-contribution terms both chains share are built once per
 call, from the compositing weights and projected slots the forward keeps.
+The (contributions, channels) gathers of a chain's geometry term run in
+blocks of rows, so they stay a few MB however many contributions a view
+makes.
 """
 from __future__ import annotations
 
@@ -46,6 +55,10 @@ from .scene_model import SplatSet
 NEAR_PLANE = 0.01
 ALPHA_MAX = 0.99
 CUTOFF_SIGMAS = 3.0
+# Memory bound of one rasterize call, in peak bytes per contribution.
+RASTER_BYTES_PER_CONTRIBUTION = 64
+# Rows per block of the backward's (contributions, channels) gathers.
+_GATHER_ROWS = 1 << 16
 
 
 @dataclass
@@ -277,19 +290,35 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     if total == 0:
         return None
 
-    # One entry per (splat, row, col) of the spans.
+    # One entry per (splat, row, col) of the spans: entry k sits in column
+    # k + span_base of its record. Record temporaries go first, and the
+    # repeated centres become du, then d2.
     span_base = lo.astype(np.int64) - (np.cumsum(counts) - counts)
-    k = np.arange(total, dtype=np.int64)
-    col = k + np.repeat(span_base, counts)
-    du = col - np.repeat(u_rec, counts)
-    d2 = du * du + np.repeat(dv2, counts)
+    pix_base = row * w + span_base
+    del first_row, heights, by_row, row, dv, r_rec, half, lo, hi
+    col = np.arange(total, dtype=np.int64)
+    col += np.repeat(span_base, counts)
+    d2 = np.repeat(u_rec, counts)
+    np.subtract(col, d2, out=d2)
+    del col
+    np.multiply(d2, d2, out=d2)
+    d2 += np.repeat(dv2, counts)
     keep = np.flatnonzero(d2 <= np.repeat(rr, counts))
     if keep.size == 0:
         return None
-    pixflat = k + np.repeat(row * w + span_base, counts)
-    key = pixflat[keep].astype(np.min_scalar_type(h * w - 1))
-    idx = keep[np.argsort(key, kind="stable")]
-    return pixflat[idx], np.repeat(rec_slot, counts)[idx], d2[idx]
+    d2 = d2[keep]
+    # Pixel and slot only for the kept entries, through each one's record.
+    rec = np.repeat(np.arange(rec_slot.size), counts)[keep]
+    pix = pix_base.take(rec)
+    pix += keep
+    del keep
+    slot = rec_slot.take(rec)
+    del rec
+    order = np.argsort(pix.astype(np.min_scalar_type(h * w - 1)), kind="stable")
+    pix = pix[order]
+    slot = slot[order]
+    d2 = d2[order]
+    return pix, slot, d2
 
 
 def rasterize(splats: SplatSet, camera: Camera) -> Raster:
@@ -305,28 +334,36 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
             clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
             alpha=np.zeros((h, w)), projected=proj,
         )
-    pixflat, order_pos, d2 = built
+    pix, slot, d2 = built
+    splat = proj.indices.take(slot)
 
-    splat_orig = proj.indices[order_pos]
-    sigma = proj.sigma_px[order_pos]
-    opac = splats.opacities[splat_orig]
-    alpha_raw = opac * np.exp(-d2 / (2.0 * sigma * sigma))
-    clamped = alpha_raw > ALPHA_MAX
-    alpha = np.where(clamped, ALPHA_MAX, alpha_raw)
+    # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
+    # the per-splat factors are formed before the gather, with the same bits.
+    alpha = np.negative(d2, out=d2)
+    np.divide(alpha, (2.0 * proj.sigma_px * proj.sigma_px).take(slot), out=alpha)
+    np.exp(alpha, out=alpha)
+    np.multiply(splats.opacities.take(splat), alpha, out=alpha)
+    clamped = alpha > ALPHA_MAX
+    alpha[clamped] = ALPHA_MAX
 
-    # Exclusive per-pixel product of (1 - alpha) via a segmented log cumsum.
-    seg_start = np.flatnonzero(np.concatenate(([True], pixflat[1:] != pixflat[:-1])))
-    seg_len = np.diff(seg_start, append=len(pixflat))
-    logs = np.log1p(-alpha)
-    excl = np.cumsum(logs) - logs
-    trans = np.exp(excl - np.repeat(excl[seg_start], seg_len))
+    # Exclusive per-pixel product of (1 - alpha) via a segmented log cumsum,
+    # which becomes the transmittance in place.
+    seg_start = np.flatnonzero(np.concatenate(([True], pix[1:] != pix[:-1])))
+    seg_len = np.diff(seg_start, append=len(pix))
+    logs = np.negative(alpha)
+    np.log1p(logs, out=logs)
+    trans = np.cumsum(logs)
+    trans -= logs
+    del logs
+    trans -= np.repeat(trans[seg_start], seg_len)
+    np.exp(trans, out=trans)
 
     weight = alpha * trans
-    seg_pix = pixflat[seg_start]
+    seg_pix = pix[seg_start]
     alpha_img = np.zeros(h * w)
     alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
     return Raster(
-        pix=pixflat, splat=splat_orig, slot=order_pos, alpha_i=alpha, trans=trans, weight=weight,
+        pix=pix, splat=splat, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
         clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
         alpha=alpha_img.reshape(h, w), projected=proj,
     )
@@ -429,7 +466,8 @@ def render_backward(
 
     for grad_img, values, value_grads, grads, geometry in chains:
         dim = values.shape[1]
-        g_seg = grad_img.reshape(-1, dim).take(output.seg_pix, axis=0)
+        flat_grad = grad_img.reshape(-1, dim)
+        g_seg = flat_grad.take(output.seg_pix, axis=0)
         # per channel from a contiguous row; a strided (q, dim) column read
         # made these sums ~2.5x slower
         for ch, g_ch in enumerate(np.ascontiguousarray(g_seg.T)):
@@ -438,7 +476,13 @@ def render_backward(
             )
         if not geometry:
             continue
-        q = np.einsum("ij,ij->i", np.repeat(g_seg, seg_len, axis=0), values.take(splat, axis=0))
+        # <image gradient, value> per contribution, in row blocks so the two
+        # (rows, dim) operands stay small; each row's sum is the same einsum
+        q = np.empty(splat.size)
+        for lo in range(0, splat.size, _GATHER_ROWS):
+            rows = slice(lo, lo + _GATHER_ROWS)
+            np.einsum("ij,ij->i", flat_grad.take(output.pix[rows], axis=0),
+                      values.take(splat[rows], axis=0), out=q[rows])
 
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i)
         v = weight * q

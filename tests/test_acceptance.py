@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from conftest import BENCH_INSTANTIATE, BENCH_NUM_CLASSES, bench_config_json
-from igsplat.association import associate_embeddings, render_instance_id_map, semantic_assign
+from igsplat.association import associate_embeddings, render_instance_id_maps, semantic_assign
 from igsplat.cli import main as cli_main
 from igsplat.evaluation import instance_metrics, semantic_metrics
 from igsplat.instantiation import (
@@ -358,8 +358,7 @@ def test_criterion_9_mask_corruption_robustness(bench):
 def test_criterion_10_open_vocabulary_path(bench):
     result = run_instantiate(bench["splats"])
     (_, _, _, _, _, cameras, _, masks) = load_scene_dir(bench["scene_dir"])
-    id_maps = [render_instance_id_map(bench["splats"], result.labels, cam)
-               for cam in cameras]
+    id_maps = render_instance_id_maps(bench["splats"], result.labels, cameras)
     table = associate_embeddings(id_maps, masks, result.instance_count)
     protos = class_prototypes(BENCH_NUM_CLASSES, table.dim)
     point_classes, inst_classes = semantic_assign(protos, table, result.labels)

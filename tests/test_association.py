@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from igsplat import association
 from igsplat.association import (
     MIN_VISIBLE_ALPHA,
     EmbeddingTable,
@@ -8,6 +9,7 @@ from igsplat.association import (
     associate_embeddings,
     load_embeddings,
     render_instance_id_map,
+    render_instance_id_maps,
     save_embeddings,
     score_query,
     semantic_assign,
@@ -101,6 +103,50 @@ def test_id_map_matches_render_weights():
     visible = expected != NO_INSTANCE
     assert 0 < visible.sum() < visible.size  # the floor cuts some pixels
     assert len(set(expected[visible].tolist())) >= 4
+
+
+def multi_view_scene(views=5):
+    rng = np.random.default_rng(12)
+    n = 80
+    centers = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(-0.4, 0.4, n),
+                               rng.uniform(1.5, 3.0, n)])
+    splats = make_splats(centers, rng.uniform(0.05, 0.7, n), rng.uniform(0.02, 0.15, n))
+    labels = rng.integers(0, 6, n)
+    cameras = [Camera(fx=18.0, fy=18.0, cx=11.5, cy=9.5, width=24, height=20,
+                      rotation=np.eye(3), translation=np.array([0.12 * k - 0.24, 0.05 * k, 0.1 * k]))
+               for k in range(views)]
+    return splats, labels, cameras
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_id_map_pool_equals_sequential_maps(monkeypatch, workers):
+    splats, labels, cameras = multi_view_scene()
+    expected = [render_instance_id_map(splats, labels, camera) for camera in cameras]
+    assert len({m.tobytes() for m in expected}) == len(cameras)  # order is visible
+    monkeypatch.setattr(association, "ID_MAP_WORKERS", workers)
+    maps = render_instance_id_maps(splats, labels, cameras)
+    assert len(maps) == len(expected)
+    for got, want in zip(maps, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert render_instance_id_maps(splats, labels, []) == []
+
+
+def test_id_map_pool_raises_label_count_mismatch():
+    splats, labels, cameras = multi_view_scene()
+    with pytest.raises(UsageError, match="one instance label per splat"):
+        render_instance_id_maps(splats, labels[:-1], cameras)
+
+
+def test_id_map_leaves_inputs_unmodified():
+    splats, labels, cameras = multi_view_scene(views=1)
+    before = {name: value.copy() for name, value in vars(splats).items()}
+    labels_before = labels.copy()
+    assert labels.dtype == np.int64  # no conversion copy shields the caller's array
+    render_instance_id_map(splats, labels, cameras[0])
+    for name, value in vars(splats).items():
+        assert np.array_equal(value, before[name]), name
+    assert np.array_equal(labels, labels_before)
 
 
 def mask_view(ids, count, embeddings):

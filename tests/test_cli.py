@@ -99,6 +99,26 @@ def test_non_finite_config_number_exits_2(tmp_path, key, token, capsys):
     assert f"finite, got {token}" in capsys.readouterr().err
 
 
+SEED_KEYS = ["scene.synth.seed", "scene.corrupt.seed", "scene.embedding_seed", "model.seed",
+             "train.seed", "instantiate.seed"]
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_negative_config_seed_exits_2(tmp_path, key, capsys):
+    config_path, out = write_config(tmp_path)
+    cfg = json.loads(open(config_path).read())
+    *sections, field = key.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[field] = -1
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["generate", "--config", config_path]) == 2
+    assert not os.path.exists(out)
+    assert f"{key}: seeds must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_missing_inputs_exit_3(tmp_path):
     config_path, out = write_config(tmp_path)
     assert main(["train", "--config", config_path]) == 3  # no scene yet
@@ -147,7 +167,8 @@ def trained(tmp_path_factory):
     ("--voxel-size", "1e-300", "voxel keys at or beyond 2^62"),
     ("--lambda-pos", "nan", "lambda_pos must be finite"),
     ("--gamma", "nan", "gamma must be positive"),
-], ids=["voxel_nan", "voxel_tiny", "lambda_nan", "gamma_nan"])
+    ("--seed", "-1", "--seed must be non-negative"),
+], ids=["voxel_nan", "voxel_tiny", "lambda_nan", "gamma_nan", "seed_negative"])
 def test_instantiate_rejects_bad_flag_value(trained, flag, value, message, capsys):
     config_path, out = trained
     assert main(["instantiate", "--config", config_path, flag, value]) == 2

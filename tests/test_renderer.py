@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from igsplat.errors import DataError
+from igsplat import renderer
 from igsplat.oracles import central_differences, relative_errors
 from igsplat.renderer import (
+    RASTER_BYTES_PER_CONTRIBUTION,
     Camera,
     ProjectedSplats,
     _build_contributions,
     load_camera,
     project_splats,
+    rasterize,
     read_raw_f32,
     render,
     render_backward,
@@ -266,6 +271,46 @@ def test_contributions_on_near_tangent_rows():
     assert_same_contributions(proj, cam)
 
 
+def dense_view(n=2000, size=128):
+    """Many small overlapping splats: over 100k contributions, so the
+    per-contribution arrays outweigh the per-splat and per-pixel ones."""
+    rng = np.random.default_rng(21)
+    centers = np.column_stack([rng.uniform(-0.9, 0.9, n), rng.uniform(-0.9, 0.9, n),
+                               rng.uniform(2.0, 3.0, n)])
+    splats = make_splats(centers, opacities=rng.uniform(0.05, 0.995, n),
+                         scales=rng.uniform(0.02, 0.04, n))
+    cam = Camera(fx=size, fy=size, cx=size / 2, cy=size / 2, width=size, height=size,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    return splats, cam
+
+
+def test_rasterize_peak_within_stated_bound():
+    splats, cam = dense_view()
+    rasterize(splats, cam)
+    tracemalloc.start()
+    try:
+        ras = rasterize(splats, cam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ras.pix.size >= 100_000
+    assert ras.clamped.any()
+    assert peak <= RASTER_BYTES_PER_CONTRIBUTION * ras.pix.size, peak / ras.pix.size
+
+
+def test_raster_arrays_share_no_memory():
+    splats, cam = dense_view(n=300, size=48)
+    ras = rasterize(splats, cam)
+    arrays = {name: value for name, value in vars(ras).items() if isinstance(value, np.ndarray)}
+    assert ras.pix.size > 0 and len(arrays) == 10
+    names = sorted(arrays)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+        for name, value in vars(splats).items():
+            assert not np.shares_memory(arrays[a], value), (a, name)
+
+
 def test_contributor_list_accessor():
     cam = identity_camera(size=8, fx=20.0, offset=0.0)
     x = (3 - cam.cx) / cam.fx
@@ -399,6 +444,21 @@ def test_fused_backward_chains_equal_single_chain_calls():
         assert color_grads.centers.any() and feature_grads.features.any()
         for field in GEOMETRY_FIELDS:
             assert getattr(feature_grads, field).any() == feature_geometry
+
+
+def test_backward_row_blocks_match_one_block(monkeypatch):
+    splats, cam = dense_view()
+    out = render(splats, cam)
+    assert out.pix.size > 2 * renderer._GATHER_ROWS
+    rng = np.random.default_rng(5)
+    grad_color = rng.normal(size=out.color.shape)
+    grad_feature = rng.normal(size=out.feature.shape)
+    blocked = render_backward(out, grad_color, grad_feature, feature_geometry=True)
+    monkeypatch.setattr(renderer, "_GATHER_ROWS", out.pix.size)
+    whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
+    for got, want in zip(blocked, whole):
+        for name in GRAD_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_backward_fully_clamped_splat_has_zero_geometry_grads():
