@@ -17,16 +17,15 @@ sequential run.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 from .losses import MaskView
-from .renderer import Camera, rasterize
+from .renderer import Camera, _lanes, rasterize
 from .scene_model import SplatSet
 
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
@@ -121,16 +120,13 @@ def render_instance_id_maps(
 ) -> list[np.ndarray]:
     """``render_instance_id_map`` for every camera, in camera order.
 
-    The views run on a pool of up to ``ID_MAP_WORKERS`` threads (never more
-    than the usable cores or the views); NumPy releases the interpreter lock
-    in the kernels that dominate a view. An exception in any view is raised
-    here.
+    The views run on the renderer's lanes (``renderer._lanes``), at most
+    ``ID_MAP_WORKERS`` at once and never more than the usable cores or the
+    views; NumPy releases the interpreter lock in the kernels that dominate
+    a view. An exception in any view is raised here.
     """
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(cameras), ID_MAP_WORKERS))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda camera: render_instance_id_map(splats, instance_labels, camera), cameras
-        ))
+    return _lanes([partial(render_instance_id_map, splats, instance_labels, camera)
+                   for camera in cameras], ID_MAP_WORKERS)
 
 
 def associate_embeddings(

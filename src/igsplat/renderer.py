@@ -38,13 +38,27 @@ reaches it only when asked (the joint phase) and otherwise stops at the
 features. Per-contribution terms both chains share are built once per
 call, from the compositing weights and projected slots the forward keeps.
 The (contributions, channels) gathers of a chain's geometry term run in
-blocks of rows, so they stay a few MB however many contributions a view
+blocks of rows, so they stay small however many contributions a view
 makes.
+
+Both passes split their color and feature work into tasks that write
+disjoint outputs and run them on two threads ("lanes", ``_lanes``):
+``render`` composites the two images side by side, and ``render_backward``
+runs each chain's geometry task and each chain's value task (the direct
+weight * grad sums). Every task keeps its floating-point operations and
+their order, so the results are the same bits on one lane or two. The
+geometry tasks work in two reused per-contribution buffers, so a call with
+both chains on geometry peaks at about 78-93 bytes per contribution above
+its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound,
+which the tests check.
 """
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -57,8 +71,11 @@ ALPHA_MAX = 0.99
 CUTOFF_SIGMAS = 3.0
 # Memory bound of one rasterize call, in peak bytes per contribution.
 RASTER_BYTES_PER_CONTRIBUTION = 64
-# Rows per block of the backward's (contributions, channels) gathers.
-_GATHER_ROWS = 1 << 16
+# Memory bound of one render_backward call above its RenderOutput, in peak
+# bytes per contribution, with both chains reaching geometry on two lanes.
+BACKWARD_BYTES_PER_CONTRIBUTION = 96
+# Rows per block of the backward's gathers; a block is at most 1.5 MB.
+_GATHER_ROWS = 1 << 14
 
 
 @dataclass
@@ -391,21 +408,44 @@ def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.
     return owners.reshape(h, w)
 
 
+def _lanes(tasks: list, limit: int = 2) -> list:
+    """Run the zero-argument callables ``tasks`` on min(usable cores,
+    len(tasks), limit) threads and return their results in task order.
+
+    Tasks start in list order as lanes come free, so callers put the longest
+    first. Each task writes only its own outputs, so the results carry the
+    same bits whatever the lane count. An exception in a task is raised here
+    once the started tasks have finished. With one lane the tasks run
+    inline, in order. The renderer's tasks call no public function of the
+    package, so a tracer that wraps those keeps its spans nested.
+    """
+    lanes = min(len(os.sched_getaffinity(0)), len(tasks), limit)
+    if lanes <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        return list(pool.map(lambda task: task(), tasks))
+
+
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
-    """Rasterize color, feature, and alpha images with contributor retention."""
+    """Rasterize color, feature, and alpha images with contributor retention.
+
+    The feature and color composites run as two lanes (``_lanes``).
+    """
     ras = rasterize(splats, camera)
     h, w = camera.height, camera.width
-    color = np.zeros((h * w, 3))
-    feature = np.zeros((h * w, 6))
-    for image, values in ((color, splats.colors), (feature, splats.features)):
+
+    def composite(values: np.ndarray) -> np.ndarray:
+        image = np.zeros((h * w, values.shape[1]))
         # 1-D takes from contiguous per-channel rows of the (C, n) transpose
         for ch, channel in enumerate(np.ascontiguousarray(values.T)):
             image[ras.seg_pix, ch] = np.add.reduceat(
                 ras.weight * channel.take(ras.splat), ras.seg_start
             )
+        return image.reshape(h, w, -1)
 
-    return RenderOutput(**vars(ras), color=color.reshape(h, w, 3), feature=feature.reshape(h, w, 6),
-                        splats=splats, camera=camera)
+    feature, color = _lanes([partial(composite, splats.features),
+                             partial(composite, splats.colors)])
+    return RenderOutput(**vars(ras), color=color, feature=feature, splats=splats, camera=camera)
 
 
 def render_backward(
@@ -429,53 +469,65 @@ def render_backward(
     the summed objective.
 
     The per-contribution terms shared by both geometry chains (pixel
-    offsets, sigma, d2, the Gaussian term, 1 - alpha) are built once; the
-    segmented suffix scan and the per-splat sums then run once per chain.
+    offsets, d2, 1 / sigma^2, 1 - alpha) are built once. Then each chain
+    splits into a geometry task (the segmented suffix scan, d_alpha and the
+    opacity, centre and scale sums) and a value task (the per-channel
+    weight * grad sums), and the tasks run on two lanes (``_lanes``),
+    geometry first. Each geometry task works in two reused per-contribution
+    buffers, so the call peaks within ``BACKWARD_BYTES_PER_CONTRIBUTION``
+    bytes per contribution.
     """
     splats = output.splats
     camera = output.camera
     proj = output.projected
     n = splats.count
     color_grads, feature_grads = SplatGrads.zeros(n), SplatGrads.zeros(n)
-    # (image gradient, per-splat values, their gradient, chain, reaches geometry)
+    # (image gradient, per-splat values, their gradient, chain, reaches geometry);
+    # the wider feature chain first, as its tasks take longest
     chains = []
-    if grad_color is not None:
-        chains.append((grad_color, splats.colors, color_grads.colors, color_grads, True))
     if grad_feature is not None:
         chains.append((grad_feature, splats.features, feature_grads.features, feature_grads,
                        feature_geometry))
+    if grad_color is not None:
+        chains.append((grad_color, splats.colors, color_grads.colors, color_grads, True))
     if not chains or output.pix.size == 0:
         return color_grads, feature_grads
 
     splat = output.splat
+    slot = output.slot
     weight = output.weight
     seg_start = output.seg_start
     # Contributions of one pixel are contiguous, so per-pixel rows expand by
     # repeat instead of a gather.
     seg_len = np.diff(seg_start, append=len(splat))
 
-    if any(geometry for *_, geometry in chains):
-        alpha = output.alpha_i
-        one_minus_alpha = 1.0 - alpha
-        sig = proj.sigma_px.take(output.slot)
-        dcol = np.repeat(output.seg_pix % camera.width, seg_len) - proj.u.take(output.slot)
-        drow = np.repeat(output.seg_pix // camera.width, seg_len) - proj.v.take(output.slot)
-        d2 = dcol**2 + drow**2
-        inv_sig2 = 1.0 / (sig * sig)
-        gauss = np.exp(-d2 * inv_sig2 / 2.0)
-
-    for grad_img, values, value_grads, grads, geometry in chains:
-        dim = values.shape[1]
-        flat_grad = grad_img.reshape(-1, dim)
-        g_seg = flat_grad.take(output.seg_pix, axis=0)
+    def value_task(grad_img, values, value_grads):
+        g_seg = grad_img.reshape(-1, values.shape[1]).take(output.seg_pix, axis=0)
         # per channel from a contiguous row; a strided (q, dim) column read
         # made these sums ~2.5x slower
         for ch, g_ch in enumerate(np.ascontiguousarray(g_seg.T)):
             value_grads[:, ch] = np.bincount(
                 splat, weights=weight * np.repeat(g_ch, seg_len), minlength=n
             )
-        if not geometry:
-            continue
+
+    value_tasks = [partial(value_task, grad_img, values, value_grads)
+                   for grad_img, values, value_grads, _, _ in chains]
+    geometry_chains = [(grad_img, values, grads)
+                       for grad_img, values, _, grads, geometry in chains if geometry]
+    if not geometry_chains:
+        _lanes(value_tasks)
+        return color_grads, feature_grads
+
+    alpha = output.alpha_i
+    one_minus_alpha = 1.0 - alpha
+    dcol = np.repeat(output.seg_pix % camera.width, seg_len) - proj.u.take(slot)
+    drow = np.repeat(output.seg_pix // camera.width, seg_len) - proj.v.take(slot)
+    d2 = np.square(dcol)
+    d2 += np.square(drow)
+    inv_sig2 = (1.0 / (proj.sigma_px * proj.sigma_px)).take(slot)
+
+    def geometry_task(grad_img, values, grads):
+        flat_grad = grad_img.reshape(-1, values.shape[1])
         # <image gradient, value> per contribution, in row blocks so the two
         # (rows, dim) operands stay small; each row's sum is the same einsum
         q = np.empty(splat.size)
@@ -484,28 +536,47 @@ def render_backward(
             np.einsum("ij,ij->i", flat_grad.take(output.pix[rows], axis=0),
                       values.take(splat[rows], axis=0), out=q[rows])
 
-        # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i)
+        # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
+        # the suffix from a segmented inclusive cumsum of v = weight * q
         v = weight * q
-        incl = np.cumsum(v)
-        incl -= np.repeat(incl[seg_start] - v[seg_start], seg_len)
-        suffix = np.repeat(np.add.reduceat(v, seg_start), seg_len) - incl
-        del v, incl
-        d_alpha = q * output.trans - suffix / one_minus_alpha
-        del q, suffix
+        totals = np.add.reduceat(v, seg_start)
+        firsts = v[seg_start]
+        np.cumsum(v, out=v)
+        v -= np.repeat(v[seg_start] - firsts, seg_len)
+        suffix = np.repeat(totals, seg_len)
+        suffix -= v
+        del v
+        d_alpha = np.multiply(q, output.trans, out=q)
+        suffix /= one_minus_alpha
+        d_alpha -= suffix
         # Clamped alphas are constant in the parameters; with d_alpha zeroed
         # there, every geometry term below is zero there too.
         d_alpha[output.clamped] = 0.0
-        grads.opacities = np.bincount(splat, weights=d_alpha * gauss, minlength=n)
+        # One product buffer for the four sums, in the suffix's memory. The
+        # Gaussian term exp(-d2 / (2 sigma^2)) is built there, not shared,
+        # so two lanes hold one buffer less.
+        product = np.negative(d2, out=suffix)
+        product *= inv_sig2
+        product /= 2.0
+        np.exp(product, out=product)
+        product *= d_alpha
+        grads.opacities = np.bincount(splat, weights=product, minlength=n)
 
-        common = d_alpha * alpha
-        del d_alpha
+        common = np.multiply(d_alpha, alpha, out=d_alpha)
         # per projected slot: the same entries in the same order as a sum
         # over original indices, gathered by proj.indices
-        du_s = np.bincount(output.slot, weights=common * dcol * inv_sig2, minlength=proj.count)
-        dv_s = np.bincount(output.slot, weights=common * drow * inv_sig2, minlength=proj.count)
-        dsig_s = np.bincount(output.slot, weights=common * d2 * inv_sig2 / sig,
-                             minlength=proj.count)
-        del common
+        np.multiply(common, dcol, out=product)
+        product *= inv_sig2
+        du_s = np.bincount(slot, weights=product, minlength=proj.count)
+        np.multiply(common, drow, out=product)
+        product *= inv_sig2
+        dv_s = np.bincount(slot, weights=product, minlength=proj.count)
+        np.multiply(common, d2, out=product)
+        product *= inv_sig2
+        for lo in range(0, splat.size, _GATHER_ROWS):
+            rows = slice(lo, lo + _GATHER_ROWS)
+            product[rows] /= proj.sigma_px.take(slot[rows])
+        dsig_s = np.bincount(slot, weights=product, minlength=proj.count)
 
         x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
         fx, fy = camera.fx, camera.fy
@@ -515,6 +586,8 @@ def render_backward(
         dz = -(du_s * fx * x + dv_s * fy * y + dsig_s * scale_kept * fx) / (z * z)
         grads.scales[proj.indices] = dsig_s * fx / z
         grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
+
+    _lanes([partial(geometry_task, *chain) for chain in geometry_chains] + value_tasks)
     return color_grads, feature_grads
 
 

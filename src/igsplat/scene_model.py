@@ -48,6 +48,10 @@ class ModelConfig:
     offset_range: float | None = None
     base_scale: float | None = None
 
+    def __post_init__(self):
+        if self.embedding_dim < 1:
+            raise DataError(f"embedding_dim must be at least 1, got {self.embedding_dim}")
+
 
 @dataclass
 class AnchorSet:

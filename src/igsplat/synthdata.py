@@ -96,6 +96,12 @@ class SceneSpec:
             raise DataError("scene needs at least one object")
         if self.num_classes < 1:
             raise DataError("scene needs at least one class")
+        if self.points_per_object < 1:
+            raise DataError(f"points_per_object must be at least 1, got {self.points_per_object}")
+        if self.num_cameras < 0:
+            raise DataError(f"num_cameras must not be negative, got {self.num_cameras}")
+        if not 0.0 < self.fov_degrees < 180.0:
+            raise DataError(f"fov_degrees must lie in (0, 180), got {self.fov_degrees}")
 
 
 @dataclass

@@ -119,6 +119,33 @@ def test_negative_config_seed_exits_2(tmp_path, key, capsys):
     assert f"{key}: seeds must be non-negative, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("points_per_object", 0, "points_per_object must be at least 1, got 0"),
+    ("points_per_object", -5, "points_per_object must be at least 1, got -5"),
+    ("fov_degrees", 0, "fov_degrees must lie in (0, 180), got 0"),
+    ("fov_degrees", 180, "fov_degrees must lie in (0, 180), got 180"),
+    ("num_cameras", -2, "num_cameras must not be negative, got -2"),
+])
+def test_generate_rejects_bad_scene_number(tmp_path, field, value, message, capsys):
+    config_path, out = write_config(tmp_path)
+    cfg = json.loads(open(config_path).read())
+    cfg["scene"]["synth"][field] = value
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["generate", "--config", config_path]) == 2
+    assert not os.path.exists(out)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_train_rejects_embedding_dim_below_1(tmp_path, value, capsys):
+    config_path, out = write_config(tmp_path, **{"model.embedding_dim": value})
+    run_pipeline(config_path, ("generate",))
+    assert main(["train", "--config", config_path]) == 2
+    assert not os.path.exists(os.path.join(out, "train"))
+    assert f"embedding_dim must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_missing_inputs_exit_3(tmp_path):
     config_path, out = write_config(tmp_path)
     assert main(["train", "--config", config_path]) == 3  # no scene yet

@@ -7,6 +7,7 @@ from igsplat.errors import DataError
 from igsplat import renderer
 from igsplat.oracles import central_differences, relative_errors
 from igsplat.renderer import (
+    BACKWARD_BYTES_PER_CONTRIBUTION,
     RASTER_BYTES_PER_CONTRIBUTION,
     Camera,
     ProjectedSplats,
@@ -459,6 +460,80 @@ def test_backward_row_blocks_match_one_block(monkeypatch):
     for got, want in zip(blocked, whole):
         for name in GRAD_FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def assert_same_grads(got, want):
+    for field in GRAD_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.fixture(scope="module")
+def dense_output():
+    splats, cam = dense_view()
+    out = render(splats, cam)
+    rng = np.random.default_rng(8)
+    return out, rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+
+
+@pytest.mark.parametrize("feature_geometry", [False, True], ids=["independent", "joint"])
+def test_lanes_keep_each_chain_bits(dense_output, feature_geometry):
+    # two chains share the lanes; each must equal the chain computed alone
+    out, grad_color, grad_feature = dense_output
+    color_grads, feature_grads = render_backward(out, grad_color, grad_feature,
+                                                 feature_geometry=feature_geometry)
+    assert_same_grads(color_grads, render_backward(out, grad_color=grad_color)[0])
+    assert_same_grads(feature_grads, render_backward(
+        out, grad_feature=grad_feature, feature_geometry=feature_geometry)[1])
+
+
+def test_one_lane_gives_the_same_bits(dense_output, monkeypatch):
+    out, grad_color, grad_feature = dense_output
+    two_lanes = render_backward(out, grad_color, grad_feature, feature_geometry=True)
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+    again = render(out.splats, out.camera)
+    assert np.array_equal(again.color, out.color) and np.array_equal(again.feature, out.feature)
+    for got, want in zip(render_backward(out, grad_color, grad_feature, feature_geometry=True),
+                         two_lanes):
+        assert_same_grads(got, want)
+
+
+@pytest.mark.parametrize("usable_cores", [{0}, {0, 1}])
+def test_lane_task_exception_reaches_caller(dense_output, monkeypatch, usable_cores):
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: usable_cores)
+    ran = []
+
+    def fail():
+        raise ZeroDivisionError("task failed")
+
+    with pytest.raises(ZeroDivisionError, match="task failed"):
+        renderer._lanes([lambda: ran.append(1), fail, lambda: ran.append(3)])
+    assert 1 in ran
+    # a feature gradient of the wrong shape fails inside the backward's tasks
+    out, grad_color, _ = dense_output
+    with pytest.raises(ValueError):
+        render_backward(out, grad_color, np.zeros(5), feature_geometry=True)
+
+
+def test_backward_peak_within_stated_bound():
+    # 6000 splats give over 400k contributions, so per-splat and per-pixel
+    # arrays stay a small part of the peak
+    splats, cam = dense_view(n=6000)
+    out = render(splats, cam)
+    rng = np.random.default_rng(6)
+    grad_color = rng.normal(size=out.color.shape)
+    grad_feature = rng.normal(size=out.feature.shape)
+    render_backward(out, grad_color, grad_feature, feature_geometry=True)
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            render_backward(out, grad_color, grad_feature, feature_geometry=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.pix.size >= 100_000
+    assert max(peaks) <= BACKWARD_BYTES_PER_CONTRIBUTION * out.pix.size, \
+        max(peaks) / out.pix.size
 
 
 def test_backward_fully_clamped_splat_has_zero_geometry_grads():
