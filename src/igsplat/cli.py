@@ -275,26 +275,20 @@ def cmd_instantiate(cfg: dict, args) -> int:
         "seed": 0,
         **cfg.get("instantiate", {}),
     }
-    samples = args.samples if args.samples is not None else icfg["samples"]
-    voxel_size = args.voxel_size if args.voxel_size is not None else icfg["voxel_size"]
-    gamma = args.gamma if args.gamma is not None else icfg["gamma"]
-    lambda_pos = args.lambda_pos if args.lambda_pos is not None else icfg["lambda_pos"]
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    seed = args.seed if args.seed is not None else icfg["seed"]
+    for key in icfg:  # command-line values override the config's
+        if getattr(args, key) is not None:
+            icfg[key] = getattr(args, key)
     result = instantiation.instantiate(
-        splats.centers, splats.features, s=samples, r=voxel_size, gamma=gamma,
-        lambda_pos=lambda_pos, seed=seed,
+        splats.centers, splats.features, s=icfg["samples"], r=icfg["voxel_size"],
+        gamma=icfg["gamma"], lambda_pos=icfg["lambda_pos"], seed=icfg["seed"],
     )
     instantiation.save_labels(paths["labels"], result.labels, result.instance_count)
     summary = {
         "num_instances": result.instance_count,
         "sizes": [int(v) for v in result.sizes],
-        "samples": samples,
-        "voxel_size": voxel_size,
-        "gamma": gamma,
-        "lambda_pos": lambda_pos,
-        "seed": seed,
+        **icfg,
     }
     write_atomic_text(paths["instances"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"instantiated {result.instance_count} instances from {splats.count} splats")
@@ -460,27 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_config in [
-        ("generate", True),
-        ("train", True),
-        ("associate", True),
-        ("query", True),
-        ("eval", True),
-    ]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+    parsers = {name: sub.add_parser(name) for name in _COMMANDS}  # all read the config
+    for p in parsers.values():
+        p.add_argument("--config", required=True)
 
-    p = sub.add_parser("instantiate")
-    p.add_argument("--config", required=True)
+    p = parsers["instantiate"]
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--voxel-size", dest="voxel_size", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--lambda-pos", dest="lambda_pos", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("export-ply")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    parsers["export-ply"].add_argument("--out", default=None)
 
     sub.add_parser("selftest")
     return parser

@@ -10,8 +10,9 @@ them back into whole instances:
 3. Lloyd k-means from those seeds (ties to the lower cluster id, empty
    clusters tombstoned rather than reseeded),
 4. voxelize each sub-object's member points,
-5. connect sub-objects that share or 26-neighbor voxels, weighting edges by
-   the L2 distance of their mean features,
+5. connect sub-objects that share or 26-neighbor voxels (one sorted join
+   over all live voxels), weighting edges by the L2 distance of their mean
+   features,
 6. connected components over edges with feature distance <= gamma,
    relabeled largest-first.
 """
@@ -216,21 +217,31 @@ def kmeans_cluster(
 def voxelize_subobjects(
     positions: np.ndarray, labels: np.ndarray, r: float, cluster_count: int
 ) -> list:
-    """Per-cluster sets of occupied voxel keys, key = floor(position / r)."""
+    """Per-cluster sorted unique (v, 3) int64 voxel keys, key =
+    floor(position / r); (0, 3) for an empty cluster."""
     if not r > 0:
         raise UsageError(f"voxel size must be positive, got {r}")
     positions = np.asarray(positions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != positions.shape[:1]:
+        raise UsageError(f"{labels.size} labels for {positions.shape[0]} positions")
+    if labels.size and not (0 <= labels.min() and labels.max() < cluster_count):
+        raise UsageError(f"labels must lie in [0, {cluster_count})")
     keys = np.floor(positions / r)
     # 2^62 leaves room for the +-1 neighbor offsets in int64
     if not (np.abs(keys) < 2.0**62).all():
         raise UsageError(f"voxel size {r} puts voxel keys at or beyond 2^62")
-    keys = keys.astype(np.int64)
-    out = []
-    for k in range(cluster_count):
-        member_keys = keys[labels == k]
-        out.append(np.unique(member_keys, axis=0) if member_keys.size else np.zeros((0, 3), dtype=np.int64))
-    return out
+    cells = np.unique(np.column_stack([labels, keys.astype(np.int64)]), axis=0)
+    bounds = np.searchsorted(cells[:, 0], np.arange(cluster_count + 1))
+    member_keys = np.ascontiguousarray(cells[:, 1:])
+    return [member_keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense 0-based rank of every entry of ``values`` (same shape), and the
+    number of distinct values."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(values.shape), distinct.size
 
 
 def build_connectivity_graph(
@@ -249,29 +260,38 @@ def build_connectivity_graph(
     if len(voxels) != s:
         raise UsageError("voxel list length must match cluster count")
     alive = ~clusters.tombstone
+    live = np.flatnonzero(alive)
+    cells = np.concatenate([voxels[k] for k in live] + [np.zeros((0, 3), dtype=np.int64)])
+    owner = np.repeat(live, [len(voxels[k]) for k in live])
 
-    occupancy: dict[tuple[int, int, int], list[int]] = {}
-    for k in range(s):
-        if not alive[k]:
-            continue
-        for key in map(tuple, voxels[k]):
-            occupancy.setdefault(key, []).append(k)
+    # Rank each axis over key - 1, key, key + 1, then (x, y) pairs, so a
+    # cell packs into one int64 below 27 V^2 whatever the keys' magnitude.
+    (rx, _), (ry, ny), (rz, nz) = (_ranks(cells[:, axis] + np.array([[-1], [0], [1]]))
+                                   for axis in range(3))
+    rxy, _ = _ranks(rx[:, None] * ny + ry[None, :])  # (3, 3, V): x shift, y shift
+    # every voxel probes its 27 neighbor cells in the sorted occupied cells;
+    # visiting voxels in cell order keeps each probe pass walking in order
+    codes = rxy[1, 1] * nz + rz[1]
+    order = np.argsort(codes)
+    occupied, owner, rxy, rz = codes[order], owner[order], rxy[:, :, order], rz[:, order]
 
     adjacency = np.zeros((s, s), dtype=bool)
-    for k in range(s):
-        if not alive[k] or len(voxels[k]) == 0:
-            continue
-        neighbors = voxels[k][:, None, :] + _NEIGHBOR_OFFSETS[None, :, :]
-        for key in map(tuple, neighbors.reshape(-1, 3)):
-            for j in occupancy.get(key, ()):
-                if j != k:
-                    adjacency[k, j] = True
-                    adjacency[j, k] = True
+    for dx, dy, dz in _NEIGHBOR_OFFSETS + 1:
+        probe = rxy[dx, dy] * nz + rz[dz]
+        lo = np.searchsorted(occupied, probe, "left")
+        hits = np.searchsorted(occupied, probe, "right") - lo
+        # one (prober, occupant) pair per match, run by run
+        prober = np.repeat(np.arange(probe.size), hits)
+        slot = np.arange(prober.size) - np.repeat(np.cumsum(hits) - hits - lo, hits)
+        adjacency[owner[prober], owner[slot]] = True
+    np.fill_diagonal(adjacency, False)
 
-    feats = clusters.features
-    diff = feats[:, None, :] - feats[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    weights = np.where(adjacency, dist, 0.0)
+    # f_i - f_j is exactly -(f_j - f_i): one triangle gives both halves' bits
+    rows, cols = np.nonzero(np.triu(adjacency))
+    diff = clusters.features[rows] - clusters.features[cols]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    weights = np.zeros((s, s), dtype=dist.dtype)
+    weights[rows, cols] = weights[cols, rows] = dist
     return ConnectivityGraph(weights=weights, adjacency=adjacency, alive=alive, gamma=gamma)
 
 

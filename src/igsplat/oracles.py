@@ -1,5 +1,5 @@
-"""Brute-force references for the sampler, the component aggregation and
-the analytic gradients.
+"""Brute-force references for the sampler, the voxel adjacency, the
+component aggregation and the analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -20,6 +20,21 @@ def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:
         min_d2[chosen] = -1.0
         chosen.append(int(np.argmax(min_d2)))
     return np.array(chosen)
+
+
+def voxel_adjacency(voxels: list, alive: np.ndarray) -> np.ndarray:
+    """(s, s) bool: live clusters i != j with some pair of voxels at
+    Chebyshev distance <= 1, over every voxel pair. ``a <= b + 1 and
+    b <= a + 1`` per axis never subtracts keys, so cannot overflow."""
+    s = len(voxels)
+    adjacency = np.zeros((s, s), dtype=bool)
+    for i in range(s):
+        for j in range(s):
+            if i == j or not (alive[i] and alive[j]):
+                continue
+            a, b = voxels[i][:, None, :], voxels[j][None, :, :]
+            adjacency[i, j] = ((a <= b + 1) & (b <= a + 1)).all(axis=2).any()
+    return adjacency
 
 
 def dfs_components(merge: np.ndarray, alive: np.ndarray) -> dict[int, int]:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -202,10 +202,6 @@ class SplatGrads:
             centers=np.zeros((n, 3)),
         )
 
-    def __add__(self, other: "SplatGrads") -> "SplatGrads":
-        return SplatGrads(**{f.name: getattr(self, f.name) + getattr(other, f.name)
-                             for f in fields(self)})
-
 
 @dataclass
 class Raster:
@@ -228,16 +224,6 @@ class Raster:
     seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
     alpha: np.ndarray  # (H, W) composited alpha
     projected: ProjectedSplats
-
-    def contributors(self, row: int, col: int):
-        """(splat index, alpha, T) triples for one pixel, front to back."""
-        flat = row * self.alpha.shape[1] + col
-        pos = np.searchsorted(self.seg_pix, flat)
-        if pos == len(self.seg_pix) or self.seg_pix[pos] != flat:
-            return []
-        lo = self.seg_start[pos]
-        hi = self.seg_start[pos + 1] if pos + 1 < len(self.seg_start) else len(self.pix)
-        return list(zip(self.splat[lo:hi], self.alpha_i[lo:hi], self.trans[lo:hi]))
 
 
 @dataclass

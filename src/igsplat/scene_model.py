@@ -226,19 +226,6 @@ def init_decoder(embedding_dim: int, offset_range: float, base_scale: float, rng
     return DecoderParams(offset_range=offset_range, base_scale=base_scale, **heads)
 
 
-def zero_decoder(embedding_dim: int, offset_range: float, base_scale: float) -> DecoderParams:
-    heads = {
-        name: HeadParams(
-            w1=np.zeros((embedding_dim, HIDDEN_WIDTH)),
-            b1=np.zeros(HIDDEN_WIDTH),
-            w2=np.zeros((HIDDEN_WIDTH, HEAD_OUTPUT_DIMS[name])),
-            b2=np.zeros(HEAD_OUTPUT_DIMS[name]),
-        )
-        for name in HEAD_ORDER
-    }
-    return DecoderParams(offset_range=offset_range, base_scale=base_scale, **heads)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

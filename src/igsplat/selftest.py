@@ -2,7 +2,8 @@
 
 A fast subset of the property checks the test suite runs in full: gradient
 agreement with finite differences, loss identities, sampler and clustering
-invariants, and component-aggregation correctness on random graphs.
+invariants, and voxel-adjacency and component-aggregation correctness on
+random graphs.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .instantiation import (
     voxelize_subobjects,
 )
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
-from .oracles import central_differences, dfs_components, fps_oracle
+from .oracles import central_differences, dfs_components, fps_oracle, voxel_adjacency
 from .renderer import Camera, render, render_backward
 from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
 
@@ -49,6 +50,7 @@ def _check_components(rng) -> None:
     voxels = voxelize_subobjects(pts, state.labels, 0.5, state.cluster_count)
     graph = build_connectivity_graph(state, voxels, 0.8)
     result = aggregate_components(graph, state.labels)
+    assert np.array_equal(graph.adjacency, voxel_adjacency(voxels, graph.alive)), "adjacency mismatch"
 
     seen = dfs_components(graph.adjacency & (graph.weights <= 0.8), graph.alive)
     for i in range(s):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import BENCH_INSTANTIATE, BENCH_NUM_CLASSES, bench_config_json
+from helpers import add_grads
 from igsplat.association import associate_embeddings, render_instance_id_maps, semantic_assign
 from igsplat.cli import main as cli_main
 from igsplat.evaluation import instance_metrics, semantic_metrics
@@ -77,7 +78,7 @@ def render_fd_suite(rng):
     color_grads, feature_grads = render_backward(
         render(splats, cam), g_color, g_feat, feature_geometry=True
     )
-    grads = color_grads + feature_grads
+    grads = add_grads(color_grads, feature_grads)
 
     def objective():
         out = render(splats, cam)

@@ -19,6 +19,8 @@ from igsplat.losses import NO_MASK, MaskView
 from igsplat.renderer import Camera, render
 from igsplat.scene_model import SplatSet
 
+from helpers import contributors
+
 
 def identity_camera(size=8, fx=20.0):
     c = (size - 1) / 2.0
@@ -79,7 +81,7 @@ def reference_id_map(splats, labels, cam):
             if out.alpha[row, col] < MIN_VISIBLE_ALPHA:
                 continue
             scores = {}
-            for splat, alpha, trans in out.contributors(row, col):
+            for splat, alpha, trans in contributors(out, row, col):
                 inst = int(labels[splat])
                 scores[inst] = scores.get(inst, 0.0) + alpha * trans
             best = max(scores.values())

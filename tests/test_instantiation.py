@@ -14,7 +14,7 @@ from igsplat.instantiation import (
     save_labels,
     voxelize_subobjects,
 )
-from igsplat.oracles import dfs_components, fps_oracle
+from igsplat.oracles import dfs_components, fps_oracle, voxel_adjacency
 
 
 def test_fps_line_example():
@@ -179,6 +179,24 @@ def test_voxelize_rejects_bad_resolution():
         voxelize_subobjects(np.zeros((2, 3)), np.zeros(2, dtype=int), 0.0, 1)
 
 
+def test_voxelize_rejects_out_of_range_labels():
+    positions = np.zeros((3, 3))
+    for bad in ([0, 1, 2], [0, -1, 1]):  # 2 is past the last of 2 clusters
+        with pytest.raises(UsageError):
+            voxelize_subobjects(positions, np.array(bad), 0.1, 2)
+
+
+def test_voxelize_rejects_label_count_mismatch():
+    with pytest.raises(UsageError):
+        voxelize_subobjects(np.zeros((3, 3)), np.zeros(4, dtype=int), 0.1, 1)
+
+
+def test_voxelize_keeps_empty_clusters_as_empty_arrays():
+    voxels = voxelize_subobjects(np.array([[0.5, 0, 0]]), np.array([1]), 0.2, 3)
+    assert [v.shape for v in voxels] == [(0, 3), (1, 3), (0, 3)]
+    assert all(v.dtype == np.int64 for v in voxels)
+
+
 def cluster_state_from(labels, features):
     labels = np.asarray(labels)
     s = int(labels.max()) + 1
@@ -226,6 +244,37 @@ def test_graph_symmetry_on_random_instances():
     graph = build_connectivity_graph(state, voxels, 0.5)
     assert np.array_equal(graph.weights, graph.weights.T)
     assert not graph.weights.diagonal().any()
+
+
+def random_voxel_instance(rng, s, base):
+    """Per-cluster sorted unique voxel keys in small boxes around +-base;
+    some clusters empty, some tombstoned."""
+    voxels = []
+    for _ in range(s):
+        v = int(rng.integers(0, 6)) if rng.uniform() < 0.8 else 0
+        keys = rng.choice([-base, base]) + rng.integers(-3, 4, size=(v, 3))
+        voxels.append(np.unique(keys, axis=0).reshape(-1, 3).astype(np.int64))
+    tombstone = rng.uniform(size=s) < 0.2
+    features = rng.uniform(size=(s, 6))
+    state = ClusterState(labels=np.zeros(0, dtype=np.int64), features=features,
+                         tombstone=tombstone, objective=0.0, iterations=1)
+    return state, voxels
+
+
+def test_graph_matches_bruteforce_adjacency():
+    rng = np.random.default_rng(17)
+    # boxes around +-(2^61 - 8) lie 2^62 apart: packing raw keys would overflow
+    bases = [0, 5, 2**61 - 8]
+    for trial in range(40):
+        s = 1 if trial % 10 == 0 else int(rng.integers(2, 25))
+        state, voxels = random_voxel_instance(rng, s, bases[trial % len(bases)])
+        graph = build_connectivity_graph(state, voxels, 0.3)
+        want = voxel_adjacency(voxels, ~state.tombstone)
+        assert np.array_equal(graph.adjacency, want)
+        f = state.features
+        dense = np.where(want, np.sqrt(((f[:, None] - f[None]) ** 2).sum(2)), 0.0)
+        assert graph.weights.dtype == dense.dtype
+        assert graph.weights.tobytes() == dense.tobytes()
 
 
 def test_aggregate_chain_example():

@@ -23,6 +23,8 @@ from igsplat.renderer import (
 )
 from igsplat.scene_model import SplatSet
 
+from helpers import add_grads, contributors
+
 
 def identity_camera(size=8, fx=20.0, offset=2.0):
     c = (size - 1) / 2.0
@@ -320,12 +322,12 @@ def test_contributor_list_accessor():
         opacities=[0.5, 0.5], scales=[0.05, 0.1],
     )
     out = render(splats, cam)
-    entries = out.contributors(3, 3)
+    entries = contributors(out, 3, 3)
     assert [int(s) for s, _, _ in entries] == [0, 1]
     assert entries[0][1] == pytest.approx(0.5)  # alpha of the front splat
     assert entries[0][2] == pytest.approx(1.0)  # full transmittance in front
     assert entries[1][2] == pytest.approx(0.5)
-    assert out.contributors(0, 0) == [] or all(a < 0.5 for _, a, _ in out.contributors(0, 0))
+    assert contributors(out, 0, 0) == [] or all(a < 0.5 for _, a, _ in contributors(out, 0, 0))
 
 
 GRAD_FIELDS = ("colors", "features", "opacities", "scales", "centers")
@@ -378,7 +380,7 @@ def test_backward_matches_finite_differences():
         o = render(s, cam)
         return (o.color * g_color).sum() + (o.feature * g_feat).sum()
 
-    assert worst_fd_error(splats, objective, color_grads + feature_grads, GRAD_FIELDS) <= 1e-4
+    assert worst_fd_error(splats, objective, add_grads(color_grads, feature_grads), GRAD_FIELDS) <= 1e-4
 
 
 @pytest.mark.parametrize("chain", ["color", "feature"])

@@ -15,8 +15,9 @@ from igsplat.scene_model import (
     median_spacing,
     resolve_model_config,
     save_checkpoint,
-    zero_decoder,
 )
+
+from helpers import zero_decoder
 
 
 def make_anchors(n=4, seed=7, d_e=16):
