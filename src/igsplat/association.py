@@ -90,13 +90,14 @@ def render_instance_id_map(
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
     rasterize step runs: no color or feature image is composited, and only
-    the raster's pixel, splat and weight arrays outlive it.
+    the raster's pixel, slot and weight arrays outlive it.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
     ras = rasterize(splats, camera)
-    pix, splat, weight, alpha = ras.pix, ras.splat, ras.weight, ras.alpha
+    pix, slot, weight, alpha = ras.pix, ras.slot, ras.weight, ras.alpha
+    slot_labels = instance_labels.take(ras.projected.indices)
     del ras
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
@@ -105,8 +106,8 @@ def render_instance_id_map(
     m = int(instance_labels.max()) + 1
     # the (pixel, instance) key, built in the pixel buffer
     pix *= m
-    pix += instance_labels[splat]
-    del splat
+    pix += slot_labels.take(slot)
+    del slot
     scores = np.bincount(pix, weights=weight, minlength=h * w * m)
     del pix, weight
     winners = np.argmax(scores.reshape(h * w, m), axis=1)

@@ -123,14 +123,12 @@ def _check_schema(value, schema, path: str) -> None:
         return
     if schema is _Seed:
         _check_schema(value, int, path)
-        if value is not None and value < 0:
+        if value < 0:
             raise ConfigError(f"{path[:-1]}: seeds must be non-negative, got {value}")
         return
     types = schema if isinstance(schema, tuple) else (schema,)
     if float in types:
         types = types + (int,)
-    if value is None:
-        return
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(f"{path[:-1]}: expected {schema}, got {type(value).__name__}")
 
@@ -195,21 +193,21 @@ def _paths(cfg: dict) -> dict:
     }
 
 
+def _present(section: dict, *keys: str) -> dict:
+    """The entries of ``keys`` that ``section`` sets, so a callee's own
+    defaults apply to the rest."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def cmd_generate(cfg: dict, args) -> int:
     scene = synthdata.generate_scene(_scene_spec(cfg))
     scene_cfg = cfg.get("scene", {})
     corrupt = scene_cfg.get("corrupt", {})
-    synthdata.write_scene_dir(
-        scene,
-        _paths(cfg)["scene"],
-        embedding_dim=scene_cfg.get("embedding_dim", 32),
-        embedding_sigma=scene_cfg.get("embedding_sigma", 0.1),
-        embedding_seed=scene_cfg.get("embedding_seed", 0),
-        p_drop=corrupt.get("p_drop", 0.0),
-        p_split=corrupt.get("p_split", 0.0),
-        p_merge=corrupt.get("p_merge", 0.0),
-        corruption_seed=corrupt.get("seed", 0),
-    )
+    options = _present(scene_cfg, "embedding_dim", "embedding_sigma", "embedding_seed")
+    options.update(_present(corrupt, "p_drop", "p_split", "p_merge"))
+    if "seed" in corrupt:
+        options["corruption_seed"] = corrupt["seed"]
+    synthdata.write_scene_dir(scene, _paths(cfg)["scene"], **options)
     print(f"generated scene with {scene.count} points, {len(scene.cameras)} views")
     return EXIT_OK
 
@@ -225,14 +223,9 @@ def _load_views(scene_dir: str):
 def _schedule(cfg: dict) -> Schedule:
     tcfg = cfg.get("train", {})
     total = tcfg.get("total_steps", 0)
-    kwargs = dict(
-        lambda_smooth=tcfg.get("lambda_smooth", 1.0),
-        lambda_contrast=tcfg.get("lambda_contrast", 0.1),
-        tau=tcfg.get("tau", 0.4),
-        learning_rates={**DEFAULT_LEARNING_RATES, **tcfg.get("learning_rates", {})},
-        phase_learning_rates=tcfg.get("phase_learning_rates", {}),
-        mode=tcfg.get("mode", "progressive"),
-    )
+    kwargs = _present(tcfg, "lambda_smooth", "lambda_contrast", "tau", "phase_learning_rates",
+                      "mode")
+    kwargs["learning_rates"] = {**DEFAULT_LEARNING_RATES, **tcfg.get("learning_rates", {})}
     if "t1" in tcfg or "t2" in tcfg:
         if total and not ("t1" in tcfg and "t2" in tcfg):
             raise ConfigError("set both t1 and t2 or neither")
@@ -244,11 +237,7 @@ def cmd_train(cfg: dict, args) -> int:
     paths = _paths(cfg)
     _, points, _, _, views, _, _ = _load_views(paths["scene"])
     mcfg = cfg.get("model", {})
-    model = ModelConfig(
-        embedding_dim=mcfg.get("embedding_dim", 16),
-        offset_range=mcfg.get("offset_range"),
-        base_scale=mcfg.get("base_scale"),
-    )
+    model = ModelConfig(**_present(mcfg, "embedding_dim", "offset_range", "base_scale"))
     d_e, rho, s0 = resolve_model_config(model, points)
     anchors = init_anchors(points, model, mcfg.get("seed", 0))
     decoder = init_decoder(d_e, rho, s0, mcfg.get("seed", 0) + 1)

@@ -24,6 +24,12 @@ color and feature composite; instance id maps need only the first step.
 The same row-span enumeration, fed point disks instead of splat cutoffs,
 gives the ground-truth point z-buffer (``zbuffer_owners``).
 
+A contribution names its splat only by its slot in the depth-sorted
+projected arrays; per-splat values are gathered, and per-splat sums
+scattered, through ``projected.indices``. Slots and visible splats
+correspond one to one, so a sum over slots adds the same entries in the
+same order as one over splat indices.
+
 ``rasterize`` frees each temporary at its last use and computes the alpha
 and transmittance chains in place, with the same floating-point operations
 in the same order. Its peak is then the Raster it returns, about 49 bytes
@@ -145,7 +151,6 @@ class ProjectedSplats:
     indices: np.ndarray  # (k,) original splat indices
     u: np.ndarray  # (k,) pixel x of the projected center
     v: np.ndarray  # (k,) pixel y
-    depth: np.ndarray  # (k,)
     radius_px: np.ndarray  # (k,) cutoff radius = 3 * scale * fx / depth
     sigma_px: np.ndarray  # (k,) Gaussian std in pixels
     cam_points: np.ndarray  # (k, 3) camera-space centers
@@ -177,7 +182,6 @@ def project_splats(splats: SplatSet, camera: Camera) -> ProjectedSplats:
         indices=keep[order],
         u=u[order],
         v=v[order],
-        depth=z[order],
         radius_px=CUTOFF_SIGMAS * sigma_px[order],
         sigma_px=sigma_px[order],
         cam_points=cam[order],
@@ -209,12 +213,12 @@ class Raster:
 
     The flat per-contribution arrays are sorted by (pixel, depth order):
     they are the per-pixel contributor lists the backward pass reads.
+    A contribution names its splat by ``slot``: ``projected.indices[slot]``.
     ``weight`` is alpha_i * trans, the compositing weight of each
     contribution.
     """
 
     pix: np.ndarray  # (q,) flat pixel index
-    splat: np.ndarray  # (q,) original splat index
     slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays
     alpha_i: np.ndarray  # (q,) clamped alpha
     trans: np.ndarray  # (q,) transmittance before this contribution
@@ -333,19 +337,18 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
         none_i = np.zeros(0, dtype=np.int64)
         none_f = np.zeros(0)
         return Raster(
-            pix=none_i, splat=none_i, slot=none_i, alpha_i=none_f, trans=none_f, weight=none_f,
+            pix=none_i, slot=none_i, alpha_i=none_f, trans=none_f, weight=none_f,
             clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
             alpha=np.zeros((h, w)), projected=proj,
         )
     pix, slot, d2 = built
-    splat = proj.indices.take(slot)
 
     # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
     # the per-splat factors are formed before the gather, with the same bits.
     alpha = np.negative(d2, out=d2)
     np.divide(alpha, (2.0 * proj.sigma_px * proj.sigma_px).take(slot), out=alpha)
     np.exp(alpha, out=alpha)
-    np.multiply(splats.opacities.take(splat), alpha, out=alpha)
+    np.multiply(splats.opacities.take(proj.indices).take(slot), alpha, out=alpha)
     clamped = alpha > ALPHA_MAX
     alpha[clamped] = ALPHA_MAX
 
@@ -366,7 +369,7 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
     alpha_img = np.zeros(h * w)
     alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
     return Raster(
-        pix=pix, splat=splat, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
+        pix=pix, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
         clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
         alpha=alpha_img.reshape(h, w), projected=proj,
     )
@@ -422,10 +425,10 @@ def render(splats: SplatSet, camera: Camera) -> RenderOutput:
 
     def composite(values: np.ndarray) -> np.ndarray:
         image = np.zeros((h * w, values.shape[1]))
-        # 1-D takes from contiguous per-channel rows of the (C, n) transpose
-        for ch, channel in enumerate(np.ascontiguousarray(values.T)):
+        # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transpose
+        for ch, channel in enumerate(np.ascontiguousarray(values[ras.projected.indices].T)):
             image[ras.seg_pix, ch] = np.add.reduceat(
-                ras.weight * channel.take(ras.splat), ras.seg_start
+                ras.weight * channel.take(ras.slot), ras.seg_start
             )
         return image.reshape(h, w, -1)
 
@@ -461,13 +464,13 @@ def render_backward(
     weight * grad sums), and the tasks run on two lanes (``_lanes``),
     geometry first. Each geometry task works in two reused per-contribution
     buffers, so the call peaks within ``BACKWARD_BYTES_PER_CONTRIBUTION``
-    bytes per contribution.
+    bytes per contribution. Every per-splat sum is a bincount over slots,
+    written to the splats at ``proj.indices``; culled splats keep zeros.
     """
     splats = output.splats
     camera = output.camera
     proj = output.projected
-    n = splats.count
-    color_grads, feature_grads = SplatGrads.zeros(n), SplatGrads.zeros(n)
+    color_grads, feature_grads = SplatGrads.zeros(splats.count), SplatGrads.zeros(splats.count)
     # (image gradient, per-splat values, their gradient, chain, reaches geometry);
     # the wider feature chain first, as its tasks take longest
     chains = []
@@ -479,21 +482,20 @@ def render_backward(
     if not chains or output.pix.size == 0:
         return color_grads, feature_grads
 
-    splat = output.splat
     slot = output.slot
     weight = output.weight
     seg_start = output.seg_start
     # Contributions of one pixel are contiguous, so per-pixel rows expand by
     # repeat instead of a gather.
-    seg_len = np.diff(seg_start, append=len(splat))
+    seg_len = np.diff(seg_start, append=len(slot))
 
     def value_task(grad_img, values, value_grads):
         g_seg = grad_img.reshape(-1, values.shape[1]).take(output.seg_pix, axis=0)
         # per channel from a contiguous row; a strided (q, dim) column read
         # made these sums ~2.5x slower
         for ch, g_ch in enumerate(np.ascontiguousarray(g_seg.T)):
-            value_grads[:, ch] = np.bincount(
-                splat, weights=weight * np.repeat(g_ch, seg_len), minlength=n
+            value_grads[proj.indices, ch] = np.bincount(
+                slot, weights=weight * np.repeat(g_ch, seg_len), minlength=proj.count
             )
 
     value_tasks = [partial(value_task, grad_img, values, value_grads)
@@ -514,13 +516,14 @@ def render_backward(
 
     def geometry_task(grad_img, values, grads):
         flat_grad = grad_img.reshape(-1, values.shape[1])
+        slot_values = values[proj.indices]
         # <image gradient, value> per contribution, in row blocks so the two
         # (rows, dim) operands stay small; each row's sum is the same einsum
-        q = np.empty(splat.size)
-        for lo in range(0, splat.size, _GATHER_ROWS):
+        q = np.empty(slot.size)
+        for lo in range(0, slot.size, _GATHER_ROWS):
             rows = slice(lo, lo + _GATHER_ROWS)
             np.einsum("ij,ij->i", flat_grad.take(output.pix[rows], axis=0),
-                      values.take(splat[rows], axis=0), out=q[rows])
+                      slot_values.take(slot[rows], axis=0), out=q[rows])
 
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
         # the suffix from a segmented inclusive cumsum of v = weight * q
@@ -546,11 +549,9 @@ def render_backward(
         product /= 2.0
         np.exp(product, out=product)
         product *= d_alpha
-        grads.opacities = np.bincount(splat, weights=product, minlength=n)
+        grads.opacities[proj.indices] = np.bincount(slot, weights=product, minlength=proj.count)
 
         common = np.multiply(d_alpha, alpha, out=d_alpha)
-        # per projected slot: the same entries in the same order as a sum
-        # over original indices, gathered by proj.indices
         np.multiply(common, dcol, out=product)
         product *= inv_sig2
         du_s = np.bincount(slot, weights=product, minlength=proj.count)
@@ -559,7 +560,7 @@ def render_backward(
         dv_s = np.bincount(slot, weights=product, minlength=proj.count)
         np.multiply(common, d2, out=product)
         product *= inv_sig2
-        for lo in range(0, splat.size, _GATHER_ROWS):
+        for lo in range(0, slot.size, _GATHER_ROWS):
             rows = slice(lo, lo + _GATHER_ROWS)
             product[rows] /= proj.sigma_px.take(slot[rows])
         dsig_s = np.bincount(slot, weights=product, minlength=proj.count)

@@ -88,12 +88,20 @@ def _check_gradients(rng) -> None:
     )
     out = render(splats, camera)
     g_color = rng.normal(size=out.color.shape)
-    grads, _ = render_backward(out, grad_color=g_color)
+    g_feature = rng.normal(size=out.feature.shape)
+    color_grads, feature_grads = render_backward(out, g_color, g_feature, feature_geometry=True)
     idx = 3
-    fds = central_differences(lambda: (render(splats, camera).color * g_color).sum(),
-                              splats.centers, 1e-5, indices=range(3 * idx, 3 * idx + 3))
-    for an, fd in zip(grads.centers[idx], fds):
-        assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"center grad {an} vs fd {fd}"
+    # the color chain's centres; the feature chain's opacity and features
+    for name, grad, image, g_image, values in [
+        ("center", color_grads.centers[idx], "color", g_color, splats.centers),
+        ("opacity", feature_grads.opacities[idx:idx + 1], "feature", g_feature, splats.opacities),
+        ("feature", feature_grads.features[idx], "feature", g_feature, splats.features),
+    ]:
+        fds = central_differences(lambda: (getattr(render(splats, camera), image) * g_image).sum(),
+                                  values, 1e-5, range(idx * grad.size, (idx + 1) * grad.size))
+        assert grad.any(), f"{name} grad is zero"
+        for an, fd in zip(grad, fds):
+            assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
 
 
 def _check_rgb() -> None:

@@ -31,7 +31,8 @@ def contributors(raster: Raster, row: int, col: int) -> list:
         return []
     lo = raster.seg_start[pos]
     hi = raster.seg_start[pos + 1] if pos + 1 < len(raster.seg_start) else len(raster.pix)
-    return list(zip(raster.splat[lo:hi], raster.alpha_i[lo:hi], raster.trans[lo:hi]))
+    splat = raster.projected.indices.take(raster.slot[lo:hi])
+    return list(zip(splat, raster.alpha_i[lo:hi], raster.trans[lo:hi]))
 
 
 def add_grads(a: SplatGrads, b: SplatGrads) -> SplatGrads:

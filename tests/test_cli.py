@@ -203,6 +203,18 @@ def test_instantiate_rejects_bad_flag_value(trained, flag, value, message, capsy
     assert not os.path.exists(os.path.join(out, "instantiate", "labels.iglb"))
 
 
+def test_instantiate_rejects_null_config_value(trained, tmp_path, capsys):
+    config_path, out = trained
+    cfg = json.loads(open(config_path).read())
+    cfg["instantiate"]["gamma"] = None
+    null_path = tmp_path / "null_gamma.json"
+    null_path.write_text(json.dumps(cfg))
+    assert main(["instantiate", "--config", str(null_path)]) == 2
+    err = capsys.readouterr().err
+    assert "instantiate.gamma: expected" in err and "got NoneType" in err
+    assert not os.path.exists(os.path.join(out, "instantiate", "labels.iglb"))
+
+
 @pytest.fixture(scope="module")
 def instantiated(tmp_path_factory):
     config_path, out = write_config(tmp_path_factory.mktemp("labels"))

@@ -266,7 +266,7 @@ def test_contributions_on_near_tangent_rows():
     v = np.array([-big, 40 + big, -(1000.0 - 0.3)])
     r = np.array([big, big, 1000.0])
     proj = ProjectedSplats(
-        indices=np.arange(3), u=u, v=v, depth=np.ones(3), radius_px=r,
+        indices=np.arange(3), u=u, v=v, radius_px=r,
         sigma_px=r / 3, cam_points=np.zeros((3, 3)),
     )
     cam = Camera(fx=1, fy=1, cx=0, cy=0, width=41, height=41,
@@ -305,7 +305,7 @@ def test_raster_arrays_share_no_memory():
     splats, cam = dense_view(n=300, size=48)
     ras = rasterize(splats, cam)
     arrays = {name: value for name, value in vars(ras).items() if isinstance(value, np.ndarray)}
-    assert ras.pix.size > 0 and len(arrays) == 10
+    assert ras.pix.size > 0 and len(arrays) == 9
     names = sorted(arrays)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -547,8 +547,9 @@ def test_backward_fully_clamped_splat_has_zero_geometry_grads():
         opacities=[0.4, 1000.0, 0.6], scales=[0.3, 0.2, 0.4],
     )
     out = render(splats, cam)
-    assert out.clamped[out.splat == 1].all()
-    assert not out.clamped[out.splat != 1].any()
+    splat = out.projected.indices.take(out.slot)
+    assert out.clamped[splat == 1].all()
+    assert not out.clamped[splat != 1].any()
     rng = np.random.default_rng(4)
     chains = render_backward(
         out, rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 6)), feature_geometry=True
@@ -558,6 +559,40 @@ def test_backward_fully_clamped_splat_has_zero_geometry_grads():
             values = getattr(grads, field)
             assert not values[1].any(), field
             assert values[0].any() and values[2].any(), field
+
+
+def test_culled_splats_change_no_gradient():
+    # splats behind the near plane are culled, and splats in front of it but
+    # off-screen are projected without a contribution: both chains, on
+    # geometry, must equal the call on the remaining splats scattered back,
+    # with exact zeros in the rows of the others
+    splats, cam = clamping_scene()
+    n = splats.count
+    behind, offscreen = np.arange(0, n, 5), np.arange(3, n, 5)
+    centers = splats.centers.copy()
+    centers[behind, 2] = np.linspace(-3.0, -2.0, behind.size)  # camera depth <= 0
+    centers[offscreen, 0] += 5.0
+    every = SplatSet(centers, splats.colors, splats.opacities, splats.scales, splats.features,
+                     splats.parent)
+    kept = np.setdiff1d(np.arange(n), np.concatenate([behind, offscreen]))
+    subset = SplatSet(centers[kept], splats.colors[kept], splats.opacities[kept],
+                      splats.scales[kept], splats.features[kept], splats.parent[kept])
+    out, sub_out = render(every, cam), render(subset, cam)
+    assert not np.isin(behind, out.projected.indices).any()
+    assert np.isin(offscreen, out.projected.indices).all()
+    assert not np.isin(offscreen, out.projected.indices.take(out.slot)).any()
+    assert out.color.tobytes() == sub_out.color.tobytes()
+    rng = np.random.default_rng(6)
+    g_color, g_feat = rng.normal(size=(16, 16, 3)), rng.normal(size=(16, 16, 6))
+    chains = render_backward(out, g_color, g_feat, feature_geometry=True)
+    sub_chains = render_backward(sub_out, g_color, g_feat, feature_geometry=True)
+    for grads, sub_grads in zip(chains, sub_chains):
+        for field in GRAD_FIELDS:
+            got, want = getattr(grads, field), np.zeros_like(getattr(grads, field))
+            want[kept] = getattr(sub_grads, field)
+            assert got.tobytes() == want.tobytes(), field
+            assert not np.delete(got, kept, axis=0).any(), field
+        assert all(getattr(grads, field)[kept].any() for field in GEOMETRY_FIELDS)
 
 
 def test_camera_validation():
