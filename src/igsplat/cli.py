@@ -112,10 +112,14 @@ _SCHEMA = {
 }
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "integer", float: "number", type(None): "null"}
+
+
 def _check_schema(value, schema, path: str) -> None:
     if isinstance(schema, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
+            raise ConfigError(f"{path[:-1] or 'config'}: expected an object")
         for key, sub in value.items():
             if key not in schema:
                 raise ConfigError(f"unknown config key {path + key!r}")
@@ -127,10 +131,12 @@ def _check_schema(value, schema, path: str) -> None:
             raise ConfigError(f"{path[:-1]}: seeds must be non-negative, got {value}")
         return
     types = schema if isinstance(schema, tuple) else (schema,)
+    # a JSON number may be written as an integer
+    expected = " or ".join(_JSON_TYPES[t] for t in types if not (t is int and float in types))
     if float in types:
         types = types + (int,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ConfigError(f"{path[:-1]}: expected {schema}, got {type(value).__name__}")
+        raise ConfigError(f"{path[:-1]}: expected {expected}, got {_JSON_TYPES[type(value)]}")
 
 
 def _finite_number(token: str) -> float:

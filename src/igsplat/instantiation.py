@@ -6,9 +6,11 @@ them back into whole instances:
 1. embed every point into a joint space X = [lambda_pos * PE(mu_hat); f]
    (positions normalized to the scene's centered unit cube, sinusoidal
    positional encoding with two frequency bands plus the raw coordinates),
-2. farthest-point-sample s seeds in that space,
+2. farthest-point-sample s seeds in that space (a round recomputes only
+   the rows its new seed can reach),
 3. Lloyd k-means from those seeds (ties to the lower cluster id, empty
-   clusters tombstoned rather than reseeded),
+   clusters tombstoned rather than reseeded) in one reused (n, s) distance
+   buffer,
 4. voxelize each sub-object's member points,
 5. connect sub-objects that share or 26-neighbor voxels (one sorted join
    over all live voxels), weighting edges by the L2 distance of their mean
@@ -35,6 +37,14 @@ DEFAULT_GAMMA = 0.1
 DEFAULT_LAMBDA_POS = 0.5
 KMEANS_MAX_ITERS = 50
 KMEANS_TOL = 1e-5
+# bytes per row block of the k-means distance finish and assignment, sized
+# so a block stays in a core's L2 cache
+KMEANS_BLOCK_BYTES = 1 << 18
+# Slack on the FPS skip test. A d-dimensional squared distance carries about
+# (d + 2) ulps of relative error, far inside the relative margin; the
+# absolute term covers sums that fall to subnormals.
+_FPS_REL_MARGIN = 1e-9
+_FPS_ABS_MARGIN = 1e-300
 
 LABELS_MAGIC = b"IGLB"
 LABELS_VERSION = 1
@@ -119,25 +129,55 @@ def build_cluster_space(
 
 
 def farthest_point_sample(points: np.ndarray, s: int, start: int) -> np.ndarray:
-    """Greedy max-min selection in Euclidean space, ties to the smallest index."""
+    """Greedy max-min selection in Euclidean space, ties to the smallest index.
+
+    A round recomputes only the rows its new seed can reach. A point whose
+    nearest earlier seed c lies at squared distance m keeps m when the new
+    seed p has |p - c|^2 > 4 m: by the triangle inequality p is then farther
+    from the point than c is (Elkan 2003). The skip test carries a relative
+    and an absolute margin, so a skipped row's own distance to p would round
+    to no less than m, and computed rows use a full pass's row expression:
+    the minima keep their bits and the chosen indices match a full recompute.
+    """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not (1 <= s <= n):
         raise UsageError(f"sample count {s} out of range for {n} points")
     if not (0 <= start < n):
         raise UsageError(f"start index {start} out of range")
+    if not np.isfinite(points).all():
+        raise DataError("sample points must be finite")
     chosen = np.empty(s, dtype=np.int64)
     chosen[0] = start
-    # Selected points get -1 so duplicates never re-pick them (unchosen >= 0).
+    # Selected points get -1 so duplicates never re-pick them (unchosen >= 0),
+    # and a -1 row never passes the skip test, so it is never recomputed.
     min_d2 = ((points - points[start]) ** 2).sum(axis=1)
     min_d2[start] = -1.0
+    owner = np.zeros(n, dtype=np.int64)  # round whose seed set min_d2
     for i in range(1, s):
         nxt = int(np.argmax(min_d2))
         chosen[i] = nxt
-        d2 = ((points - points[nxt]) ** 2).sum(axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        p = points[nxt]
+        seed_d2 = ((points[chosen[:i]] - p) ** 2).sum(axis=1)
+        # an overflowed (inf) minimum gives an inf bound, so its row is computed
+        bound = min_d2 * (4.0 * (1.0 + _FPS_REL_MARGIN)) + _FPS_ABS_MARGIN
+        rows = np.flatnonzero(seed_d2[owner] <= bound)
+        d2 = ((points[rows] - p) ** 2).sum(axis=1)
+        closer = d2 < min_d2[rows]
+        rows = rows[closer]
+        min_d2[rows] = d2[closer]
+        owner[rows] = i
         min_d2[nxt] = -1.0
     return chosen
+
+
+def _cluster_sums(labels: np.ndarray, values: np.ndarray, s: int, keys: np.ndarray) -> np.ndarray:
+    """(s, w) sums of the rows of ``values`` per label. One bincount over
+    label * w + channel keys, built in ``keys`` ((n, w) int64), adds each
+    bin's rows in index order, as one bincount per channel does."""
+    w = values.shape[1]
+    np.add((labels * w)[:, None], np.arange(w), out=keys)
+    return np.bincount(keys.ravel(), weights=values.ravel(), minlength=s * w).reshape(s, w)
 
 
 def kmeans_cluster(
@@ -154,6 +194,11 @@ def kmeans_cluster(
     Empty clusters are tombstoned (excluded from later assignments), never
     reseeded. The objective (sum of squared distances to assigned centers)
     is checked to be non-increasing every iteration.
+
+    Every iteration reuses one (n, s) float64 distance buffer, a scratch of
+    about ``KMEANS_BLOCK_BYTES`` (at least one row of s), and (n, d) residual
+    and key arrays, with the arithmetic of ``oracles.lloyd_oracle``, so the
+    results match it bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     init_indices = np.asarray(init_indices, dtype=np.int64)
@@ -170,23 +215,41 @@ def kmeans_cluster(
     history: list[float] = []
     x_sq = (x * x).sum(axis=1)
     iterations = 0
+    rows = max(1, KMEANS_BLOCK_BYTES // (8 * s))
+    d2 = np.empty((n, s))
+    scratch = np.empty((min(n, rows), s))
+    resid = np.empty_like(x)
+    keys = np.empty(x.shape, dtype=np.int64)
 
     for iterations in range(1, max_iters + 1):
-        d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
-        if tombstone.any():
-            d2[:, tombstone] = np.inf
-        labels = np.argmin(d2, axis=1)
+        # d2 = (|x|^2 + |c|^2) - 2 x.c, finished in row blocks. The product
+        # is one call: a row-blocked GEMM rounds differently.
+        c_sq = (centers * centers).sum(axis=1)
+        np.matmul(x, centers.T, out=d2)
+        dead = np.flatnonzero(tombstone)
+        for lo in range(0, n, rows):
+            block = d2[lo:lo + rows]
+            near = scratch[:block.shape[0]]
+            block *= 2.0
+            np.add(x_sq[lo:lo + rows, None], c_sq, out=near)
+            np.subtract(near, block, out=block)
+            if dead.size:
+                block[:, dead] = np.inf
+            np.argmin(block, axis=1, out=labels[lo:lo + rows])
 
         counts = np.bincount(labels, minlength=s)
         new_centers = centers.copy()
-        sums = np.zeros_like(centers)
-        for ch in range(x.shape[1]):
-            sums[:, ch] = np.bincount(labels, weights=x[:, ch], minlength=s)
+        sums = _cluster_sums(labels, x, s, keys)
         live = counts > 0
         new_centers[live] = sums[live] / counts[live, None]
         tombstone |= ~live
 
-        objective = float(((x - new_centers[labels]) ** 2).sum())
+        # labels lie in [0, s): clip never fires, and unlike the default
+        # raise mode it writes to ``out`` without buffering a copy
+        np.take(new_centers, labels, axis=0, out=resid, mode="clip")
+        np.subtract(x, resid, out=resid)
+        np.square(resid, out=resid)
+        objective = float(resid.sum())
         if history and objective > history[-1] * (1.0 + 1e-12) + 1e-12:
             raise AssertionError(
                 f"k-means objective increased: {history[-1]} -> {objective}"
@@ -199,9 +262,8 @@ def kmeans_cluster(
             break
 
     # counts and live belong to the final labels
-    feat_means = np.zeros((s, FEATURE_DIM))
-    for ch in range(FEATURE_DIM):
-        feat_means[:, ch] = np.bincount(labels, weights=features[:, ch], minlength=s)
+    features = np.asarray(features)
+    feat_means = _cluster_sums(labels, features, s, np.empty(features.shape, dtype=np.int64))
     feat_means[live] /= counts[live, None]
 
     return ClusterState(
@@ -231,9 +293,18 @@ def voxelize_subobjects(
     # 2^62 leaves room for the +-1 neighbor offsets in int64
     if not (np.abs(keys) < 2.0**62).all():
         raise UsageError(f"voxel size {r} puts voxel keys at or beyond 2^62")
-    cells = np.unique(np.column_stack([labels, keys.astype(np.int64)]), axis=0)
-    bounds = np.searchsorted(cells[:, 0], np.arange(cluster_count + 1))
-    member_keys = np.ascontiguousarray(cells[:, 1:])
+    # Rank each axis, then the (x, y) and (xy, z) rank pairs, so a cell packs
+    # into one int64 below n and (label, cell) below cluster_count * n; the
+    # ranks keep the order, so one 1-D unique sorts by (label, x, y, z).
+    (ux, rx), (uy, ry), (uz, rz) = (np.unique(axis_keys, return_inverse=True)
+                                    for axis_keys in keys.astype(np.int64).T)
+    uxy, rxy = np.unique(rx * uy.size + ry, return_inverse=True)
+    ucell, rcell = np.unique(rxy * uz.size + rz, return_inverse=True)
+    owner, cell = np.divmod(np.unique(labels * ucell.size + rcell), ucell.size)
+    xy, z = np.divmod(ucell[cell], uz.size)
+    x, y = np.divmod(uxy[xy], uy.size)
+    member_keys = np.column_stack([ux[x], uy[y], uz[z]])
+    bounds = np.searchsorted(owner, np.arange(cluster_count + 1))
     return [member_keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 

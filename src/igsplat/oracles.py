@@ -1,5 +1,5 @@
-"""Brute-force references for the sampler, the voxel adjacency, the
-component aggregation and the analytic gradients.
+"""Brute-force references for the sampler, k-means, the voxel adjacency,
+the component aggregation and the analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -8,6 +8,9 @@ without sharing its shortcuts.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import UsageError
+from .instantiation import FEATURE_DIM, KMEANS_MAX_ITERS, KMEANS_TOL, ClusterState
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:
@@ -20,6 +23,75 @@ def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:
         min_d2[chosen] = -1.0
         chosen.append(int(np.argmax(min_d2)))
     return np.array(chosen)
+
+
+def lloyd_oracle(
+    x: np.ndarray,
+    features: np.ndarray,
+    init_indices: np.ndarray,
+    max_iters: int = KMEANS_MAX_ITERS,
+) -> ClusterState:
+    """Plain Lloyd k-means, the reference for ``kmeans_cluster``: three fresh
+    dense (n, s) temporaries per iteration and one bincount per channel.
+    Ties, tombstones, the stopping rule and the objective check are the ones
+    ``kmeans_cluster`` documents."""
+    x = np.asarray(x, dtype=np.float64)
+    init_indices = np.asarray(init_indices, dtype=np.int64)
+    n = x.shape[0]
+    s = init_indices.shape[0]
+    if len(np.unique(init_indices)) != s:
+        raise UsageError("init indices must be distinct")
+    if init_indices.min() < 0 or init_indices.max() >= n:
+        raise UsageError("init index out of range")
+
+    centers = x[init_indices].copy()
+    tombstone = np.zeros(s, dtype=bool)
+    labels = np.zeros(n, dtype=np.int64)
+    history: list[float] = []
+    x_sq = (x * x).sum(axis=1)
+    iterations = 0
+
+    for iterations in range(1, max_iters + 1):
+        d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+        if tombstone.any():
+            d2[:, tombstone] = np.inf
+        labels = np.argmin(d2, axis=1)
+
+        counts = np.bincount(labels, minlength=s)
+        new_centers = centers.copy()
+        sums = np.zeros_like(centers)
+        for ch in range(x.shape[1]):
+            sums[:, ch] = np.bincount(labels, weights=x[:, ch], minlength=s)
+        live = counts > 0
+        new_centers[live] = sums[live] / counts[live, None]
+        tombstone |= ~live
+
+        objective = float(((x - new_centers[labels]) ** 2).sum())
+        if history and objective > history[-1] * (1.0 + 1e-12) + 1e-12:
+            raise AssertionError(
+                f"k-means objective increased: {history[-1]} -> {objective}"
+            )
+        history.append(objective)
+
+        movement = np.linalg.norm(new_centers[live] - centers[live], axis=1).max() if live.any() else 0.0
+        centers = new_centers
+        if movement < KMEANS_TOL:
+            break
+
+    # counts and live belong to the final labels
+    feat_means = np.zeros((s, FEATURE_DIM))
+    for ch in range(FEATURE_DIM):
+        feat_means[:, ch] = np.bincount(labels, weights=features[:, ch], minlength=s)
+    feat_means[live] /= counts[live, None]
+
+    return ClusterState(
+        labels=labels,
+        features=feat_means,
+        tombstone=~live,
+        objective=history[-1],
+        iterations=iterations,
+        objective_history=history,
+    )
 
 
 def voxel_adjacency(voxels: list, alive: np.ndarray) -> np.ndarray:

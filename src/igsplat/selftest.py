@@ -18,16 +18,18 @@ from .instantiation import (
     voxelize_subobjects,
 )
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
-from .oracles import central_differences, dfs_components, fps_oracle, voxel_adjacency
+from .oracles import central_differences, dfs_components, fps_oracle, lloyd_oracle, voxel_adjacency
 from .renderer import Camera, render, render_backward
 from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
 
 
 def _check_fps(rng) -> None:
-    pts = rng.normal(size=(60, 4))
-    got = farthest_point_sample(pts, 12, 3)
-    want = fps_oracle(pts, 12, 3)
-    assert np.array_equal(got, want), f"{got} != {want}"
+    # duplicated points on a dyadic lattice: exact distance ties everywhere
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    for pts in (rng.normal(size=(60, 4)), np.repeat(grid * 0.5, 2, axis=0)):
+        got = farthest_point_sample(pts, 30, 3)
+        want = fps_oracle(pts, 30, 3)
+        assert np.array_equal(got, want), f"{got} != {want}"
 
 
 def _check_kmeans(rng) -> None:
@@ -38,6 +40,10 @@ def _check_kmeans(rng) -> None:
     state = kmeans_cluster(x, feats, init)
     hist = state.objective_history
     assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:])), "objective rose"
+    want = lloyd_oracle(x, feats, init)
+    assert state.labels.tobytes() == want.labels.tobytes(), "labels differ from plain Lloyd"
+    assert state.features.tobytes() == want.features.tobytes(), "features differ from plain Lloyd"
+    assert hist == want.objective_history, "objectives differ from plain Lloyd"
 
 
 def _check_components(rng) -> None:
@@ -113,7 +119,7 @@ def _check_rgb() -> None:
 
 CHECKS = [
     ("fps_vs_oracle", _check_fps),
-    ("kmeans_objective", _check_kmeans),
+    ("kmeans_vs_oracle", _check_kmeans),
     ("component_aggregation", _check_components),
     ("loss_identities", lambda rng: _check_losses()),
     ("render_gradients", _check_gradients),

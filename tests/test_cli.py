@@ -99,6 +99,32 @@ def test_non_finite_config_number_exits_2(tmp_path, key, token, capsys):
     assert f"finite, got {token}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("instantiate.gamma", "x", "instantiate.gamma: expected number, got string"),
+    ("instantiate.samples", 2.5, "instantiate.samples: expected integer, got number"),
+    ("train.freeze_positions", 1, "train.freeze_positions: expected boolean, got integer"),
+    ("instantiate.seed", True, "instantiate.seed: expected integer, got boolean"),
+    ("scene.synth", [], "scene.synth: expected an object"),
+    ("scene.synth.objects", [{"size": "big"}],
+     "scene.synth.objects[0].size: expected array or number, got string"),
+])
+def test_config_type_error_names_json_types(tmp_path, key, value, message, capsys):
+    config_path, out = write_config(tmp_path)
+    cfg = json.loads(open(config_path).read())
+    *sections, field = key.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[field] = value
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["generate", "--config", config_path]) == 2
+    assert not os.path.exists(out)
+    err = capsys.readouterr().err
+    assert message in err
+    assert "<class" not in err
+
+
 SEED_KEYS = ["scene.synth.seed", "scene.corrupt.seed", "scene.embedding_seed", "model.seed",
              "train.seed", "instantiate.seed"]
 
@@ -211,7 +237,7 @@ def test_instantiate_rejects_null_config_value(trained, tmp_path, capsys):
     null_path.write_text(json.dumps(cfg))
     assert main(["instantiate", "--config", str(null_path)]) == 2
     err = capsys.readouterr().err
-    assert "instantiate.gamma: expected" in err and "got NoneType" in err
+    assert "instantiate.gamma: expected number, got null" in err
     assert not os.path.exists(os.path.join(out, "instantiate", "labels.iglb"))
 
 

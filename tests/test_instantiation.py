@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from igsplat.errors import UsageError
+from igsplat.errors import DataError, UsageError
 from igsplat.instantiation import (
+    KMEANS_BLOCK_BYTES,
     ClusterState,
     aggregate_components,
     build_cluster_space,
@@ -14,7 +17,21 @@ from igsplat.instantiation import (
     save_labels,
     voxelize_subobjects,
 )
-from igsplat.oracles import dfs_components, fps_oracle, voxel_adjacency
+from igsplat.oracles import dfs_components, fps_oracle, lloyd_oracle, voxel_adjacency
+
+
+def lattice(shape, step):
+    """Integer grid points of ``shape`` times ``step``, one row per point."""
+    grid = np.meshgrid(*[np.arange(k) for k in shape], indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, len(shape)) * step
+
+
+def blob_scene(rng, centers, feature_protos, points_each=60):
+    positions, features = [], []
+    for c, f in zip(centers, feature_protos):
+        positions.append(c + rng.normal(scale=0.04, size=(points_each, 3)))
+        features.append(np.tile(f, (points_each, 1)) + rng.normal(scale=0.003, size=(points_each, 6)))
+    return np.concatenate(positions), np.concatenate(features)
 
 
 def test_fps_line_example():
@@ -44,6 +61,36 @@ def test_fps_duplicate_points_stay_distinct():
     pts = np.zeros((6, 3))
     idx = farthest_point_sample(pts, 4, 2)
     assert len(set(idx.tolist())) == 4
+
+
+def fps_tie_cases():
+    rng = np.random.default_rng(19)
+    yield "duplicates", np.repeat(rng.normal(size=(15, 3)), 3, axis=0), 30, 4
+    yield "all_equal", np.full((10, 4), 2.5), 10, 3
+    pts = lattice([4, 4, 4], 0.5)  # exact squared distances, exact ties
+    for start in (0, 21, 63):
+        yield f"lattice_{start}", pts, pts.shape[0], start
+    # ties exact in the reals but rounded in floats, where the skip test's
+    # margin decides whether a row's minimum keeps its bits
+    for seed in range(10):
+        rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        for step in (0.3, 0.7):
+            pts = lattice([4, 5, 3], step) @ rotation
+            for start in (0, pts.shape[0] // 2):
+                yield f"rotated_lattice_{seed}_{step}_{start}", pts, pts.shape[0], start
+
+
+@pytest.mark.parametrize("name, pts, s, start", list(fps_tie_cases()),
+                         ids=[case[0] for case in fps_tie_cases()])
+def test_fps_matches_oracle_on_ties(name, pts, s, start):
+    assert np.array_equal(farthest_point_sample(pts, s, start), fps_oracle(pts, s, start))
+
+
+def test_fps_rejects_non_finite_points():
+    pts = np.zeros((4, 2))
+    pts[2, 1] = np.nan
+    with pytest.raises(DataError):
+        farthest_point_sample(pts, 2, 0)
 
 
 def test_fps_rejects_bad_counts():
@@ -147,6 +194,65 @@ def test_kmeans_tombstones_empty_clusters():
     assert not state.tombstone[0] and not state.tombstone[2]
 
 
+def kmeans_oracle_cases():
+    rng = np.random.default_rng(20)
+    positions, features = blob_scene(rng, np.array([[0.0, 0, 0], [2.0, 0, 0], [0.0, 2, 1]]),
+                                     np.eye(3, 6))
+    x = build_cluster_space(positions, features, 1.0)
+    yield "blobs", x, features, farthest_point_sample(x, 12, 0)
+    # a dyadic lattice: distances are exact, so many points tie between centers
+    x = lattice([6, 6, 6], 0.5)
+    yield "lattice_ties", x, rng.uniform(size=(x.shape[0], 6)), np.arange(0, x.shape[0], 23)
+    x = np.repeat(rng.normal(size=(30, 5)), 4, axis=0)
+    yield "duplicates", x, rng.uniform(size=(120, 6)), np.array([0, 1, 8, 40, 41, 77])
+    x = rng.normal(size=(50, 3))
+    x[7] = x[3]  # seed 7 duplicates seed 3 and loses every tie to it
+    yield "tombstone", x, rng.uniform(size=(50, 6)), np.array([3, 7, 20, 30])
+    # n = block + 1 puts the last row in a block of its own, at a point
+    # equidistant (in the reals) from the first two seeds
+    s = 40
+    n = max(1, KMEANS_BLOCK_BYTES // (8 * s)) + 1
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 21))
+        init = rng.choice(n - 1, s, replace=False)
+        x[-1] = (x[init[0]] + x[init[1]]) / 2
+        yield f"block_plus_one_{seed}", x, rng.uniform(size=(n, 6)), init
+
+
+@pytest.mark.parametrize("name, x, features, init", list(kmeans_oracle_cases()),
+                         ids=[case[0] for case in kmeans_oracle_cases()])
+def test_kmeans_matches_lloyd_oracle_bytes(name, x, features, init):
+    got = kmeans_cluster(x, features, init)
+    want = lloyd_oracle(x, features, init)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()
+    assert np.array_equal(got.tombstone, want.tombstone)
+    assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+    assert np.array(got.objective_history).tobytes() == np.array(want.objective_history).tobytes()
+    assert got.iterations == want.iterations
+    if name == "tombstone":
+        assert got.tombstone.tolist() == [False, True, False, False]
+
+
+def test_kmeans_peak_within_stated_bound():
+    # README "Memory bounds": one (n, s) float64 buffer, the block scratch,
+    # and at most 16 d + 128 bytes per point and 64 d per cluster besides
+    n, s, d = 12000, 300, 21
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(n, d))
+    features = rng.uniform(size=(n, 6))
+    init = rng.choice(n, s, replace=False)
+    tracemalloc.start()
+    try:
+        kmeans_cluster(x, features, init, max_iters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n * s <= peak <= 8 * n * s + KMEANS_BLOCK_BYTES + n * (16 * d + 128) + 64 * s * d
+
+
 def test_kmeans_rejects_duplicate_init():
     with pytest.raises(UsageError):
         kmeans_cluster(np.zeros((4, 2)), np.zeros((4, 6)), np.array([1, 1]))
@@ -172,6 +278,21 @@ def test_voxelize_matches_hash_grid_oracle():
         oracle[int(l)].add(tuple(int(np.floor(c / r)) for c in p))
     for k in range(7):
         assert set(map(tuple, voxels[k])) == oracle[k]
+
+
+def test_voxelize_keys_equal_row_unique_per_cluster():
+    # each cluster's keys, bytes and order, against a row-wise np.unique;
+    # some points lie near +-2^61 voxels out
+    rng = np.random.default_rng(22)
+    positions = rng.uniform(-2, 2, size=(300, 3))
+    positions[::7] += rng.choice([-1.0, 1.0], size=(43, 3)) * 0.3 * 2.0**61
+    labels = rng.integers(0, 9, size=300)
+    labels[labels == 4] = 5  # cluster 4 stays empty
+    voxels = voxelize_subobjects(positions, labels, 0.3, 9)
+    for k in range(9):
+        want = np.unique(np.floor(positions[labels == k] / 0.3).astype(np.int64), axis=0)
+        assert voxels[k].dtype == np.int64 and voxels[k].shape == want.reshape(-1, 3).shape
+        assert voxels[k].tobytes() == want.tobytes()
 
 
 def test_voxelize_rejects_bad_resolution():
@@ -384,14 +505,6 @@ def test_instance_sizes_count_members():
     for inst in range(result.instance_count):
         assert result.sizes[inst] == (result.labels == inst).sum()
     assert result.sizes.sum() == len(labels)  # every point labeled exactly once
-
-
-def blob_scene(rng, centers, feature_protos, points_each=60):
-    positions, features = [], []
-    for c, f in zip(centers, feature_protos):
-        positions.append(c + rng.normal(scale=0.04, size=(points_each, 3)))
-        features.append(np.tile(f, (points_each, 1)) + rng.normal(scale=0.003, size=(points_each, 6)))
-    return np.concatenate(positions), np.concatenate(features)
 
 
 def test_instantiate_recovers_separated_blobs():
