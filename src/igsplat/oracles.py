@@ -1,5 +1,6 @@
-"""Brute-force references for the sampler, k-means, the voxel adjacency,
-the component aggregation and the analytic gradients.
+"""Brute-force references for the renderer's contribution builder, the
+sampler, k-means, the voxel adjacency, the component aggregation and the
+analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -11,6 +12,22 @@ import numpy as np
 
 from .errors import UsageError
 from .instantiation import FEATURE_DIM, KMEANS_MAX_ITERS, KMEANS_TOL, ClusterState
+
+
+def contributions_oracle(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
+    """The (disk, pixel) pairs of ``renderer._build_contributions``, from a
+    dense (disks, h, w) scan: every pixel against every disk under the same
+    du*du + dv*dv <= r*r test, pixel-major with slot (depth) order inside
+    each pixel. Returns (pix, slot, d2, seg_start, seg_pix) like the
+    builder, with each pixel's run found by ``np.unique``."""
+    du = np.arange(w)[None, :] - u[:, None]  # (k, w)
+    dv = np.arange(h)[None, :] - v[:, None]  # (k, h)
+    d2 = du[:, None, :] * du[:, None, :] + dv[:, :, None] * dv[:, :, None]  # (k, h, w)
+    inside = d2 <= (r * r)[:, None, None]
+    row, col, slot = np.nonzero(inside.transpose(1, 2, 0))
+    pix = row * w + col
+    seg_pix, seg_start = np.unique(pix, return_index=True)
+    return pix, slot, d2[slot, row, col], seg_start, seg_pix
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:

@@ -16,13 +16,15 @@ per-pixel contributions are accumulated in pixel-major order so forward and
 backward results are reproducible bit for bit.
 
 The forward pass is two steps. ``rasterize`` enumerates the (splat, pixel)
-contributions one row span per (splat, row) of the cutoff disk, orders them
-by a stable sort on the flat pixel index (keyed by the narrowest unsigned
-type that holds it, so depth order survives within each pixel), and yields
-alpha, transmittance, alpha * T and the alpha image. ``render`` adds the
-color and feature composite; instance id maps need only the first step.
-The same row-span enumeration, fed point disks instead of splat cutoffs,
-gives the ground-truth point z-buffer (``zbuffer_owners``).
+contributions one row span per (splat, row) of the cutoff disk, with the
+spans in (row, depth) order. The (pixel, depth) order it needs is the
+transpose of that spans x pixels matrix, which one stable counting pass
+(scipy's CSR-to-CSC conversion) builds in O(contributions + pixels); its
+column pointers are the per-pixel segments. It then yields alpha,
+transmittance, alpha * T and the alpha image. ``render`` adds the color and
+feature composite; instance id maps need only the first step. The same
+row-span enumeration, fed point disks instead of splat cutoffs, gives the
+ground-truth point z-buffer (``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
 projected arrays; per-splat values are gathered, and per-splat sums
@@ -32,9 +34,11 @@ same order as one over splat indices.
 
 ``rasterize`` frees each temporary at its last use and computes the alpha
 and transmittance chains in place, with the same floating-point operations
-in the same order. Its peak is then the Raster it returns, about 49 bytes
-per contribution; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound
-(per-splat and per-pixel arrays aside), which the tests check.
+in the same order. Its peak is then about the Raster it returns, 44-47
+bytes per contribution; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated
+bound (per-splat and per-pixel arrays aside), which the tests check. A
+view past ``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales
+make, raises NumericalError before any per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -50,13 +54,14 @@ makes.
 Both passes split their color and feature work into tasks that write
 disjoint outputs and run them on two threads ("lanes", ``_lanes``):
 ``render`` composites the two images side by side, and ``render_backward``
-runs each chain's geometry task and each chain's value task (the direct
-weight * grad sums). Every task keeps its floating-point operations and
-their order, so the results are the same bits on one lane or two. The
-geometry tasks work in two reused per-contribution buffers, so a call with
-both chains on geometry peaks at about 78-93 bytes per contribution above
-its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound,
-which the tests check.
+runs each chain's geometry task and one value task (the direct
+weight * grad sums of both chains, one sparse product). Every task keeps
+its floating-point operations and their order, so the results are the
+same bits on one lane or two. The geometry tasks work in two reused
+per-contribution buffers, so a call with both chains on geometry peaks at
+about 78-94 bytes per contribution above its RenderOutput;
+``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound, which the tests
+check.
 """
 from __future__ import annotations
 
@@ -67,9 +72,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .binio import write_atomic
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .scene_model import SplatSet
 
 NEAR_PLANE = 0.01
@@ -80,6 +86,12 @@ RASTER_BYTES_PER_CONTRIBUTION = 64
 # Memory bound of one render_backward call above its RenderOutput, in peak
 # bytes per contribution, with both chains reaching geometry on two lanes.
 BACKWARD_BYTES_PER_CONTRIBUTION = 96
+# Contributions one view may make: a training step holds a raster and a
+# backward above it, so 4 GiB over their two bounds, about 26.8M, 12x the
+# ~2.2M a 128x128 view makes at init.
+CONTRIBUTION_BUDGET = (4 << 30) // (
+    RASTER_BYTES_PER_CONTRIBUTION + BACKWARD_BYTES_PER_CONTRIBUTION
+)
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
 
@@ -241,30 +253,49 @@ class RenderOutput(Raster):
     camera: Camera
 
 
+def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, columns: int):
+    """The CSR matrix (data, indices, indptr) with ``columns`` columns, in
+    CSC form: its data and row numbers column by column, and the column
+    pointers.
+
+    scipy's ``csr_tocsc`` is one stable counting pass, O(nnz + rows +
+    columns). Within a column the entries come out in ascending row order,
+    its documented output order ("row indices will be in sorted order");
+    the builder relies on that for depth order, and
+    ``tests/test_renderer.py::test_contributions_keep_depth_order_in_crowded_pixels``
+    pins it. The CSC object is gone when this returns, so only its three
+    arrays stay alive.
+    """
+    csc = csr_matrix((data, indices, indptr), shape=(indptr.size - 1, columns)).tocsc()
+    return csc.data, csc.indices, csc.indptr
+
+
 def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
     radius r on a w x h image; the arrays are indexed by slot, in depth
     order.
 
-    Returns flat (pixel, slot, d2) arrays sorted by (pixel, depth order),
-    or None when no pair exists.
+    Returns (pix, slot, d2, seg_start, seg_pix): flat per-pair arrays
+    sorted by (pixel, depth order), the start of each pixel's run of pairs
+    and that pixel. None when no pair exists. Raises NumericalError past
+    ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
 
     The expansion runs over row spans, not bounding boxes: one record per
     (splat, row) of the splat's image-clipped box carries dv*dv and the
     columns within the half-chord sqrt(r*r - dv*dv) of the centre, widened
     by one column (plus 2^-24 r for the rounding of r*r - dv*dv at huge
     radii). Box and span are clipped in float before the int cast, so an
-    infinite radius spans whole rows and a NaN radius spans none. Every
-    entry keeps the exact test du*du + dv*dv <= r*r, so the kept pairs and
-    the bits of d2 equal those of a scan over the whole box.
+    infinite radius spans whole rows and a NaN radius spans none. Each span
+    is then shrunk, end by end, to the columns that pass the exact test
+    du*du + dv*dv <= r*r: under round-to-nearest the rounded test is
+    monotone in |col - u|, so those columns are one interval. The kept
+    pairs and the bits of d2 equal those of a scan over the whole box.
 
-    Records are put in (row, depth order) first, so entries come out in
-    (row, depth order, col) order and the final reordering stays within
-    one image row. A stable argsort by flat pixel index then keeps depth
-    order within each pixel. Its key is narrowed to the smallest unsigned
-    type that holds h*w - 1: up to 65 536 pixels that is uint16, which
-    NumPy's stable sort handles by radix, with the same permutation as an
-    int64 key.
+    The splat x row matrix of records, transposed, puts the records in
+    (row, depth order), so the pairs come out grouped by record in that
+    order. The (pixel, depth order) order is then the transpose of the
+    records x pixels matrix: within a pixel, whose records all share its
+    row, ascending record order is depth order.
     """
     x0 = np.maximum(np.ceil(u - r), 0.0)
     x1 = np.minimum(np.floor(u + r), w - 1.0)
@@ -277,13 +308,12 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     # One record per (splat, row), put in (row, depth order).
     first_row = y0[slots].astype(np.int64)
     heights = y1[slots].astype(np.int64) - first_row + 1
-    rec_slot = np.repeat(slots, heights)
-    row = np.arange(rec_slot.size, dtype=np.int64) + np.repeat(
-        first_row - (np.cumsum(heights) - heights), heights
-    )
-    by_row = np.argsort(row.astype(np.min_scalar_type(h - 1)), kind="stable")
-    rec_slot = rec_slot[by_row]
-    row = row[by_row]
+    ends = np.cumsum(heights)
+    rows = np.arange(ends[-1], dtype=np.int64) + np.repeat(first_row - (ends - heights), heights)
+    rec_slot, _, row_ptr = _transpose(np.repeat(slots, heights), rows,
+                                      np.concatenate(([0], ends)), h)
+    row = np.repeat(np.arange(h, dtype=np.int64), np.diff(row_ptr))
+    del first_row, heights, ends, rows, row_ptr
     dv = row - v[rec_slot]
     dv2 = dv * dv
     r_rec = r[rec_slot]
@@ -292,40 +322,53 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     u_rec = u[rec_slot]
     lo = np.maximum(np.ceil(u_rec - half), x0[rec_slot])
     hi = np.minimum(np.floor(u_rec + half), x1[rec_slot])
+    del dv, r_rec, half
+    # Each end moves inward while its column fails the test, at most the
+    # widening; a span with no kept column ends with lo > hi.
+    for end, step in ((lo, 1.0), (hi, -1.0)):
+        du = end - u_rec
+        at = np.flatnonzero(~(du * du + dv2 <= rr) & (hi >= lo))
+        while at.size:
+            end[at] += step
+            at = at[hi[at] >= lo[at]]
+            du = end[at] - u_rec[at]
+            at = at[~(du * du + dv2[at] <= rr[at])]
     counts = np.where(hi >= lo, hi - lo + 1.0, 0.0).astype(np.int64)
     total = int(counts.sum())
+    if total > CONTRIBUTION_BUDGET:
+        raise NumericalError(
+            f"a {w}x{h} view makes {total} contributions, over the budget of "
+            f"{CONTRIBUTION_BUDGET}; the splat scales may have exploded"
+        )
     if total == 0:
         return None
 
-    # One entry per (splat, row, col) of the spans: entry k sits in column
-    # k + span_base of its record. Record temporaries go first, and the
-    # repeated centres become du, then d2.
-    span_base = lo.astype(np.int64) - (np.cumsum(counts) - counts)
-    pix_base = row * w + span_base
-    del first_row, heights, by_row, row, dv, r_rec, half, lo, hi
-    col = np.arange(total, dtype=np.int64)
-    col += np.repeat(span_base, counts)
-    d2 = np.repeat(u_rec, counts)
-    np.subtract(col, d2, out=d2)
-    del col
+    # One entry per (splat, row, col) of the spans, grouped by record: entry
+    # k sits in column k + span_base of its record. The column is built in
+    # float, where it is exact, and becomes du, then d2.
+    ends = np.cumsum(counts)
+    span_base = lo - (ends - counts)
+    index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
+    pix = np.arange(total, dtype=index)
+    pix += np.repeat((row * w + span_base.astype(np.int64)).astype(index), counts)
+    del row, lo, hi, rr
+    d2 = np.arange(total, dtype=np.float64)
+    d2 += np.repeat(span_base, counts)
+    d2 -= np.repeat(u_rec, counts)
     np.multiply(d2, d2, out=d2)
     d2 += np.repeat(dv2, counts)
-    keep = np.flatnonzero(d2 <= np.repeat(rr, counts))
-    if keep.size == 0:
-        return None
-    d2 = d2[keep]
-    # Pixel and slot only for the kept entries, through each one's record.
-    rec = np.repeat(np.arange(rec_slot.size), counts)[keep]
-    pix = pix_base.take(rec)
-    pix += keep
-    del keep
+    del span_base, u_rec, dv2
+
+    # The records x pixels transpose; its inputs go before the outputs grow.
+    d2, rec, pix_ptr = _transpose(d2, pix, np.concatenate(([0], ends)).astype(index), h * w)
+    del pix, ends, counts
     slot = rec_slot.take(rec)
     del rec
-    order = np.argsort(pix.astype(np.min_scalar_type(h * w - 1)), kind="stable")
-    pix = pix[order]
-    slot = slot[order]
-    d2 = d2[order]
-    return pix, slot, d2
+    seg_len = np.diff(pix_ptr)
+    seg_pix = np.flatnonzero(seg_len)
+    seg_start = pix_ptr[seg_pix].astype(np.int64)
+    pix = np.repeat(seg_pix, seg_len[seg_pix])
+    return pix, slot, d2, seg_start, seg_pix
 
 
 def rasterize(splats: SplatSet, camera: Camera) -> Raster:
@@ -341,7 +384,7 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
             clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
             alpha=np.zeros((h, w)), projected=proj,
         )
-    pix, slot, d2 = built
+    pix, slot, d2, seg_start, seg_pix = built
 
     # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
     # the per-splat factors are formed before the gather, with the same bits.
@@ -354,7 +397,6 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
 
     # Exclusive per-pixel product of (1 - alpha) via a segmented log cumsum,
     # which becomes the transmittance in place.
-    seg_start = np.flatnonzero(np.concatenate(([True], pix[1:] != pix[:-1])))
     seg_len = np.diff(seg_start, append=len(pix))
     logs = np.negative(alpha)
     np.log1p(logs, out=logs)
@@ -365,7 +407,6 @@ def rasterize(splats: SplatSet, camera: Camera) -> Raster:
     np.exp(trans, out=trans)
 
     weight = alpha * trans
-    seg_pix = pix[seg_start]
     alpha_img = np.zeros(h * w)
     alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
     return Raster(
@@ -391,9 +432,8 @@ def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.
     order = np.argsort(z, kind="stable")  # stable: equal depths stay in index order
     built = _build_contributions(u[order], v[order], radius[order], w, h)
     if built is not None:
-        pix, slot, _ = built
-        first = np.concatenate(([True], pix[1:] != pix[:-1]))
-        owners[pix[first]] = keep[order[slot[first]]]
+        _, slot, _, seg_start, seg_pix = built
+        owners[seg_pix] = keep[order[slot[seg_start]]]
     return owners.reshape(h, w)
 
 
@@ -408,7 +448,10 @@ def _lanes(tasks: list, limit: int = 2) -> list:
     inline, in order. The renderer's tasks call no public function of the
     package, so a tracer that wraps those keeps its spans nested.
     """
-    lanes = min(len(os.sched_getaffinity(0)), len(tasks), limit)
+    # the affinity set where the platform has one (Linux), else all cores
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    lanes = min(cores, len(tasks), limit)
     if lanes <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=lanes) as pool:
@@ -458,14 +501,16 @@ def render_backward(
     the summed objective.
 
     The per-contribution terms shared by both geometry chains (pixel
-    offsets, d2, 1 / sigma^2, 1 - alpha) are built once. Then each chain
-    splits into a geometry task (the segmented suffix scan, d_alpha and the
-    opacity, centre and scale sums) and a value task (the per-channel
-    weight * grad sums), and the tasks run on two lanes (``_lanes``),
-    geometry first. Each geometry task works in two reused per-contribution
-    buffers, so the call peaks within ``BACKWARD_BYTES_PER_CONTRIBUTION``
-    bytes per contribution. Every per-splat sum is a bincount over slots,
-    written to the splats at ``proj.indices``; culled splats keep zeros.
+    offsets, d2, 1 / sigma^2, 1 - alpha) are built once. Each chain that
+    reaches geometry is a task (the segmented suffix scan, d_alpha and the
+    opacity, centre and scale sums), and one value task forms the direct
+    weight * grad sums of every chain's channels as one sparse product; the
+    tasks run on two lanes (``_lanes``), geometry first. Each geometry task
+    works in two reused per-contribution buffers, so the call peaks within
+    ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution. Every
+    per-splat sum adds its slot's contributions in order, as a bincount
+    over slots does, and is written to the splats at ``proj.indices``;
+    culled splats keep zeros.
     """
     splats = output.splats
     camera = output.camera
@@ -485,27 +530,33 @@ def render_backward(
     slot = output.slot
     weight = output.weight
     seg_start = output.seg_start
-    # Contributions of one pixel are contiguous, so per-pixel rows expand by
-    # repeat instead of a gather.
-    seg_len = np.diff(seg_start, append=len(slot))
 
-    def value_task(grad_img, values, value_grads):
-        g_seg = grad_img.reshape(-1, values.shape[1]).take(output.seg_pix, axis=0)
-        # per channel from a contiguous row; a strided (q, dim) column read
-        # made these sums ~2.5x slower
-        for ch, g_ch in enumerate(np.ascontiguousarray(g_seg.T)):
-            value_grads[proj.indices, ch] = np.bincount(
-                slot, weights=weight * np.repeat(g_ch, seg_len), minlength=proj.count
-            )
+    def value_task():
+        # The direct weight * grad sums of every chain's channels are one
+        # sparse product: the slots x pixels matrix of weights, whose columns
+        # hold each pixel's contributions in order, times the image gradients
+        # at those pixels side by side. csc_matvecs adds each slot's products
+        # in contribution order, as a bincount over the slots would: the same
+        # bits where the build does not fuse the multiply-add (x86-64).
+        weights = csc_matrix((weight, slot, np.append(seg_start, slot.size)),
+                             shape=(proj.count, output.seg_pix.size))
+        sums = weights @ np.concatenate(
+            [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
+             for grad_img, _, value_grads, _, _ in chains], axis=1)
+        first = 0
+        for _, _, value_grads, _, _ in chains:
+            value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
+            first += value_grads.shape[1]
 
-    value_tasks = [partial(value_task, grad_img, values, value_grads)
-                   for grad_img, values, value_grads, _, _ in chains]
     geometry_chains = [(grad_img, values, grads)
                        for grad_img, values, _, grads, geometry in chains if geometry]
     if not geometry_chains:
-        _lanes(value_tasks)
+        value_task()
         return color_grads, feature_grads
 
+    # Contributions of one pixel are contiguous, so per-pixel rows expand by
+    # repeat instead of a gather.
+    seg_len = np.diff(seg_start, append=len(slot))
     alpha = output.alpha_i
     one_minus_alpha = 1.0 - alpha
     dcol = np.repeat(output.seg_pix % camera.width, seg_len) - proj.u.take(slot)
@@ -574,7 +625,7 @@ def render_backward(
         grads.scales[proj.indices] = dsig_s * fx / z
         grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
 
-    _lanes([partial(geometry_task, *chain) for chain in geometry_chains] + value_tasks)
+    _lanes([partial(geometry_task, *chain) for chain in geometry_chains] + [value_task])
     return color_grads, feature_grads
 
 

@@ -1,9 +1,9 @@
 """Built-in invariant battery behind ``igsplat selftest``.
 
-A fast subset of the property checks the test suite runs in full: gradient
-agreement with finite differences, loss identities, sampler and clustering
-invariants, and voxel-adjacency and component-aggregation correctness on
-random graphs.
+A fast subset of the property checks the test suite runs in full: the
+renderer's contribution list against a dense scan, gradient agreement with
+finite differences, loss identities, sampler and clustering invariants, and
+voxel-adjacency and component-aggregation correctness on random graphs.
 """
 from __future__ import annotations
 
@@ -18,9 +18,27 @@ from .instantiation import (
     voxelize_subobjects,
 )
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
-from .oracles import central_differences, dfs_components, fps_oracle, lloyd_oracle, voxel_adjacency
-from .renderer import Camera, render, render_backward
+from .oracles import (
+    central_differences,
+    contributions_oracle,
+    dfs_components,
+    fps_oracle,
+    lloyd_oracle,
+    voxel_adjacency,
+)
+from .renderer import Camera, _build_contributions, render, render_backward
 from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
+
+
+def _check_contributions(rng) -> None:
+    # 80 disks, partly off a 12x10 image: pixels with dozens of contributors
+    n = 80
+    u, v, r = rng.uniform(-2, 14, n), rng.uniform(-2, 12, n), rng.uniform(0.3, 8.0, n)
+    got = _build_contributions(u, v, r, 12, 10)
+    want = contributions_oracle(u, v, r, 12, 10)
+    assert np.bincount(want[0]).max() >= 24, "view not crowded"
+    for name, a, b in zip(("pix", "slot", "d2", "seg_start", "seg_pix"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{name} differs from dense scan"
 
 
 def _check_fps(rng) -> None:
@@ -118,6 +136,7 @@ def _check_rgb() -> None:
 
 
 CHECKS = [
+    ("contributions_vs_oracle", _check_contributions),
     ("fps_vs_oracle", _check_fps),
     ("kmeans_vs_oracle", _check_kmeans),
     ("component_aggregation", _check_components),

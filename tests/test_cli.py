@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -366,6 +367,29 @@ def test_non_finite_checkpoint_exits_2(instantiated, tensor, stage, capsys):
         with open(path, "wb") as fh:
             fh.write(good)
     assert "finite" in capsys.readouterr().err
+
+
+def test_associate_past_contribution_budget_exits_4(instantiated, tmp_path, capsys):
+    # the trained splats with every scale blown up 1e4x, seen by 160x160
+    # views: 1350 splats x 25600 pixels is past the renderer's budget
+    config_path, out = instantiated
+    cfg = json.loads(open(config_path).read())
+    cfg["scene"]["synth"]["image_size"] = 160
+    cfg["output"] = str(tmp_path / "huge")
+    huge_config = tmp_path / "huge.json"
+    huge_config.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(huge_config)]) == 0
+    anchors, decoder = load_checkpoint(os.path.join(out, "train", "checkpoint.igck"))
+    decoder.base_scale *= 1e4
+    for stage in ("train", "instantiate"):
+        os.makedirs(os.path.join(cfg["output"], stage))
+    save_checkpoint(os.path.join(cfg["output"], "train", "checkpoint.igck"), anchors, decoder)
+    shutil.copyfile(os.path.join(out, "instantiate", "labels.iglb"),
+                    os.path.join(cfg["output"], "instantiate", "labels.iglb"))
+    capsys.readouterr()
+    assert main(["associate", "--config", str(huge_config)]) == 4
+    assert "over the budget" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(cfg["output"], "associate", "instance_embeddings.igem"))
 
 
 def test_selftest_passes():

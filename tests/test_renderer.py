@@ -1,13 +1,15 @@
+import platform
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from igsplat.errors import DataError
+from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
-from igsplat.oracles import central_differences, relative_errors
+from igsplat.oracles import central_differences, contributions_oracle, relative_errors
 from igsplat.renderer import (
     BACKWARD_BYTES_PER_CONTRIBUTION,
+    CONTRIBUTION_BUDGET,
     RASTER_BYTES_PER_CONTRIBUTION,
     Camera,
     ProjectedSplats,
@@ -215,22 +217,11 @@ def test_forward_matches_per_pixel_reference():
     assert np.allclose(out.alpha, ref_alpha, atol=1e-12)
 
 
-def brute_force_contributions(proj, cam):
-    """Every pixel x splat under the same d2 <= r*r test, pixel-major with
-    depth order inside each pixel."""
-    du = np.arange(cam.width)[None, :] - proj.u[:, None]  # (k, w)
-    dv = np.arange(cam.height)[None, :] - proj.v[:, None]  # (k, h)
-    d2 = du[:, None, :] * du[:, None, :] + dv[:, :, None] * dv[:, :, None]  # (k, h, w)
-    inside = d2 <= (proj.radius_px * proj.radius_px)[:, None, None]
-    row, col, slot = np.nonzero(inside.transpose(1, 2, 0))
-    return row * cam.width + col, slot, d2[slot, row, col]
-
-
 def assert_same_contributions(proj, cam):
-    built = _build_contributions(proj.u, proj.v, proj.radius_px, cam.width, cam.height)
-    expected = brute_force_contributions(proj, cam)
+    args = (proj.u, proj.v, proj.radius_px, cam.width, cam.height)
+    built, expected = _build_contributions(*args), contributions_oracle(*args)
     assert expected[0].size > 0
-    assert built is not None
+    assert built is not None and len(built) == len(expected)
     for got, want in zip(built, expected):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -274,6 +265,26 @@ def test_contributions_on_near_tangent_rows():
     assert_same_contributions(proj, cam)
 
 
+def test_contributions_keep_depth_order_in_crowded_pixels():
+    # 240 splats on four depths over a 24x20 image: pixels hold dozens of
+    # contributors, with runs of equal depth that must stay in index order.
+    # This pins the order the builder takes from scipy's CSR-to-CSC
+    # transpose.
+    rng = np.random.default_rng(7)
+    n = 240
+    centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
+                               rng.choice([1.5, 2.0, 2.5, 3.0], n)])
+    splats = make_splats(centers, scales=rng.uniform(0.05, 0.15, n))
+    cam = Camera(fx=24.0, fy=24.0, cx=11.7, cy=9.6, width=24, height=20,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    proj = project_splats(splats, cam)
+    assert_same_contributions(proj, cam)
+    pix, slot = _build_contributions(proj.u, proj.v, proj.radius_px, cam.width, cam.height)[:2]
+    assert np.bincount(pix).max() >= 40
+    depth = proj.cam_points[slot, 2]
+    assert ((pix[1:] == pix[:-1]) & (depth[1:] == depth[:-1])).sum() >= 1000
+
+
 def dense_view(n=2000, size=128):
     """Many small overlapping splats: over 100k contributions, so the
     per-contribution arrays outweigh the per-splat and per-pixel ones."""
@@ -299,6 +310,25 @@ def test_rasterize_peak_within_stated_bound():
     assert ras.pix.size >= 100_000
     assert ras.clamped.any()
     assert peak <= RASTER_BYTES_PER_CONTRIBUTION * ras.pix.size, peak / ras.pix.size
+
+
+def test_exploding_scales_exceed_contribution_budget():
+    # every splat covers the whole 128x128 image, 2000 x 16384 contributions:
+    # the builder raises from its per-(splat, row) records, before any
+    # per-contribution array exists
+    assert CONTRIBUTION_BUDGET >= 10 * 2_200_000  # ~2.2M: a 128x128 bench view at init
+    splats, cam = dense_view()
+    huge = SplatSet(splats.centers, splats.colors, splats.opacities, splats.scales * 1e4,
+                    splats.features, splats.parent)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=f"makes {2000 * 128 * 128} contributions, "
+                                                 f"over the budget of {CONTRIBUTION_BUDGET}"):
+            rasterize(huge, cam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2000 * 128, peak / (2000 * 128)  # bytes per record
 
 
 def test_raster_arrays_share_no_memory():
@@ -488,6 +518,32 @@ def test_lanes_keep_each_chain_bits(dense_output, feature_geometry):
         out, grad_feature=grad_feature, feature_geometry=feature_geometry)[1])
 
 
+def test_value_grads_equal_bincount_over_slots(dense_output):
+    # The direct weight * grad sums add each slot's contributions in
+    # contribution order, as a per-channel bincount does: the same bits on
+    # x86-64, whose scipy builds do not fuse the multiply-add. Where a build
+    # fuses it, each product skips one rounding, so the sums stay within
+    # the recursive-summation bound 2 (n + 1) eps sum |terms| of n terms.
+    out, grad_color, grad_feature = dense_output
+    chains = render_backward(out, grad_color, grad_feature)
+    terms_per_slot = np.zeros(out.splats.count)
+    terms_per_slot[out.projected.indices] = np.bincount(out.slot, minlength=out.projected.count)
+    for grads, field, grad_img in zip(chains, ("colors", "features"), (grad_color, grad_feature)):
+        flat = grad_img.reshape(-1, grad_img.shape[2])
+        want, scale = np.zeros_like(getattr(grads, field)), np.zeros_like(getattr(grads, field))
+        for ch in range(flat.shape[1]):
+            terms = out.weight * flat[out.pix, ch]
+            want[out.projected.indices, ch] = np.bincount(out.slot, weights=terms,
+                                                          minlength=out.projected.count)
+            scale[out.projected.indices, ch] = np.bincount(out.slot, weights=np.abs(terms),
+                                                           minlength=out.projected.count)
+        got = getattr(grads, field)
+        if platform.machine() in ("x86_64", "AMD64"):
+            assert got.tobytes() == want.tobytes(), field
+        bound = 2 * (terms_per_slot[:, None] + 1) * np.finfo(float).eps * scale
+        assert (np.abs(got - want) <= bound).all(), field
+
+
 def test_one_lane_gives_the_same_bits(dense_output, monkeypatch):
     out, grad_color, grad_feature = dense_output
     two_lanes = render_backward(out, grad_color, grad_feature, feature_geometry=True)
@@ -497,6 +553,17 @@ def test_one_lane_gives_the_same_bits(dense_output, monkeypatch):
     for got, want in zip(render_backward(out, grad_color, grad_feature, feature_geometry=True),
                          two_lanes):
         assert_same_grads(got, want)
+
+
+def test_lanes_without_affinity_use_cpu_count(dense_output, monkeypatch):
+    # platforms without os.sched_getaffinity (macOS, Windows) fall back to
+    # os.cpu_count()
+    out, grad_color, grad_feature = dense_output
+    monkeypatch.delattr(renderer.os, "sched_getaffinity")
+    again = render(out.splats, out.camera)
+    for name in ("color", "feature", "alpha", "weight", "pix", "slot"):
+        assert getattr(again, name).tobytes() == getattr(out, name).tobytes(), name
+    assert renderer._lanes([lambda: 1, lambda: 2]) == [1, 2]
 
 
 @pytest.mark.parametrize("usable_cores", [{0}, {0, 1}])
