@@ -19,3 +19,13 @@ class FormatError(OSError):
 
 class NumericalError(RuntimeError):
     """Training produced non-finite values and was aborted."""
+
+
+class ContributionBudgetError(NumericalError):
+    """A view would make more (splat, pixel) contributions than the
+    renderer's budget, as exploding splat scales do."""
+
+    def __init__(self, message: str, contributions: int, budget: int):
+        super().__init__(message)
+        self.contributions = contributions
+        self.budget = budget

@@ -38,7 +38,8 @@ in the same order. Its peak is then about the Raster it returns, 44-47
 bytes per contribution; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated
 bound (per-splat and per-pixel arrays aside), which the tests check. A
 view past ``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales
-make, raises NumericalError before any per-contribution array exists.
+make, raises ContributionBudgetError (a NumericalError) before any
+per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -51,31 +52,39 @@ The (contributions, channels) gathers of a chain's geometry term run in
 blocks of rows, so they stay small however many contributions a view
 makes.
 
-Both passes split their color and feature work into tasks that write
-disjoint outputs and run them on two threads ("lanes", ``_lanes``):
-``render`` composites the two images side by side, and ``render_backward``
-runs each chain's geometry task and one value task (the direct
-weight * grad sums of both chains, one sparse product). Every task keeps
-its floating-point operations and their order, so the results are the
-same bits on one lane or two. The geometry tasks work in two reused
-per-contribution buffers, so a call with both chains on geometry peaks at
-about 78-94 bytes per contribution above its RenderOutput;
-``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound, which the tests
-check.
+Both passes split their work into tasks that write disjoint outputs and
+run them on the two threads of one persistent pool ("lanes", ``_lanes``):
+``render`` composites the color and feature images side by side, and
+``render_backward`` builds its shared terms in one band of pixel segments
+per lane, then runs each geometry chain and one value task (the direct weight * grad
+sums of both chains, one sparse product). A geometry chain splits into as
+many contiguous bands as the lanes hold for it: two when it is the only
+one (appearance and independent steps), one each in the joint step. The
+bands make the same additions in the same order as one band: the second
+band's prefix sum starts from the first band's last value (a carried
+scan), and each band adds into the per-slot sums after the band before it,
+which is bincount's order. Every other step is local to a band, so the
+results are the same bits on one band or two and on one lane or two. The
+geometry tasks work in two reused per-contribution buffers, so a call with
+both chains on geometry peaks at about 78-94 bytes per contribution above
+its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound,
+which the tests check.
 """
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
+from scipy.sparse._sparsetools import csr_tocsc
 
 from .binio import write_atomic
-from .errors import DataError, NumericalError
+from .errors import ContributionBudgetError, DataError
 from .scene_model import SplatSet
 
 NEAR_PLANE = 0.01
@@ -94,6 +103,8 @@ CONTRIBUTION_BUDGET = (4 << 30) // (
 )
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
+# Threads of the renderer's task pool (``_lanes``).
+LANES = 2
 
 
 @dataclass
@@ -258,16 +269,25 @@ def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, column
     CSC form: its data and row numbers column by column, and the column
     pointers.
 
-    scipy's ``csr_tocsc`` is one stable counting pass, O(nnz + rows +
-    columns). Within a column the entries come out in ascending row order,
-    its documented output order ("row indices will be in sorted order");
-    the builder relies on that for depth order, and
+    scipy's ``csr_tocsc`` kernel is one stable counting pass, O(nnz + rows +
+    columns), called here on bare arrays. Within a column the entries come
+    out in ascending row order, its documented output order ("row indices
+    will be in sorted order"); the builder relies on that for depth order,
+    and
     ``tests/test_renderer.py::test_contributions_keep_depth_order_in_crowded_pixels``
-    pins it. The CSC object is gone when this returns, so only its three
-    arrays stay alive.
+    pins it. The index dtype is the one ``csr_matrix(...).tocsc()`` picks,
+    int32 unless a count passes its range, and
+    ``tests/test_renderer.py::test_transpose_equals_scipy_tocsc`` pins the
+    outputs to that call byte for byte.
     """
-    csc = csr_matrix((data, indices, indptr), shape=(indptr.size - 1, columns)).tocsc()
-    return csc.data, csc.indices, csc.indptr
+    rows = indptr.size - 1
+    index = np.int32 if max(rows, columns, data.size) <= np.iinfo(np.int32).max else np.int64
+    out_data = np.empty(data.size, dtype=data.dtype)
+    out_indices = np.empty(data.size, dtype=index)
+    out_indptr = np.empty(columns + 1, dtype=index)
+    csr_tocsc(rows, columns, indptr.astype(index, copy=False), indices.astype(index, copy=False),
+              data, out_indptr, out_indices, out_data)
+    return out_data, out_indices, out_indptr
 
 
 def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
@@ -277,8 +297,8 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
 
     Returns (pix, slot, d2, seg_start, seg_pix): flat per-pair arrays
     sorted by (pixel, depth order), the start of each pixel's run of pairs
-    and that pixel. None when no pair exists. Raises NumericalError past
-    ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
+    and that pixel. None when no pair exists. Raises ContributionBudgetError
+    past ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
 
     The expansion runs over row spans, not bounding boxes: one record per
     (splat, row) of the splat's image-clipped box carries dv*dv and the
@@ -336,9 +356,10 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     counts = np.where(hi >= lo, hi - lo + 1.0, 0.0).astype(np.int64)
     total = int(counts.sum())
     if total > CONTRIBUTION_BUDGET:
-        raise NumericalError(
+        raise ContributionBudgetError(
             f"a {w}x{h} view makes {total} contributions, over the budget of "
-            f"{CONTRIBUTION_BUDGET}; the splat scales may have exploded"
+            f"{CONTRIBUTION_BUDGET}; the splat scales may have exploded",
+            total, CONTRIBUTION_BUDGET,
         )
     if total == 0:
         return None
@@ -437,25 +458,123 @@ def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.
     return owners.reshape(h, w)
 
 
-def _lanes(tasks: list, limit: int = 2) -> list:
-    """Run the zero-argument callables ``tasks`` on min(usable cores,
-    len(tasks), limit) threads and return their results in task order.
-
-    Tasks start in list order as lanes come free, so callers put the longest
-    first. Each task writes only its own outputs, so the results carry the
-    same bits whatever the lane count. An exception in a task is raised here
-    once the started tasks have finished. With one lane the tasks run
-    inline, in order. The renderer's tasks call no public function of the
-    package, so a tracer that wraps those keeps its spans nested.
-    """
+def _usable_cores() -> int:
     # the affinity set where the platform has one (Linux), else all cores
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    lanes = min(cores, len(tasks), limit)
-    if lanes <= 1:
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+_pool = None
+_pool_lock = threading.Lock()
+_in_lane = threading.local()
+
+
+def _enter_lane() -> None:
+    _in_lane.active = True
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The lanes' threads: one pool of ``LANES`` threads, started on first
+    use and kept for the process."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=LANES, thread_name_prefix="igsplat-lane",
+                                       initializer=_enter_lane)
+        return _pool
+
+
+def _lanes(tasks: list, limit: int = LANES) -> list:
+    """Run the zero-argument callables ``tasks`` on min(usable cores,
+    len(tasks), limit, ``LANES``) threads and return their results in task
+    order.
+
+    The threads are one persistent pool, which takes tasks first in, first
+    out, so callers put the longest first, and a task may wait for one
+    listed before it. Each task writes only its own outputs, so the results
+    carry the same bits whatever the lane count. An exception in a task is
+    raised here once every task has finished. With one lane, and inside a
+    task already on a lane, the tasks run inline, in order; so the renderer
+    never holds more than ``LANES`` threads. The renderer's tasks call no
+    public function of the package, so a tracer that wraps those keeps its
+    spans nested.
+    """
+    if min(_usable_cores(), len(tasks), limit) <= 1 or getattr(_in_lane, "active", False):
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+    futures = [_lane_pool().submit(task) for task in tasks]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
+    """Split a view's pixel segments into ``bands`` contiguous runs of about
+    equal contribution counts: the (bands + 1,) segment indices at which
+    the runs start, then the segment count. A run may be empty."""
+    return np.searchsorted(seg_start, total * np.arange(bands + 1) // bands)
+
+
+class _Relay:
+    """The hand-offs between the bands of one geometry chain, each made in
+    band order, so the bands make the additions of a one-band chain in its
+    order: a band's prefix sum starts from the last value of the sums before
+    it (the carry), and a band adds into the slot sums after the band before
+    it has. The first band's first add makes the zeroed sums, so they are
+    not held while the bands' buffers peak.
+    """
+
+    def __init__(self, bands: int, sums_shape: tuple):
+        self._cond = threading.Condition()
+        self._made = [0] * bands  # hand-offs each band has made
+        self._carry = [None] * bands
+        self._sums_shape = sums_shape
+        self.sums = None
+
+    def _wait(self, band: int) -> None:
+        # until the band before has made as many hand-offs as this one will
+        if band:
+            with self._cond:
+                self._cond.wait_for(lambda: self._made[band - 1] > self._made[band])
+
+    def _hand_on(self, band: int) -> None:
+        with self._cond:
+            self._made[band] += 1
+            self._cond.notify_all()
+
+    def cumsum(self, band: int, v: np.ndarray) -> None:
+        """The inclusive prefix sum of ``v`` in place, carried on from the
+        bands before: the additions of one scan over the bands joined."""
+        self._wait(band)
+        carry = self._carry[band - 1] if band else None
+        if carry is not None and v.size:
+            v[0] += carry
+        np.cumsum(v, out=v)
+        self._carry[band] = v[-1] if v.size else carry
+        self._hand_on(band)
+
+    def add_at(self, band: int, row: int, slot: np.ndarray, terms: np.ndarray) -> None:
+        """``np.add.at(self.sums[row], slot, terms)``, after the band before
+        has added."""
+        self._wait(band)
+        if self.sums is None:
+            self.sums = np.zeros(self._sums_shape)
+        np.add.at(self.sums[row], slot, terms)
+        self._hand_on(band)
+
+    def release(self, band: int) -> None:
+        """Let the later bands go on past this one; called when it ends,
+        also when it fails."""
+        with self._cond:
+            self._made[band] = 1 << 62
+            self._cond.notify_all()
 
 
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
@@ -501,16 +620,19 @@ def render_backward(
     the summed objective.
 
     The per-contribution terms shared by both geometry chains (pixel
-    offsets, d2, 1 / sigma^2, 1 - alpha) are built once. Each chain that
-    reaches geometry is a task (the segmented suffix scan, d_alpha and the
-    opacity, centre and scale sums), and one value task forms the direct
-    weight * grad sums of every chain's channels as one sparse product; the
-    tasks run on two lanes (``_lanes``), geometry first. Each geometry task
-    works in two reused per-contribution buffers, so the call peaks within
-    ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution. Every
-    per-splat sum adds its slot's contributions in order, as a bincount
-    over slots does, and is written to the splats at ``proj.indices``;
-    culled splats keep zeros.
+    offsets, d2, 1 / sigma^2, 1 - alpha) are built once, one band per lane
+    (``_lanes``). Each chain that reaches geometry is then one
+    task per band (the segmented suffix scan, d_alpha and the opacity,
+    centre and scale sums of that band's contributions), with max(1, lanes
+    // geometry chains) bands, and one value task forms the direct
+    weight * grad sums of every chain's channels as one sparse product;
+    geometry goes first. A ``_Relay`` hands each band the scan carry and its
+    turn at the slot sums, so the bands repeat the one-band additions in
+    order. Each geometry task works in two reused per-contribution buffers,
+    so the call peaks within ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per
+    contribution. Every per-splat sum adds its slot's contributions in
+    order, as a bincount over slots does, and is written to the splats at
+    ``proj.indices``; culled splats keep zeros.
     """
     splats = output.splats
     camera = output.camera
@@ -554,78 +676,111 @@ def render_backward(
         value_task()
         return color_grads, feature_grads
 
-    # Contributions of one pixel are contiguous, so per-pixel rows expand by
-    # repeat instead of a gather.
+    # A band is a run of whole pixel segments; contributions of one pixel
+    # are contiguous, so per-pixel rows expand by repeat instead of a gather.
     seg_len = np.diff(seg_start, append=len(slot))
     alpha = output.alpha_i
-    one_minus_alpha = 1.0 - alpha
-    dcol = np.repeat(output.seg_pix % camera.width, seg_len) - proj.u.take(slot)
-    drow = np.repeat(output.seg_pix // camera.width, seg_len) - proj.v.take(slot)
-    d2 = np.square(dcol)
-    d2 += np.square(drow)
-    inv_sig2 = (1.0 / (proj.sigma_px * proj.sigma_px)).take(slot)
 
-    def geometry_task(grad_img, values, grads):
+    def bands(cuts):
+        """Each band's contributions, its segments, and their starts
+        within its contributions."""
+        bounds = np.append(seg_start, len(slot))[cuts]
+        return [(slice(lo, hi), slice(first, last), seg_start[first:last] - lo)
+                for lo, hi, first, last in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])]
+
+    # The per-contribution terms every geometry chain reads, each band
+    # filling its own rows.
+    dcol, drow, d2, inv_sig2, one_minus_alpha = (np.empty(len(slot)) for _ in range(5))
+    slot_inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
+
+    def shared_task(rows, segs, _):
+        band_slot, lens = slot[rows], seg_len[segs]
+        np.subtract(np.repeat(output.seg_pix[segs] % camera.width, lens), proj.u.take(band_slot),
+                    out=dcol[rows])
+        np.subtract(np.repeat(output.seg_pix[segs] // camera.width, lens),
+                    proj.v.take(band_slot), out=drow[rows])
+        np.square(dcol[rows], out=d2[rows])
+        d2[rows] += np.square(drow[rows])
+        inv_sig2[rows] = slot_inv_sig2.take(band_slot)
+        np.subtract(1.0, alpha[rows], out=one_minus_alpha[rows])
+
+    def geometry_task(grad_img, values, relay, i, band):
+        try:
+            geometry_band(grad_img, values, relay, i, *band)
+        finally:
+            relay.release(i)
+
+    def geometry_band(grad_img, values, relay, i, rows, segs, starts):
         flat_grad = grad_img.reshape(-1, values.shape[1])
         slot_values = values[proj.indices]
+        band_slot, lens = slot[rows], seg_len[segs]
         # <image gradient, value> per contribution, in row blocks so the two
         # (rows, dim) operands stay small; each row's sum is the same einsum
-        q = np.empty(slot.size)
-        for lo in range(0, slot.size, _GATHER_ROWS):
-            rows = slice(lo, lo + _GATHER_ROWS)
-            np.einsum("ij,ij->i", flat_grad.take(output.pix[rows], axis=0),
-                      slot_values.take(slot[rows], axis=0), out=q[rows])
+        q = np.empty(len(band_slot))
+        band_pix = output.pix[rows]
+        for lo in range(0, q.size, _GATHER_ROWS):
+            block = slice(lo, lo + _GATHER_ROWS)
+            np.einsum("ij,ij->i", flat_grad.take(band_pix[block], axis=0),
+                      slot_values.take(band_slot[block], axis=0), out=q[block])
 
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
-        # the suffix from a segmented inclusive cumsum of v = weight * q
-        v = weight * q
-        totals = np.add.reduceat(v, seg_start)
-        firsts = v[seg_start]
-        np.cumsum(v, out=v)
-        v -= np.repeat(v[seg_start] - firsts, seg_len)
-        suffix = np.repeat(totals, seg_len)
+        # the suffix from a segmented inclusive cumsum of v = weight * q,
+        # carried across the bands
+        v = weight[rows] * q
+        totals = np.add.reduceat(v, starts)
+        firsts = v[starts]
+        relay.cumsum(i, v)
+        v -= np.repeat(v[starts] - firsts, lens)
+        suffix = np.repeat(totals, lens)
         suffix -= v
         del v
-        d_alpha = np.multiply(q, output.trans, out=q)
-        suffix /= one_minus_alpha
+        d_alpha = np.multiply(q, output.trans[rows], out=q)
+        suffix /= one_minus_alpha[rows]
         d_alpha -= suffix
         # Clamped alphas are constant in the parameters; with d_alpha zeroed
         # there, every geometry term below is zero there too.
-        d_alpha[output.clamped] = 0.0
-        # One product buffer for the four sums, in the suffix's memory. The
-        # Gaussian term exp(-d2 / (2 sigma^2)) is built there, not shared,
-        # so two lanes hold one buffer less.
-        product = np.negative(d2, out=suffix)
-        product *= inv_sig2
+        d_alpha[output.clamped[rows]] = 0.0
+        # One product buffer for the four slot sums, in the suffix's memory.
+        # The Gaussian term exp(-d2 / (2 sigma^2)) is built there, not
+        # shared, so two lanes hold one buffer less.
+        product = np.negative(d2[rows], out=suffix)
+        product *= inv_sig2[rows]
         product /= 2.0
         np.exp(product, out=product)
         product *= d_alpha
-        grads.opacities[proj.indices] = np.bincount(slot, weights=product, minlength=proj.count)
+        relay.add_at(i, 0, band_slot, product)
 
-        common = np.multiply(d_alpha, alpha, out=d_alpha)
-        np.multiply(common, dcol, out=product)
-        product *= inv_sig2
-        du_s = np.bincount(slot, weights=product, minlength=proj.count)
-        np.multiply(common, drow, out=product)
-        product *= inv_sig2
-        dv_s = np.bincount(slot, weights=product, minlength=proj.count)
-        np.multiply(common, d2, out=product)
-        product *= inv_sig2
-        for lo in range(0, slot.size, _GATHER_ROWS):
-            rows = slice(lo, lo + _GATHER_ROWS)
-            product[rows] /= proj.sigma_px.take(slot[rows])
-        dsig_s = np.bincount(slot, weights=product, minlength=proj.count)
+        common = np.multiply(d_alpha, alpha[rows], out=d_alpha)
+        for j, offset in ((1, dcol), (2, drow), (3, d2)):
+            np.multiply(common, offset[rows], out=product)
+            product *= inv_sig2[rows]
+            if offset is d2:  # the sigma sum has one more factor, 1 / sigma
+                for lo in range(0, product.size, _GATHER_ROWS):
+                    block = slice(lo, lo + _GATHER_ROWS)
+                    product[block] /= proj.sigma_px.take(band_slot[block])
+            relay.add_at(i, j, band_slot, product)
 
-        x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
-        fx, fy = camera.fx, camera.fy
-        scale_kept = splats.scales[proj.indices]
+    lanes = min(_usable_cores(), LANES)
+    _lanes([partial(shared_task, *band) for band in bands(_band_cuts(seg_start, len(slot), lanes))])
+    # The chains split into as many bands as the lanes hold for each; a
+    # chain's relay gathers its opacity, u, v and sigma sums of each slot.
+    chain_bands = bands(_band_cuts(seg_start, len(slot), max(1, lanes // len(geometry_chains))))
+    relays = [_Relay(len(chain_bands), (4, proj.count)) for _ in geometry_chains]
+    _lanes([partial(geometry_task, grad_img, values, relay, i, band)
+            for (grad_img, values, _), relay in zip(geometry_chains, relays)
+            for i, band in enumerate(chain_bands)] + [value_task])
+
+    x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
+    fx, fy = camera.fx, camera.fy
+    scale_kept = splats.scales[proj.indices]
+    for (_, _, grads), relay in zip(geometry_chains, relays):
+        opacity_s, du_s, dv_s, dsig_s = relay.sums
+        grads.opacities[proj.indices] = opacity_s
         dx = du_s * fx / z
         dy = dv_s * fy / z
         dz = -(du_s * fx * x + dv_s * fy * y + dsig_s * scale_kept * fx) / (z * z)
         grads.scales[proj.indices] = dsig_s * fx / z
         grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
-
-    _lanes([partial(geometry_task, *chain) for chain in geometry_chains] + [value_task])
     return color_grads, feature_grads
 
 

@@ -2,10 +2,13 @@
 
 A fast subset of the property checks the test suite runs in full: the
 renderer's contribution list against a dense scan, gradient agreement with
-finite differences, loss identities, sampler and clustering invariants, and
-voxel-adjacency and component-aggregation correctness on random graphs.
+finite differences, the backward's bands against one band, loss
+identities, sampler and clustering invariants, and voxel-adjacency and
+component-aggregation correctness on random graphs.
 """
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 
@@ -26,8 +29,9 @@ from .oracles import (
     lloyd_oracle,
     voxel_adjacency,
 )
+from . import renderer
 from .renderer import Camera, _build_contributions, render, render_backward
-from .scene_model import ModelConfig, decode_gaussians, init_anchors, init_decoder
+from .scene_model import ModelConfig, SplatSet, decode_gaussians, init_anchors, init_decoder
 
 
 def _check_contributions(rng) -> None:
@@ -128,6 +132,34 @@ def _check_gradients(rng) -> None:
             assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
 
 
+def _check_backward_bands(rng) -> None:
+    # 60 splats crowding a 12x10 view; the backward split into two bands at
+    # its most crowded pixel must give the bytes of one band, on every mode
+    n = 60
+    centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
+                               rng.uniform(0.0, 1.0, n)])
+    splats = SplatSet(centers=centers, colors=rng.uniform(size=(n, 3)),
+                      opacities=rng.uniform(0.1, 1.5, n), scales=rng.uniform(0.05, 0.4, n),
+                      features=rng.normal(size=(n, 6)), parent=np.zeros(n, dtype=np.int64))
+    camera = Camera(fx=12.0, fy=12.0, cx=5.5, cy=4.5, width=12, height=10,
+                    rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
+    out = render(splats, camera)
+    seg_len = np.diff(out.seg_start, append=out.pix.size)
+    assert seg_len.max() >= 24, "view not crowded"
+    segments = out.seg_start.size
+    g_color, g_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+    for kwargs in ({}, {"grad_feature": g_feature},
+                   {"grad_feature": g_feature, "feature_geometry": True}):
+        results = []
+        for cuts in ([0, segments], [0, int(np.argmax(seg_len)), segments]):
+            with mock.patch.object(renderer, "_band_cuts", lambda *_: np.array(cuts)):
+                results.append(render_backward(out, g_color, **kwargs))
+        for one, two in zip(*results):
+            for name, got in vars(two).items():
+                assert got.tobytes() == getattr(one, name).tobytes(), \
+                    f"{name} differs between one and two bands"
+
+
 def _check_rgb() -> None:
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(6, 6, 3))
@@ -142,6 +174,7 @@ CHECKS = [
     ("component_aggregation", _check_components),
     ("loss_identities", lambda rng: _check_losses()),
     ("render_gradients", _check_gradients),
+    ("backward_bands", _check_backward_bands),
     ("rgb_loss", lambda rng: _check_rgb()),
 ]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binio import write_atomic_text
-from .errors import NumericalError, UsageError
+from .errors import ContributionBudgetError, NumericalError, UsageError
 from .losses import (
     LossReport,
     MaskView,
@@ -181,15 +181,32 @@ def train_step(
     """One optimization step on a uniformly drawn view.
 
     Mutates ``anchors``, ``decoder``, and ``state``; returns the losses of
-    the step. Aborts with a diagnostic dump if any loss turns non-finite.
+    the step. Aborts with a diagnostic dump if the view makes more
+    contributions than the renderer's budget or any loss turns non-finite.
     """
     step = state.step
     phase = phase_of_step(step, schedule)
-    view = views[int(state.rng.integers(len(views)))]
+    view_index = int(state.rng.integers(len(views)))
+    view = views[view_index]
     lrs = schedule.rates_for(phase)
 
     splats = decode_gaussians(anchors, decoder)
-    out = render(splats, view.camera)
+    try:
+        out = render(splats, view.camera)
+    except ContributionBudgetError as exc:
+        path = _dump_abort(
+            dump_dir,
+            {
+                "step": step,
+                "phase": phase.value,
+                "view": view_index,
+                "contributions": exc.contributions,
+                "budget": exc.budget,
+            },
+        )
+        where = f" (dump: {path})" if path else ""
+        raise ContributionBudgetError(f"{exc} at step {step}{where}", exc.contributions,
+                                      exc.budget) from exc
 
     l_rgb, g_rgb = loss_rgb(out.color, view.target)
     l_smooth, g_smooth_img, means, counts, present = loss_smooth(out.feature, view.masks)
@@ -209,6 +226,7 @@ def train_step(
             {
                 "step": step,
                 "phase": phase.value,
+                "view": view_index,
                 "l_rgb": float(l_rgb),
                 "l_smooth": float(l_smooth),
                 "l_contrast": float(l_contrast),

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from igsplat import association, instantiation
+from igsplat import association, instantiation, renderer
 from igsplat.cli import main
 from igsplat.scene_model import load_checkpoint, save_checkpoint
 
@@ -390,6 +390,20 @@ def test_associate_past_contribution_budget_exits_4(instantiated, tmp_path, caps
     assert main(["associate", "--config", str(huge_config)]) == 4
     assert "over the budget" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(cfg["output"], "associate", "instance_embeddings.igem"))
+
+
+def test_train_past_contribution_budget_dumps_and_exits_4(tmp_path, monkeypatch, capsys):
+    config_path, out = write_config(tmp_path)
+    assert main(["generate", "--config", config_path]) == 0
+    monkeypatch.setattr(renderer, "CONTRIBUTION_BUDGET", 1000)
+    capsys.readouterr()
+    assert main(["train", "--config", config_path]) == 4
+    assert "over the budget" in capsys.readouterr().err
+    dump = json.loads(open(os.path.join(out, "train", "abort_dump.json")).read())
+    assert dump["step"] == 0 and dump["phase"] == "appearance"
+    assert dump["view"] in range(SMALL_CONFIG["scene"]["synth"]["num_cameras"])
+    assert dump["budget"] == 1000 and dump["contributions"] > 1000
+    assert not os.path.exists(os.path.join(out, "train", "checkpoint.igck"))
 
 
 def test_selftest_passes():

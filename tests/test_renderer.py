@@ -1,8 +1,12 @@
 import platform
+import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
@@ -283,6 +287,21 @@ def test_contributions_keep_depth_order_in_crowded_pixels():
     assert np.bincount(pix).max() >= 40
     depth = proj.cam_points[slot, 2]
     assert ((pix[1:] == pix[:-1]) & (depth[1:] == depth[:-1])).sum() >= 1000
+
+
+def test_transpose_equals_scipy_tocsc():
+    # the bare csr_tocsc call against the scipy objects it replaces, on
+    # random matrices with empty rows and columns, both data dtypes
+    rng = np.random.default_rng(12)
+    for rows, columns, nnz in ((1, 1, 0), (7, 5, 0), (40, 30, 300), (300, 500, 2000)):
+        for data in (rng.normal(size=nnz), rng.integers(0, 1 << 40, nnz)):
+            indptr = np.concatenate(([0], np.sort(rng.integers(0, nnz + 1, rows - 1)), [nnz]))
+            indptr[1:-1:3] = indptr[:-2:3]  # every third row empty
+            indices = rng.integers(0, max(columns // 2, 1), nnz)  # half the columns empty
+            got = renderer._transpose(data, indices, indptr, columns)
+            want = csr_matrix((data, indices, indptr), shape=(rows, columns)).tocsc()
+            for a, b in zip(got, (want.data, want.indices, want.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def dense_view(n=2000, size=128):
@@ -581,6 +600,219 @@ def test_lane_task_exception_reaches_caller(dense_output, monkeypatch, usable_co
     out, grad_color, _ = dense_output
     with pytest.raises(ValueError):
         render_backward(out, grad_color, np.zeros(5), feature_geometry=True)
+
+
+def crowded_view():
+    """240 splats on four depths over a 24x20 image, as in the depth-order
+    test, with mixed opacities: pixels of 40 and more contributors, some
+    clamped."""
+    rng = np.random.default_rng(7)
+    n = 240
+    centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
+                               rng.choice([1.5, 2.0, 2.5, 3.0], n)])
+    splats = make_splats(centers, colors=rng.uniform(size=(n, 3)),
+                         opacities=np.where(rng.uniform(size=n) < 0.2, 1.5, rng.uniform(0.05, 0.9, n)),
+                         scales=rng.uniform(0.05, 0.15, n), features=rng.normal(size=(n, 6)))
+    cam = Camera(fx=24.0, fy=24.0, cx=11.7, cy=9.6, width=24, height=20,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    return splats, cam
+
+
+@pytest.fixture(scope="module")
+def crowded_output():
+    out = render(*crowded_view())
+    rng = np.random.default_rng(9)
+    return out, rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+
+
+BACKWARD_MODES = ("color", "independent", "joint")
+
+
+def backward(out, grad_color, grad_feature, mode):
+    if mode == "color":
+        return render_backward(out, grad_color)
+    return render_backward(out, grad_color, grad_feature, feature_geometry=mode == "joint")
+
+
+def force_cuts(monkeypatch, cuts):
+    """Split every backward into the bands that start at segments ``cuts``."""
+    monkeypatch.setattr(renderer, "_band_cuts", lambda seg_start, total, bands: np.array(cuts))
+
+
+def assert_same_bytes(got_chains, want_chains):
+    for got, want in zip(got_chains, want_chains):
+        for field in GRAD_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+@pytest.mark.parametrize("mode", BACKWARD_MODES)
+@pytest.mark.parametrize("where", ["first", "second", "crowded", "last", "end"])
+def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
+    # the cut before the first segment and after the last leave one band
+    # empty; the crowded cut starts the second band at a pixel of >= 40
+    # contributors, so the scan carry enters a long segment
+    out, grad_color, grad_feature = crowded_output
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    segments = out.seg_start.size
+    seg_len = np.diff(out.seg_start, append=out.pix.size)
+    cut = {"first": 0, "second": 1, "crowded": int(np.flatnonzero(seg_len >= 40)[0]),
+           "last": segments - 1, "end": segments}[where]
+    force_cuts(monkeypatch, [0, segments])
+    one_band = backward(out, grad_color, grad_feature, mode)
+    force_cuts(monkeypatch, [0, cut, segments])
+    assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
+    assert one_band[0].centers.any()
+
+
+@pytest.mark.parametrize("mode", BACKWARD_MODES)
+def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
+    out, grad_color, grad_feature = crowded_output
+    counts = []
+    band_cuts = renderer._band_cuts
+
+    def counted(seg_start, total, bands):
+        counts.append(bands)
+        return band_cuts(seg_start, total, bands)
+
+    monkeypatch.setattr(renderer, "_band_cuts", counted)
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two_cores = backward(out, grad_color, grad_feature, mode)
+    # the shared terms in two bands, then two bands per lane a chain gets
+    assert counts == [2, 1 if mode == "joint" else 2]
+    counts.clear()
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+    assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
+    assert counts == [1, 1]
+    # three forced bands on one core run inline, in band order
+    segments = out.seg_start.size
+    force_cuts(monkeypatch, [0, segments // 3, 2 * segments // 3, segments])
+    assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
+
+
+@pytest.mark.parametrize("mode", BACKWARD_MODES)
+def test_single_pixel_view_in_bands(monkeypatch, mode):
+    splats, _ = crowded_view()
+    cam = Camera(fx=24.0, fy=24.0, cx=0.0, cy=0.0, width=1, height=1,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    out = render(splats, cam)
+    assert out.seg_start.size == 1 and out.pix.size >= 10
+    rng = np.random.default_rng(10)
+    grad_color, grad_feature = rng.normal(size=(1, 1, 3)), rng.normal(size=(1, 1, 6))
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    force_cuts(monkeypatch, [0, 1])
+    one_band = backward(out, grad_color, grad_feature, mode)
+    for cuts in ([0, 0, 1], [0, 1, 1], [0, 0, 1, 1]):
+        force_cuts(monkeypatch, cuts)
+        assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
+
+
+def band_tasks(relay, cuts, run):
+    return [partial(run, relay, i, slice(cuts[i], cuts[i + 1])) for i in range(len(cuts) - 1)]
+
+
+def test_slot_sums_in_band_order_equal_bincount(monkeypatch):
+    # np.add.at over the bands in band order adds each slot's terms in the
+    # order of one bincount over all of them, on the lanes or inline
+    rng = np.random.default_rng(13)
+    slot = rng.integers(0, 500, 100_000)
+    terms = rng.normal(size=slot.size) * np.exp(rng.normal(scale=8.0, size=slot.size))
+    want = np.bincount(slot, weights=terms, minlength=500)
+
+    def add(relay, i, rows):
+        relay.add_at(i, 0, slot[rows], terms[rows])
+
+    for cores in ({0, 1}, {0}):
+        monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: cores, raising=False)
+        for cuts in ([0, slot.size], [0, 40_000, slot.size], [0, 0, 7, 60_001, slot.size, slot.size]):
+            relay = renderer._Relay(len(cuts) - 1, (1, 500))
+            renderer._lanes(band_tasks(relay, cuts, add))
+            assert relay.sums[0].tobytes() == want.tobytes(), cuts
+
+
+def test_relays_of_concurrent_callers_share_the_lanes(monkeypatch):
+    # four callers at once, each splitting one scan and one slot sum into
+    # five bands on the two lanes, with thread switches forced often: every
+    # band waits only on bands submitted before it, so all finish, each in
+    # one-band order
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rng = np.random.default_rng(15)
+    slot = rng.integers(0, 50, 20_000)
+    v = rng.normal(size=slot.size) * np.exp(rng.normal(scale=8.0, size=slot.size))
+    want_scan, want_sums = np.cumsum(v), np.bincount(slot, weights=v, minlength=50)
+    cuts = [0, 3_000, 3_000, 9_000, 15_000, slot.size]
+    results = []
+
+    def band(relay, i, rows, scanned):
+        relay.cumsum(i, scanned[rows])
+        relay.add_at(i, 0, slot[rows], v[rows])
+
+    def caller():
+        for _ in range(3):
+            scanned, relay = v.copy(), renderer._Relay(len(cuts) - 1, (1, 50))
+            renderer._lanes([partial(task, scanned) for task in band_tasks(relay, cuts, band)])
+            results.append(scanned.tobytes() == want_scan.tobytes()
+                           and relay.sums[0].tobytes() == want_sums.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == [True] * 12
+
+
+def test_failed_band_releases_the_later_bands(crowded_output, monkeypatch):
+    # the first band fails before its scan hand-off; the second band must
+    # not wait for it forever, and the failure reaches the caller
+    out, grad_color, _ = crowded_output
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    force_cuts(monkeypatch, [0, out.seg_start.size // 2, out.seg_start.size])
+    cumsum = renderer._Relay.cumsum
+    relays = []
+
+    def first_band_fails(relay, band, v):
+        relays.append(relay)
+        if band == 0:
+            raise ZeroDivisionError("band failed")
+        cumsum(relay, band, v)
+
+    monkeypatch.setattr(renderer._Relay, "cumsum", first_band_fails)
+    raised = []
+
+    def call():
+        try:
+            render_backward(out, grad_color)
+        except ZeroDivisionError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    hung = caller.is_alive()
+    for relay in relays:  # frees a lane left waiting, so a failure here ends
+        relay.release(0)
+    caller.join(timeout=30)
+    assert not hung and len(raised) == 1
+
+
+def test_lanes_keep_one_pool_of_two_threads(monkeypatch):
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    first = renderer._lanes([threading.get_ident] * 6, limit=4)
+    # a task on a lane runs its own lanes inline, on its thread
+    nested = renderer._lanes([lambda: renderer._lanes([threading.get_ident] * 2)
+                              + [threading.get_ident()]] * 3)
+    assert all(len(set(idents)) == 1 for idents in nested)
+    lanes = [t.ident for t in threading.enumerate() if t.name.startswith("igsplat-lane")]
+    assert 1 <= len(lanes) <= renderer.LANES
+    assert set(first) | {idents[0] for idents in nested} <= set(lanes)
+    assert threading.get_ident() not in first
 
 
 def test_backward_peak_within_stated_bound():
