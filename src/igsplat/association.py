@@ -7,8 +7,8 @@ IoU-weighted mask embeddings across views (then L2-normalizing). Text-side
 queries score instances by cosine similarity; instances that were never
 visible keep a zero vector and score -1.
 
-The id maps of independent views render on a small thread pool
-(``render_instance_id_maps``), at most ``ID_MAP_WORKERS`` views at once.
+The id maps of independent views render on the renderer's lanes
+(``render_instance_id_maps``), at most ``renderer.LANES`` views at once.
 A view in flight peaks at its rasterize bound,
 ``RASTER_BYTES_PER_CONTRIBUTION`` bytes per contribution, plus the dense
 (pixel, instance) score table of H * W * m doubles. The maps come back in
@@ -31,11 +31,6 @@ from .scene_model import SplatSet
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
 NO_CLASS = -1
 MIN_VISIBLE_ALPHA = 0.05
-# Views rendered at once by render_instance_id_maps. It is sized by memory,
-# not only by cores: each view in flight holds up to
-# RASTER_BYTES_PER_CONTRIBUTION bytes per contribution, and two views stay
-# under the training stage's own peak.
-ID_MAP_WORKERS = 2
 
 EMBEDDING_MAGIC = b"IGEM"
 EMBEDDING_VERSION = 1
@@ -122,12 +117,14 @@ def render_instance_id_maps(
     """``render_instance_id_map`` for every camera, in camera order.
 
     The views run on the renderer's lanes (``renderer._lanes``), at most
-    ``ID_MAP_WORKERS`` at once and never more than the usable cores or the
+    ``renderer.LANES`` at once and never more than the usable cores or the
     views; NumPy releases the interpreter lock in the kernels that dominate
-    a view. An exception in any view is raised here.
+    a view. Each view in flight holds up to RASTER_BYTES_PER_CONTRIBUTION
+    bytes per contribution, and two views stay under the training stage's
+    own peak. An exception in any view is raised here.
     """
     return _lanes([partial(render_instance_id_map, splats, instance_labels, camera)
-                   for camera in cameras], ID_MAP_WORKERS)
+                   for camera in cameras])
 
 
 def associate_embeddings(

@@ -56,19 +56,20 @@ Both passes split their work into tasks that write disjoint outputs and
 run them on the two threads of one persistent pool ("lanes", ``_lanes``):
 ``render`` composites the color and feature images side by side, and
 ``render_backward`` builds its shared terms in one band of pixel segments
-per lane, then runs each geometry chain and one value task (the direct weight * grad
-sums of both chains, one sparse product). A geometry chain splits into as
-many contiguous bands as the lanes hold for it: two when it is the only
-one (appearance and independent steps), one each in the joint step. The
-bands make the same additions in the same order as one band: the second
-band's prefix sum starts from the first band's last value (a carried
-scan), and each band adds into the per-slot sums after the band before it,
-which is bincount's order. Every other step is local to a band, so the
-results are the same bits on one band or two and on one lane or two. The
-geometry tasks work in two reused per-contribution buffers, so a call with
-both chains on geometry peaks at about 78-94 bytes per contribution above
-its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound,
-which the tests check.
+per lane. A geometry chain then splits into as many contiguous bands as
+the lanes hold for it: two when it is the only one (appearance and
+independent steps), one each in the joint step. Its work runs in phases
+with a join between them, so no task waits on another: the bands' local
+terms, then one prefix sum over the whole view, then the bands' local
+terms that read it, then one bincount over the whole view for each of the
+four per-slot sums, beside one value task (the direct weight * grad sums
+of both chains, one sparse product). The scan and the sums make the
+additions of the one-band chain in its order, and every other step is
+local to a band, so the results are the same bits on any band count and
+on one lane or two. With both chains on geometry a call peaks at about 94
+bytes per contribution above its RenderOutput;
+``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound, which the tests
+check.
 """
 from __future__ import annotations
 
@@ -493,22 +494,20 @@ def _lane_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _lanes(tasks: list, limit: int = LANES) -> list:
+def _lanes(tasks: list) -> list:
     """Run the zero-argument callables ``tasks`` on min(usable cores,
-    len(tasks), limit, ``LANES``) threads and return their results in task
-    order.
+    len(tasks), ``LANES``) threads and return their results in task order.
 
     The threads are one persistent pool, which takes tasks first in, first
-    out, so callers put the longest first, and a task may wait for one
-    listed before it. Each task writes only its own outputs, so the results
-    carry the same bits whatever the lane count. An exception in a task is
-    raised here once every task has finished. With one lane, and inside a
-    task already on a lane, the tasks run inline, in order; so the renderer
-    never holds more than ``LANES`` threads. The renderer's tasks call no
-    public function of the package, so a tracer that wraps those keeps its
-    spans nested.
+    out, so callers put the longest first. Each task writes only its own
+    outputs and waits on no other, so the results carry the same bits
+    whatever the lane count. An exception in a task is raised here once
+    every task has finished. With one lane, and inside a task already on a
+    lane, the tasks run inline, in order; so the renderer never holds more
+    than ``LANES`` threads. The renderer's tasks call no public function of
+    the package, so a tracer that wraps those keeps its spans nested.
     """
-    if min(_usable_cores(), len(tasks), limit) <= 1 or getattr(_in_lane, "active", False):
+    if min(_usable_cores(), len(tasks)) <= 1 or getattr(_in_lane, "active", False):
         return [task() for task in tasks]
     futures = [_lane_pool().submit(task) for task in tasks]
     wait(futures)
@@ -520,61 +519,6 @@ def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
     equal contribution counts: the (bands + 1,) segment indices at which
     the runs start, then the segment count. A run may be empty."""
     return np.searchsorted(seg_start, total * np.arange(bands + 1) // bands)
-
-
-class _Relay:
-    """The hand-offs between the bands of one geometry chain, each made in
-    band order, so the bands make the additions of a one-band chain in its
-    order: a band's prefix sum starts from the last value of the sums before
-    it (the carry), and a band adds into the slot sums after the band before
-    it has. The first band's first add makes the zeroed sums, so they are
-    not held while the bands' buffers peak.
-    """
-
-    def __init__(self, bands: int, sums_shape: tuple):
-        self._cond = threading.Condition()
-        self._made = [0] * bands  # hand-offs each band has made
-        self._carry = [None] * bands
-        self._sums_shape = sums_shape
-        self.sums = None
-
-    def _wait(self, band: int) -> None:
-        # until the band before has made as many hand-offs as this one will
-        if band:
-            with self._cond:
-                self._cond.wait_for(lambda: self._made[band - 1] > self._made[band])
-
-    def _hand_on(self, band: int) -> None:
-        with self._cond:
-            self._made[band] += 1
-            self._cond.notify_all()
-
-    def cumsum(self, band: int, v: np.ndarray) -> None:
-        """The inclusive prefix sum of ``v`` in place, carried on from the
-        bands before: the additions of one scan over the bands joined."""
-        self._wait(band)
-        carry = self._carry[band - 1] if band else None
-        if carry is not None and v.size:
-            v[0] += carry
-        np.cumsum(v, out=v)
-        self._carry[band] = v[-1] if v.size else carry
-        self._hand_on(band)
-
-    def add_at(self, band: int, row: int, slot: np.ndarray, terms: np.ndarray) -> None:
-        """``np.add.at(self.sums[row], slot, terms)``, after the band before
-        has added."""
-        self._wait(band)
-        if self.sums is None:
-            self.sums = np.zeros(self._sums_shape)
-        np.add.at(self.sums[row], slot, terms)
-        self._hand_on(band)
-
-    def release(self, band: int) -> None:
-        """Let the later bands go on past this one; called when it ends,
-        also when it fails."""
-        with self._cond:
-            self._made[band] = 1 << 62
-            self._cond.notify_all()
 
 
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
@@ -621,18 +565,18 @@ def render_backward(
 
     The per-contribution terms shared by both geometry chains (pixel
     offsets, d2, 1 / sigma^2, 1 - alpha) are built once, one band per lane
-    (``_lanes``). Each chain that reaches geometry is then one
-    task per band (the segmented suffix scan, d_alpha and the opacity,
-    centre and scale sums of that band's contributions), with max(1, lanes
-    // geometry chains) bands, and one value task forms the direct
-    weight * grad sums of every chain's channels as one sparse product;
-    geometry goes first. A ``_Relay`` hands each band the scan carry and its
-    turn at the slot sums, so the bands repeat the one-band additions in
-    order. Each geometry task works in two reused per-contribution buffers,
-    so the call peaks within ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per
-    contribution. Every per-splat sum adds its slot's contributions in
-    order, as a bincount over slots does, and is written to the splats at
-    ``proj.indices``; culled splats keep zeros.
+    (``_lanes``). Each chain that reaches geometry splits into max(1, lanes
+    // geometry chains) bands of pixel segments and runs four phases, with
+    a join between them: per band, <grad, value> per contribution, v =
+    weight * that and v's per-segment totals and first values; one prefix
+    sum of v over the view; per band, d_alpha and the opacity terms; and
+    the opacity, u, v and sigma sums of each slot, one bincount over the
+    view each, beside one value task (the direct weight * grad sums of
+    every chain's channels, one sparse product). Every per-splat sum adds
+    its slot's contributions in order, as a bincount over slots does, so
+    any band count gives the same bits, and is written to the splats at
+    ``proj.indices``; culled splats keep zeros. The call peaks within
+    ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
     """
     splats = output.splats
     camera = output.camera
@@ -704,77 +648,83 @@ def render_backward(
         inv_sig2[rows] = slot_inv_sig2.take(band_slot)
         np.subtract(1.0, alpha[rows], out=one_minus_alpha[rows])
 
-    def geometry_task(grad_img, values, relay, i, band):
-        try:
-            geometry_band(grad_img, values, relay, i, *band)
-        finally:
-            relay.release(i)
-
-    def geometry_band(grad_img, values, relay, i, rows, segs, starts):
-        flat_grad = grad_img.reshape(-1, values.shape[1])
-        slot_values = values[proj.indices]
-        band_slot, lens = slot[rows], seg_len[segs]
+    def gather_task(grad_img, values, q, v, totals, firsts, rows, segs, starts):
         # <image gradient, value> per contribution, in row blocks so the two
         # (rows, dim) operands stay small; each row's sum is the same einsum
-        q = np.empty(len(band_slot))
-        band_pix = output.pix[rows]
-        for lo in range(0, q.size, _GATHER_ROWS):
+        flat_grad = grad_img.reshape(-1, values.shape[1])
+        slot_values = values[proj.indices]
+        band_slot, band_pix, band_q = slot[rows], output.pix[rows], q[rows]
+        for lo in range(0, band_q.size, _GATHER_ROWS):
             block = slice(lo, lo + _GATHER_ROWS)
             np.einsum("ij,ij->i", flat_grad.take(band_pix[block], axis=0),
-                      slot_values.take(band_slot[block], axis=0), out=q[block])
+                      slot_values.take(band_slot[block], axis=0), out=band_q[block])
+        band_v = np.multiply(weight[rows], band_q, out=v[rows])
+        totals[segs] = np.add.reduceat(band_v, starts)
+        firsts[segs] = band_v[starts]
 
+    def alpha_task(q, v, totals, firsts, rows, segs, starts):
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
-        # the suffix from a segmented inclusive cumsum of v = weight * q,
-        # carried across the bands
-        v = weight[rows] * q
-        totals = np.add.reduceat(v, starts)
-        firsts = v[starts]
-        relay.cumsum(i, v)
-        v -= np.repeat(v[starts] - firsts, lens)
-        suffix = np.repeat(totals, lens)
-        suffix -= v
-        del v
-        d_alpha = np.multiply(q, output.trans[rows], out=q)
+        # the suffix from the view's inclusive cumsum of v = weight * q, in
+        # v's rows; d_alpha goes to q's
+        lens = seg_len[segs]
+        suffix = v[rows]
+        suffix -= np.repeat(suffix[starts] - firsts[segs], lens)
+        np.subtract(np.repeat(totals[segs], lens), suffix, out=suffix)
         suffix /= one_minus_alpha[rows]
+        d_alpha = np.multiply(q[rows], output.trans[rows], out=q[rows])
         d_alpha -= suffix
         # Clamped alphas are constant in the parameters; with d_alpha zeroed
         # there, every geometry term below is zero there too.
         d_alpha[output.clamped[rows]] = 0.0
-        # One product buffer for the four slot sums, in the suffix's memory.
-        # The Gaussian term exp(-d2 / (2 sigma^2)) is built there, not
-        # shared, so two lanes hold one buffer less.
+        # The opacity terms, d_alpha times the Gaussian exp(-d2 / (2 sigma^2)),
+        # in the suffix's rows; then d_alpha * alpha, which the offset terms share.
         product = np.negative(d2[rows], out=suffix)
         product *= inv_sig2[rows]
         product /= 2.0
         np.exp(product, out=product)
         product *= d_alpha
-        relay.add_at(i, 0, band_slot, product)
+        np.multiply(d_alpha, alpha[rows], out=d_alpha)
 
-        common = np.multiply(d_alpha, alpha[rows], out=d_alpha)
-        for j, offset in ((1, dcol), (2, drow), (3, d2)):
-            np.multiply(common, offset[rows], out=product)
-            product *= inv_sig2[rows]
-            if offset is d2:  # the sigma sum has one more factor, 1 / sigma
-                for lo in range(0, product.size, _GATHER_ROWS):
-                    block = slice(lo, lo + _GATHER_ROWS)
-                    product[block] /= proj.sigma_px.take(band_slot[block])
-            relay.add_at(i, j, band_slot, product)
+    def sums_task(common, product, sums, rows):
+        # Each slot sum is one bincount over the view, which adds a slot's
+        # terms in contribution order. With row 0 (opacity), ``product``
+        # holds its terms, and the next row reuses it.
+        for row in rows:
+            if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
+                np.multiply(common, (dcol, drow, d2)[row - 1], out=product)
+                product *= inv_sig2
+                if row == 3:  # the sigma sum has one more factor, 1 / sigma
+                    for lo in range(0, product.size, _GATHER_ROWS):
+                        block = slice(lo, lo + _GATHER_ROWS)
+                        product[block] /= proj.sigma_px.take(slot[block])
+            sums[row] = np.bincount(slot, weights=product, minlength=proj.count)
 
     lanes = min(_usable_cores(), LANES)
     _lanes([partial(shared_task, *band) for band in bands(_band_cuts(seg_start, len(slot), lanes))])
-    # The chains split into as many bands as the lanes hold for each; a
-    # chain's relay gathers its opacity, u, v and sigma sums of each slot.
+    # The geometry chains' four phases, each a join: gathers, scan, d_alpha, sums.
     chain_bands = bands(_band_cuts(seg_start, len(slot), max(1, lanes // len(geometry_chains))))
-    relays = [_Relay(len(chain_bands), (4, proj.count)) for _ in geometry_chains]
-    _lanes([partial(geometry_task, grad_img, values, relay, i, band)
-            for (grad_img, values, _), relay in zip(geometry_chains, relays)
-            for i, band in enumerate(chain_bands)] + [value_task])
+    # per chain: q (then d_alpha * alpha), v = weight * q (scanned in place,
+    # then the opacity terms), the per-segment totals and first values of v,
+    # and the (4, k) slot sums
+    qs, vs = ([np.empty(len(slot)) for _ in geometry_chains] for _ in range(2))
+    totals, firsts = ([np.empty(seg_start.size) for _ in geometry_chains] for _ in range(2))
+    slot_sums = [np.empty((4, proj.count)) for _ in geometry_chains]
+    _lanes([partial(gather_task, grad_img, values, *buffers, *band)
+            for (grad_img, values, _), *buffers in zip(geometry_chains, qs, vs, totals, firsts)
+            for band in chain_bands])
+    _lanes([partial(np.cumsum, v, out=v) for v in vs])
+    _lanes([partial(alpha_task, *buffers, *band)
+            for buffers in zip(qs, vs, totals, firsts) for band in chain_bands])
+    # A lone geometry chain sums in two tasks, the second in the buffer of
+    # 1 - alpha, which nothing reads after the d_alpha phase.
+    row_groups = [(0, 1, 2, 3)] if len(geometry_chains) > 1 else [(0, 1), (2, 3)]
+    _lanes([partial(sums_task, q, v if rows[0] == 0 else one_minus_alpha, sums, rows)
+            for q, v, sums in zip(qs, vs, slot_sums) for rows in row_groups] + [value_task])
 
     x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
     fx, fy = camera.fx, camera.fy
     scale_kept = splats.scales[proj.indices]
-    for (_, _, grads), relay in zip(geometry_chains, relays):
-        opacity_s, du_s, dv_s, dsig_s = relay.sums
+    for (_, _, grads), (opacity_s, du_s, dv_s, dsig_s) in zip(geometry_chains, slot_sums):
         grads.opacities[proj.indices] = opacity_s
         dx = du_s * fx / z
         dy = dv_s * fy / z

@@ -134,7 +134,8 @@ def _check_gradients(rng) -> None:
 
 def _check_backward_bands(rng) -> None:
     # 60 splats crowding a 12x10 view; the backward split into two bands at
-    # its most crowded pixel must give the bytes of one band, on every mode
+    # its most crowded pixel, and into three with an empty middle one (the
+    # scan runs on across it), must give the bytes of one band, on every mode
     n = 60
     centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
                                rng.uniform(0.0, 1.0, n)])
@@ -151,13 +152,16 @@ def _check_backward_bands(rng) -> None:
     for kwargs in ({}, {"grad_feature": g_feature},
                    {"grad_feature": g_feature, "feature_geometry": True}):
         results = []
-        for cuts in ([0, segments], [0, int(np.argmax(seg_len)), segments]):
+        crowded = int(np.argmax(seg_len))
+        for cuts in ([0, segments], [0, crowded, segments], [0, crowded, crowded, segments]):
             with mock.patch.object(renderer, "_band_cuts", lambda *_: np.array(cuts)):
                 results.append(render_backward(out, g_color, **kwargs))
-        for one, two in zip(*results):
-            for name, got in vars(two).items():
-                assert got.tobytes() == getattr(one, name).tobytes(), \
-                    f"{name} differs between one and two bands"
+        one_band = results[0]
+        for bands, chains in zip((2, 3), results[1:]):
+            for one, split in zip(one_band, chains):
+                for name, got in vars(split).items():
+                    assert got.tobytes() == getattr(one, name).tobytes(), \
+                        f"{name} differs between one and {bands} bands"
 
 
 def _check_rgb() -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igsplat import association
+from igsplat import renderer
 from igsplat.association import (
     MIN_VISIBLE_ALPHA,
     EmbeddingTable,
@@ -120,12 +120,13 @@ def multi_view_scene(views=5):
     return splats, labels, cameras
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_id_map_pool_equals_sequential_maps(monkeypatch, workers):
+@pytest.mark.parametrize("cores", [1, 2])  # inline, then on the two lanes
+def test_id_map_pool_equals_sequential_maps(monkeypatch, cores):
     splats, labels, cameras = multi_view_scene()
     expected = [render_instance_id_map(splats, labels, camera) for camera in cameras]
     assert len({m.tobytes() for m in expected}) == len(cameras)  # order is visible
-    monkeypatch.setattr(association, "ID_MAP_WORKERS", workers)
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
     maps = render_instance_id_maps(splats, labels, cameras)
     assert len(maps) == len(expected)
     for got, want in zip(maps, expected):

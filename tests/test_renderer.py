@@ -2,7 +2,6 @@ import platform
 import sys
 import threading
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -646,20 +645,23 @@ def assert_same_bytes(got_chains, want_chains):
 
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
-@pytest.mark.parametrize("where", ["first", "second", "crowded", "last", "end"])
+@pytest.mark.parametrize("where", ["first", "second", "crowded", "last", "end", "five"])
 def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
     # the cut before the first segment and after the last leave one band
     # empty; the crowded cut starts the second band at a pixel of >= 40
-    # contributors, so the scan carry enters a long segment
+    # contributors, so the scan enters a band mid-view in a long segment;
+    # "five" splits the view into five bands, two of them empty
     out, grad_color, grad_feature = crowded_output
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     segments = out.seg_start.size
     seg_len = np.diff(out.seg_start, append=out.pix.size)
-    cut = {"first": 0, "second": 1, "crowded": int(np.flatnonzero(seg_len >= 40)[0]),
-           "last": segments - 1, "end": segments}[where]
+    cuts = {"first": [0, 0, segments], "second": [0, 1, segments],
+            "crowded": [0, int(np.flatnonzero(seg_len >= 40)[0]), segments],
+            "last": [0, segments - 1, segments], "end": [0, segments, segments],
+            "five": [0, 0, 7, segments // 2, segments, segments]}[where]
     force_cuts(monkeypatch, [0, segments])
     one_band = backward(out, grad_color, grad_feature, mode)
-    force_cuts(monkeypatch, [0, cut, segments])
+    force_cuts(monkeypatch, cuts)
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
     assert one_band[0].centers.any()
 
@@ -706,57 +708,29 @@ def test_single_pixel_view_in_bands(monkeypatch, mode):
         assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
 
 
-def band_tasks(relay, cuts, run):
-    return [partial(run, relay, i, slice(cuts[i], cuts[i + 1])) for i in range(len(cuts) - 1)]
-
-
-def test_slot_sums_in_band_order_equal_bincount(monkeypatch):
-    # np.add.at over the bands in band order adds each slot's terms in the
-    # order of one bincount over all of them, on the lanes or inline
-    rng = np.random.default_rng(13)
-    slot = rng.integers(0, 500, 100_000)
-    terms = rng.normal(size=slot.size) * np.exp(rng.normal(scale=8.0, size=slot.size))
-    want = np.bincount(slot, weights=terms, minlength=500)
-
-    def add(relay, i, rows):
-        relay.add_at(i, 0, slot[rows], terms[rows])
-
-    for cores in ({0, 1}, {0}):
-        monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: cores, raising=False)
-        for cuts in ([0, slot.size], [0, 40_000, slot.size], [0, 0, 7, 60_001, slot.size, slot.size]):
-            relay = renderer._Relay(len(cuts) - 1, (1, 500))
-            renderer._lanes(band_tasks(relay, cuts, add))
-            assert relay.sums[0].tobytes() == want.tobytes(), cuts
-
-
-def test_relays_of_concurrent_callers_share_the_lanes(monkeypatch):
-    # four callers at once, each splitting one scan and one slot sum into
-    # five bands on the two lanes, with thread switches forced often: every
-    # band waits only on bands submitted before it, so all finish, each in
-    # one-band order
+def test_concurrent_callers_in_bands_give_one_band_bits(crowded_output, monkeypatch):
+    # four callers at once, each running three backwards in two forced
+    # bands on the two lanes, with thread switches forced often: no task
+    # waits on another, so every caller finishes, each with one-band bits
+    out, grad_color, grad_feature = crowded_output
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    rng = np.random.default_rng(15)
-    slot = rng.integers(0, 50, 20_000)
-    v = rng.normal(size=slot.size) * np.exp(rng.normal(scale=8.0, size=slot.size))
-    want_scan, want_sums = np.cumsum(v), np.bincount(slot, weights=v, minlength=50)
-    cuts = [0, 3_000, 3_000, 9_000, 15_000, slot.size]
+    segments = out.seg_start.size
+    force_cuts(monkeypatch, [0, segments])
+    one_band = {mode: backward(out, grad_color, grad_feature, mode) for mode in BACKWARD_MODES}
+    force_cuts(monkeypatch, [0, segments // 2, segments])
     results = []
 
-    def band(relay, i, rows, scanned):
-        relay.cumsum(i, scanned[rows])
-        relay.add_at(i, 0, slot[rows], v[rows])
-
-    def caller():
+    def caller(mode):
         for _ in range(3):
-            scanned, relay = v.copy(), renderer._Relay(len(cuts) - 1, (1, 50))
-            renderer._lanes([partial(task, scanned) for task in band_tasks(relay, cuts, band)])
-            results.append(scanned.tobytes() == want_scan.tobytes()
-                           and relay.sums[0].tobytes() == want_sums.tobytes())
+            got = backward(out, grad_color, grad_feature, mode)
+            results.append(all(getattr(g, field).tobytes() == getattr(w, field).tobytes()
+                               for g, w in zip(got, one_band[mode]) for field in GRAD_FIELDS))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        callers = [threading.Thread(target=caller, args=(BACKWARD_MODES[i % 3],), daemon=True)
+                   for i in range(4)]
         for thread in callers:
             thread.start()
         for thread in callers:
@@ -767,44 +741,10 @@ def test_relays_of_concurrent_callers_share_the_lanes(monkeypatch):
     assert results == [True] * 12
 
 
-def test_failed_band_releases_the_later_bands(crowded_output, monkeypatch):
-    # the first band fails before its scan hand-off; the second band must
-    # not wait for it forever, and the failure reaches the caller
-    out, grad_color, _ = crowded_output
-    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    force_cuts(monkeypatch, [0, out.seg_start.size // 2, out.seg_start.size])
-    cumsum = renderer._Relay.cumsum
-    relays = []
-
-    def first_band_fails(relay, band, v):
-        relays.append(relay)
-        if band == 0:
-            raise ZeroDivisionError("band failed")
-        cumsum(relay, band, v)
-
-    monkeypatch.setattr(renderer._Relay, "cumsum", first_band_fails)
-    raised = []
-
-    def call():
-        try:
-            render_backward(out, grad_color)
-        except ZeroDivisionError as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=30)
-    hung = caller.is_alive()
-    for relay in relays:  # frees a lane left waiting, so a failure here ends
-        relay.release(0)
-    caller.join(timeout=30)
-    assert not hung and len(raised) == 1
-
-
 def test_lanes_keep_one_pool_of_two_threads(monkeypatch):
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    first = renderer._lanes([threading.get_ident] * 6, limit=4)
+    first = renderer._lanes([threading.get_ident] * 6)
     # a task on a lane runs its own lanes inline, on its thread
     nested = renderer._lanes([lambda: renderer._lanes([threading.get_ident] * 2)
                               + [threading.get_ident()]] * 3)
