@@ -66,7 +66,7 @@ four per-slot sums, beside one value task (the direct weight * grad sums
 of both chains, one sparse product). The scan and the sums make the
 additions of the one-band chain in its order, and every other step is
 local to a band, so the results are the same bits on any band count and
-on one lane or two. With both chains on geometry a call peaks at about 94
+on one lane or two. With both chains on geometry a call peaks at about 87
 bytes per contribution above its RenderOutput;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound, which the tests
 check.
@@ -104,6 +104,8 @@ CONTRIBUTION_BUDGET = (4 << 30) // (
 )
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
+# Rows per block of the backward's per-segment expansions; a block is 512 KB.
+_REPEAT_ROWS = 1 << 16
 # Threads of the renderer's task pool (``_lanes``).
 LANES = 2
 
@@ -665,11 +667,18 @@ def render_backward(
     def alpha_task(q, v, totals, firsts, rows, segs, starts):
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
         # the suffix from the view's inclusive cumsum of v = weight * q, in
-        # v's rows; d_alpha goes to q's
+        # v's rows; d_alpha goes to q's. The per-segment terms expand in
+        # blocks of whole segments, so each repeat is a block's rows only.
         lens = seg_len[segs]
         suffix = v[rows]
-        suffix -= np.repeat(suffix[starts] - firsts[segs], lens)
-        np.subtract(np.repeat(totals[segs], lens), suffix, out=suffix)
+        before, seg_totals = suffix[starts] - firsts[segs], totals[segs]
+        ends = np.append(starts, suffix.size)
+        cuts = np.unique(np.append(
+            np.searchsorted(starts, np.arange(0, suffix.size, _REPEAT_ROWS)), starts.size))
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            block = suffix[ends[first]:ends[last]]
+            block -= np.repeat(before[first:last], lens[first:last])
+            np.subtract(np.repeat(seg_totals[first:last], lens[first:last]), block, out=block)
         suffix /= one_minus_alpha[rows]
         d_alpha = np.multiply(q[rows], output.trans[rows], out=q[rows])
         d_alpha -= suffix

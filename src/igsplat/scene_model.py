@@ -9,10 +9,16 @@ appearance varies per child.
 Splats carry a single isotropic world-space radius instead of a full
 covariance; the decoder heads are view-independent so decoding is a pure,
 deterministic function of (anchors, decoder).
+
+A training step runs each head once: the decoded ``SplatSet`` keeps every
+head's hidden layer and output activation, and ``decode_backward`` reads
+them instead of running the heads again. It returns gradients only for the
+tensors its upstream gradients reach, keyed by tensor name, so a caller
+sums what each loss chain returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -137,7 +143,13 @@ class DecoderParams:
 @dataclass
 class SplatSet:
     """Decoded child Gaussians: exactly 5 per anchor, features shared with
-    the parent anchor bitwise."""
+    the parent anchor bitwise.
+
+    ``activations`` maps each head name to the (hidden layer, activation)
+    pair of the decode that made the set, the activation being tanh, sigmoid
+    or exp of the head's raw output, one row per anchor; ``decode_backward``
+    reads them. ``colors`` and ``opacities`` are views of the sigmoids. A
+    hand-built set carries none."""
 
     centers: np.ndarray  # (n, 3)
     colors: np.ndarray  # (n, 3) in [0, 1]
@@ -145,28 +157,11 @@ class SplatSet:
     scales: np.ndarray  # (n,) > 0, isotropic world-space radius
     features: np.ndarray  # (n, 6)
     parent: np.ndarray  # (n,) indices into the AnchorSet
+    activations: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return self.centers.shape[0]
-
-
-@dataclass
-class AnchorGrads:
-    positions: np.ndarray
-    embeddings: np.ndarray
-    features: np.ndarray
-
-
-@dataclass
-class DecoderGrads:
-    offset: HeadParams
-    color: HeadParams
-    opacity: HeadParams
-    scale: HeadParams
-
-    def head(self, name: str) -> HeadParams:
-        return getattr(self, name)
 
 
 def median_spacing(points: np.ndarray) -> float:
@@ -236,106 +231,104 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _head_forward(embeddings: np.ndarray, head: HeadParams):
-    pre = embeddings @ head.w1 + head.b1
-    hidden = np.maximum(pre, 0.0)
-    return pre, hidden, hidden @ head.w2 + head.b2
+    hidden = np.maximum(embeddings @ head.w1 + head.b1, 0.0)
+    return hidden, hidden @ head.w2 + head.b2
 
 
 def decode_gaussians(anchors: AnchorSet, decoder: DecoderParams) -> SplatSet:
     """Decode 5 child splats per anchor. Pure function: identical inputs give
-    bitwise-identical outputs."""
+    bitwise-identical outputs. The set keeps each head's hidden layer and
+    activation for ``decode_backward``."""
     if decoder.embedding_dim != anchors.embedding_dim:
         raise UsageError(
             f"decoder expects embedding dim {decoder.embedding_dim}, "
             f"anchors carry {anchors.embedding_dim}"
         )
     n = anchors.count
-    e = anchors.embeddings
+    activations = {}
+    for name, activation in (("offset", np.tanh), ("color", _sigmoid), ("opacity", _sigmoid),
+                             ("scale", np.exp)):
+        hidden, raw = _head_forward(anchors.embeddings, decoder.head(name))
+        activations[name] = (hidden, activation(raw))
 
-    _, _, raw_off = _head_forward(e, decoder.offset)
-    _, _, raw_col = _head_forward(e, decoder.color)
-    _, _, raw_opa = _head_forward(e, decoder.opacity)
-    _, _, raw_sca = _head_forward(e, decoder.scale)
-
-    offsets = np.tanh(raw_off).reshape(n, CHILDREN_PER_ANCHOR, 3) * decoder.offset_range
+    offsets = activations["offset"][1].reshape(n, CHILDREN_PER_ANCHOR, 3) * decoder.offset_range
     centers = (anchors.positions[:, None, :] + offsets).reshape(-1, 3)
-    colors = _sigmoid(raw_col).reshape(-1, 3)
-    opacities = _sigmoid(raw_opa).reshape(-1)
-    scales = (np.exp(raw_sca) * decoder.base_scale).reshape(-1)
+    colors = activations["color"][1].reshape(-1, 3)
+    opacities = activations["opacity"][1].reshape(-1)
+    scales = (activations["scale"][1] * decoder.base_scale).reshape(-1)
     features = np.repeat(anchors.features, CHILDREN_PER_ANCHOR, axis=0)
     parent = np.repeat(np.arange(n, dtype=np.int64), CHILDREN_PER_ANCHOR)
-    return SplatSet(centers, colors, opacities, scales, features, parent)
+    return SplatSet(centers, colors, opacities, scales, features, parent, activations)
+
+
+def parameters(anchors: AnchorSet, decoder: DecoderParams) -> dict[str, np.ndarray]:
+    """Every trained tensor, by the name ``decode_backward`` gives its
+    gradient: positions, embeddings, features and decoder.<head>.<tensor>."""
+    params = {"positions": anchors.positions, "embeddings": anchors.embeddings,
+              "features": anchors.features}
+    for name in HEAD_ORDER:
+        for tensor_name, tensor in decoder.head(name).tensors().items():
+            params[f"decoder.{name}.{tensor_name}"] = tensor
+    return params
 
 
 def decode_backward(
     anchors: AnchorSet,
     decoder: DecoderParams,
+    splats: SplatSet,
     d_centers: np.ndarray | None = None,
     d_colors: np.ndarray | None = None,
     d_opacities: np.ndarray | None = None,
     d_scales: np.ndarray | None = None,
     d_features: np.ndarray | None = None,
-) -> tuple[AnchorGrads, DecoderGrads]:
-    """Analytic gradients of the decode w.r.t. anchors and decoder weights.
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of the decode that made ``splats`` w.r.t. anchors
+    and decoder weights, keyed as in ``parameters``.
 
-    Omitted (None) upstream gradients are treated as zero, which lets callers
-    route losses to attribute subsets. Child feature gradients sum into the
-    parent anchor's feature gradient; child center gradients sum into the
-    anchor position gradient.
+    Reads the hidden layers and activations ``splats`` carries from
+    ``decode_gaussians(anchors, decoder)``, so no head runs again. Only
+    the tensors an upstream gradient reaches come back: positions from
+    ``d_centers``, features from ``d_features``, a head's four tensors from
+    its attribute's gradient, and embeddings from any head reached; an
+    omitted (None) gradient reaches nothing. Child feature gradients sum
+    into the parent anchor's feature gradient; child center gradients sum
+    into the anchor position gradient.
     """
     n = anchors.count
-    d_e = anchors.embedding_dim
+    if not splats.activations:
+        raise UsageError("decode_backward needs a splat set from decode_gaussians; "
+                         "this one carries no decode activations")
+    if any(a.shape[0] != n for pair in splats.activations.values() for a in pair):
+        raise UsageError(f"the splat set's decode activations do not have one row per anchor ({n})")
     e = anchors.embeddings
-
-    grad_e = np.zeros((n, d_e))
-    grad_pos = np.zeros((n, 3))
-    grad_feat = np.zeros((n, FEATURE_DIM))
-    head_grads = {}
-
+    grads = {}
     if d_centers is not None:
-        d_centers = d_centers.reshape(n, CHILDREN_PER_ANCHOR, 3)
-        grad_pos = d_centers.sum(axis=1)
+        grads["positions"] = d_centers.reshape(n, CHILDREN_PER_ANCHOR, 3).sum(axis=1)
     if d_features is not None:
-        grad_feat = d_features.reshape(n, CHILDREN_PER_ANCHOR, FEATURE_DIM).sum(axis=1)
+        grads["features"] = d_features.reshape(n, CHILDREN_PER_ANCHOR, FEATURE_DIM).sum(axis=1)
 
-    def backward_head(name: str, d_out: np.ndarray | None) -> HeadParams:
-        nonlocal grad_e
+    grad_e = np.zeros((n, anchors.embedding_dim))
+    upstream = {"offset": d_centers, "color": d_colors, "opacity": d_opacities, "scale": d_scales}
+    for name in HEAD_ORDER:
+        if upstream[name] is None:
+            continue
         head = decoder.head(name)
-        out_dim = HEAD_OUTPUT_DIMS[name]
-        if d_out is None:
-            return HeadParams(
-                w1=np.zeros_like(head.w1),
-                b1=np.zeros_like(head.b1),
-                w2=np.zeros_like(head.w2),
-                b2=np.zeros_like(head.b2),
-            )
-        pre, hidden, raw = _head_forward(e, head)
+        hidden, act = splats.activations[name]
+        d_raw = upstream[name].reshape(act.shape)
         if name == "offset":
-            act = np.tanh(raw)
-            d_raw = d_out.reshape(n, out_dim) * decoder.offset_range * (1.0 - act * act)
-        elif name in ("color", "opacity"):
-            s = _sigmoid(raw)
-            d_raw = d_out.reshape(n, out_dim) * s * (1.0 - s)
-        else:  # scale: d(base * exp(raw)) = decoded scale itself
-            d_raw = d_out.reshape(n, out_dim) * np.exp(raw) * decoder.base_scale
-        dw2 = hidden.T @ d_raw
-        db2 = d_raw.sum(axis=0)
-        d_hidden = d_raw @ head.w2.T
-        d_pre = np.where(pre > 0.0, d_hidden, 0.0)
-        dw1 = e.T @ d_pre
-        db1 = d_pre.sum(axis=0)
+            d_raw = d_raw * decoder.offset_range * (1.0 - act * act)
+        elif name == "scale":  # d(base * exp(raw)) = base * exp(raw)
+            d_raw = d_raw * act * decoder.base_scale
+        else:  # color, opacity: sigmoid
+            d_raw = d_raw * act * (1.0 - act)
+        d_pre = np.where(hidden > 0.0, d_raw @ head.w2.T, 0.0)
+        grads[f"decoder.{name}.w1"] = e.T @ d_pre
+        grads[f"decoder.{name}.b1"] = d_pre.sum(axis=0)
+        grads[f"decoder.{name}.w2"] = hidden.T @ d_raw
+        grads[f"decoder.{name}.b2"] = d_raw.sum(axis=0)
         grad_e += d_pre @ head.w1.T
-        return HeadParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
-
-    head_grads["offset"] = backward_head("offset", d_centers)
-    head_grads["color"] = backward_head("color", d_colors)
-    head_grads["opacity"] = backward_head("opacity", d_opacities)
-    head_grads["scale"] = backward_head("scale", d_scales)
-
-    return (
-        AnchorGrads(positions=grad_pos, embeddings=grad_e, features=grad_feat),
-        DecoderGrads(**head_grads),
-    )
+        grads["embeddings"] = grad_e
+    return grads
 
 
 def checkpoint_bytes(anchors: AnchorSet, decoder: DecoderParams) -> bytes:

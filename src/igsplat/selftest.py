@@ -1,10 +1,10 @@
 """Built-in invariant battery behind ``igsplat selftest``.
 
 A fast subset of the property checks the test suite runs in full: the
-renderer's contribution list against a dense scan, gradient agreement with
-finite differences, the backward's bands against one band, loss
-identities, sampler and clustering invariants, and voxel-adjacency and
-component-aggregation correctness on random graphs.
+renderer's contribution list against a dense scan, render and decode
+gradient agreement with finite differences, the backward's bands against
+one band, loss identities, sampler and clustering invariants, and
+voxel-adjacency and component-aggregation correctness on random graphs.
 """
 from __future__ import annotations
 
@@ -31,7 +31,16 @@ from .oracles import (
 )
 from . import renderer
 from .renderer import Camera, _build_contributions, render, render_backward
-from .scene_model import ModelConfig, SplatSet, decode_gaussians, init_anchors, init_decoder
+from .scene_model import (
+    HEAD_ORDER,
+    ModelConfig,
+    SplatSet,
+    decode_backward,
+    decode_gaussians,
+    init_anchors,
+    init_decoder,
+    parameters,
+)
 
 
 def _check_contributions(rng) -> None:
@@ -132,6 +141,30 @@ def _check_gradients(rng) -> None:
             assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
 
 
+def _check_decode_gradients(rng) -> None:
+    # a 2-anchor model, probed at the largest entry of the embeddings'
+    # gradient and of each head's w2 gradient
+    anchors = init_anchors(rng.uniform(-0.4, 0.4, size=(2, 3)), ModelConfig(), 7)
+    decoder = init_decoder(16, 0.3, 0.25, 8)
+    splats = decode_gaussians(anchors, decoder)
+    upstream = {name: rng.normal(size=getattr(splats, name).shape)
+                for name in ("centers", "colors", "opacities", "scales", "features")}
+    grads = decode_backward(anchors, decoder, splats,
+                            **{f"d_{name}": g for name, g in upstream.items()})
+    params = parameters(anchors, decoder)
+
+    def objective():
+        decoded = decode_gaussians(anchors, decoder)
+        return sum((getattr(decoded, name) * g).sum() for name, g in upstream.items())
+
+    for name in ["embeddings"] + [f"decoder.{head}.w2" for head in HEAD_ORDER]:
+        idx = int(np.argmax(np.abs(grads[name])))
+        (fd,) = central_differences(objective, params[name], 1e-5, [idx])
+        an = grads[name].flat[idx]
+        assert an != 0.0, f"{name} grad is zero"
+        assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
+
+
 def _check_backward_bands(rng) -> None:
     # 60 splats crowding a 12x10 view; the backward split into two bands at
     # its most crowded pixel, and into three with an empty middle one (the
@@ -179,6 +212,7 @@ CHECKS = [
     ("loss_identities", lambda rng: _check_losses()),
     ("render_gradients", _check_gradients),
     ("backward_bands", _check_backward_bands),
+    ("decode_gradients", _check_decode_gradients),
     ("rgb_loss", lambda rng: _check_rgb()),
 ]
 

@@ -43,9 +43,9 @@ from .renderer import Camera, render, render_backward
 from .scene_model import (
     AnchorSet,
     DecoderParams,
-    HEAD_ORDER,
     decode_backward,
     decode_gaussians,
+    parameters,
     save_checkpoint,
 )
 
@@ -259,49 +259,28 @@ def train_step(
         grad_feature=g_feat_img,
         feature_geometry=joint_active,
     )
-    a_grads = d_grads = None
+    chains = []
     if rgb_active:
-        a_grads, d_grads = decode_backward(
-            anchors,
-            decoder,
-            d_centers=sg.centers,
-            d_colors=sg.colors,
-            d_opacities=sg.opacities,
-            d_scales=sg.scales,
-        )
-
-    fa_grads = fd_grads = None
-    if joint_active:
-        fa_grads, fd_grads = decode_backward(
-            anchors,
-            decoder,
-            d_centers=sgf.centers,
-            d_opacities=sgf.opacities,
-            d_features=sgf.features,
-        )
-    elif feature_active:
-        fa_grads, _ = decode_backward(anchors, decoder, d_features=sgf.features)
-
-    # Single adaptive-moment update per tensor, with phase-routed sums.
-    if rgb_active:
-        _apply(state, "embeddings", anchors.embeddings, a_grads.embeddings, lrs["embeddings"])
-        pos_grad = a_grads.positions
-        if joint_active and fa_grads is not None:
-            pos_grad = pos_grad + fa_grads.positions
-        if anchors.train_positions:
-            _apply(state, "positions", anchors.positions, pos_grad, lrs["positions"])
-        for head_name in HEAD_ORDER:
-            head = decoder.head(head_name)
-            grad_head = d_grads.head(head_name)
-            extra = fd_grads.head(head_name) if (joint_active and head_name in ("offset", "opacity")) else None
-            for tensor_name, tensor in head.tensors().items():
-                g = getattr(grad_head, tensor_name)
-                if extra is not None:
-                    g = g + getattr(extra, tensor_name)
-                _apply(state, f"decoder.{head_name}.{tensor_name}", tensor, g, lrs["decoder"])
-
+        chains.append(decode_backward(anchors, decoder, splats, d_centers=sg.centers,
+                                      d_colors=sg.colors, d_opacities=sg.opacities,
+                                      d_scales=sg.scales))
     if feature_active:
-        _apply(state, "features", anchors.features, fa_grads.features, lrs["features"])
+        geometry = {"d_centers": sgf.centers, "d_opacities": sgf.opacities} if joint_active else {}
+        feature_grads = decode_backward(anchors, decoder, splats, d_features=sgf.features,
+                                        **geometry)
+        feature_grads.pop("embeddings", None)  # embeddings follow reconstruction only
+        chains.append(feature_grads)
+
+    # Single adaptive-moment update per tensor, on the sum of what each chain
+    # reached, the color chain's gradient first.
+    grads = {}
+    for chain in chains:
+        for name, grad in chain.items():
+            grads[name] = grads[name] + grad if name in grads else grad
+    params = parameters(anchors, decoder)
+    for name, grad in grads.items():
+        if name != "positions" or anchors.train_positions:
+            _apply(state, name, params[name], grad, lrs[name.split(".")[0]])
 
     state.step += 1
     state.loss_log.append((step, phase.value, l_rgb, l_smooth, l_contrast))

@@ -41,6 +41,7 @@ from igsplat.scene_model import (
     decode_gaussians,
     init_anchors,
     init_decoder,
+    parameters,
 )
 from igsplat.synthdata import class_prototypes, load_scene_dir
 
@@ -100,8 +101,9 @@ def decode_fd_suite(rng):
         "scales": rng.normal(size=10),
         "features": rng.normal(size=(10, 6)),
     }
-    a_grads, d_grads = decode_backward(
-        anchors, decoder, d["centers"], d["colors"], d["opacities"], d["scales"], d["features"]
+    grads = decode_backward(
+        anchors, decoder, decode_gaussians(anchors, decoder),
+        d["centers"], d["colors"], d["opacities"], d["scales"], d["features"]
     )
 
     def objective():
@@ -112,17 +114,9 @@ def decode_fd_suite(rng):
             + (s.features * d["features"]).sum()
         )
 
-    worst = fd_check(objective, anchors.embeddings, a_grads.embeddings)
-    worst = max(worst, fd_check(objective, anchors.positions, a_grads.positions))
-    worst = max(worst, fd_check(objective, anchors.features, a_grads.features))
-    for head in ("offset", "color", "opacity", "scale"):
-        for tensor in ("w1", "b1", "w2", "b2"):
-            worst = max(
-                worst,
-                fd_check(objective, getattr(decoder.head(head), tensor),
-                         getattr(d_grads.head(head), tensor)),
-            )
-    return worst
+    params = parameters(anchors, decoder)
+    assert grads.keys() == params.keys()
+    return max(fd_check(objective, params[name], grad) for name, grad in grads.items())
 
 
 def loss_fd_suite(rng):

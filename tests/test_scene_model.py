@@ -6,6 +6,7 @@ from igsplat.oracles import central_differences, relative_errors
 from igsplat.scene_model import (
     CHILDREN_PER_ANCHOR,
     ModelConfig,
+    SplatSet,
     checkpoint_bytes,
     decode_backward,
     decode_gaussians,
@@ -13,6 +14,7 @@ from igsplat.scene_model import (
     init_decoder,
     load_checkpoint,
     median_spacing,
+    parameters,
     resolve_model_config,
     save_checkpoint,
 )
@@ -137,8 +139,8 @@ def test_decode_gradients_match_finite_differences():
     d_scales = rng.normal(size=splats.scales.shape)
     d_feats = rng.normal(size=splats.features.shape)
 
-    a_grads, d_grads = decode_backward(
-        anchors, decoder, d_centers, d_colors, d_opac, d_scales, d_feats
+    grads = decode_backward(
+        anchors, decoder, splats, d_centers, d_colors, d_opac, d_scales, d_feats
     )
 
     def objective():
@@ -149,16 +151,49 @@ def test_decode_gradients_match_finite_differences():
             + (s.features * d_feats).sum()
         )
 
-    checks = [(name, getattr(anchors, name), getattr(a_grads, name))
-              for name in ("embeddings", "positions", "features")]
-    checks += [(f"{head}.{tensor}", getattr(decoder.head(head), tensor),
-                getattr(d_grads.head(head), tensor))
-               for head in ("offset", "color", "opacity", "scale")
-               for tensor in ("w1", "b1", "w2", "b2")]
-    for name, array, analytic in checks:
-        fd = central_differences(objective, array, 1e-3)
+    params = parameters(anchors, decoder)
+    assert grads.keys() == params.keys()
+    for name, analytic in grads.items():
+        fd = central_differences(objective, params[name], 1e-3)
         bad = np.flatnonzero(~(relative_errors(analytic.ravel(), fd) <= 1e-4))
         assert bad.size == 0, f"{name}{bad}: analytic {analytic.ravel()[bad]}, fd {fd[bad]}"
+
+
+def test_decode_backward_returns_only_reached_tensors():
+    anchors = make_anchors(4, seed=3)
+    decoder = init_decoder(16, 0.2, 0.1, 4)
+    splats = decode_gaussians(anchors, decoder)
+    rng = np.random.default_rng(5)
+    d_centers = rng.normal(size=splats.centers.shape)
+    d_opacities = rng.normal(size=splats.opacities.shape)
+    d_features = rng.normal(size=splats.features.shape)
+    assert decode_backward(anchors, decoder, splats).keys() == set()
+    assert decode_backward(anchors, decoder, splats, d_features=d_features).keys() == {"features"}
+    grads = decode_backward(anchors, decoder, splats, d_centers=d_centers,
+                            d_opacities=d_opacities, d_features=d_features)
+    heads = {f"decoder.{head}.{t}" for head in ("offset", "opacity") for t in ("w1", "b1", "w2", "b2")}
+    assert grads.keys() == {"positions", "embeddings", "features"} | heads
+    # a head's gradient reads only its own attribute's upstream gradient
+    full = decode_backward(anchors, decoder, splats, d_centers, rng.normal(size=(20, 3)),
+                           d_opacities, rng.normal(size=20), d_features)
+    for name in heads | {"positions", "features"}:
+        assert grads[name].tobytes() == full[name].tobytes(), name
+
+
+def test_decode_backward_rejects_hand_built_splats():
+    anchors = make_anchors(2)
+    decoder = init_decoder(16, 0.2, 0.1, 4)
+    s = decode_gaussians(anchors, decoder)
+    hand_built = SplatSet(s.centers, s.colors, s.opacities, s.scales, s.features, s.parent)
+    with pytest.raises(UsageError, match="no decode activations"):
+        decode_backward(anchors, decoder, hand_built, d_features=np.ones((10, 6)))
+
+
+def test_decode_backward_rejects_activations_of_other_anchors():
+    decoder = init_decoder(16, 0.2, 0.1, 4)
+    splats = decode_gaussians(make_anchors(3), decoder)
+    with pytest.raises(UsageError, match="one row per anchor"):
+        decode_backward(make_anchors(2), decoder, splats, d_features=np.ones((10, 6)))
 
 
 def test_single_embedding_perturbation_matches_jacobian():
@@ -174,16 +209,17 @@ def test_single_embedding_perturbation_matches_jacobian():
     splats = decode_gaussians(anchors, decoder)
     probe = rng.normal(size=fd.shape)
     n3 = splats.centers.size
-    a_grads, _ = decode_backward(
+    grads = decode_backward(
         anchors,
         decoder,
+        splats,
         d_centers=probe[:n3].reshape(splats.centers.shape),
         d_colors=probe[n3:2 * n3].reshape(splats.colors.shape),
         d_opacities=probe[2 * n3:2 * n3 + splats.count],
         d_scales=probe[2 * n3 + splats.count:2 * n3 + 2 * splats.count],
         d_features=probe[2 * n3 + 2 * splats.count:].reshape(splats.features.shape),
     )
-    analytic = a_grads.embeddings[0, coord]
+    analytic = grads["embeddings"][0, coord]
     numeric = float(probe @ fd)
     assert abs(analytic - numeric) / max(abs(numeric), 1e-9) <= 1e-3
 

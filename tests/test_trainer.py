@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from igsplat import trainer
+from igsplat import scene_model, trainer
 from igsplat.errors import NumericalError, UsageError
 from igsplat.losses import loss_contrast_truncated, loss_smooth
 from igsplat.renderer import render, render_backward
@@ -165,6 +165,26 @@ def test_one_render_backward_per_step(tiny_scene, monkeypatch, mode):
         assert has_color == (mode == "progressive" or phase == "appearance")
         assert has_feature == (phase != "appearance")
         assert feature_geometry == (mode == "progressive" and phase == "joint")
+
+
+@pytest.mark.parametrize("mode", ["progressive", "appearance_frozen"])
+def test_four_head_forwards_per_step(tiny_scene, monkeypatch, mode):
+    # the step's decode runs each head once; its backwards read the activations
+    calls = []
+    head_forward = scene_model._head_forward
+
+    def counting_forward(embeddings, head):
+        calls.append(head)
+        return head_forward(embeddings, head)
+
+    monkeypatch.setattr(scene_model, "_head_forward", counting_forward)
+    anchors, decoder, _ = setup_training(tiny_scene)
+    sched = Schedule(total_steps=6, t1=2, t2=4, mode=mode)
+    state = TrainState.create(0)
+    for step in range(6):
+        calls.clear()
+        train_step(anchors, decoder, tiny_scene["views"], sched, state)
+        assert len(calls) == 4, (step, len(calls))
 
 
 def test_training_is_deterministic(tiny_scene):
