@@ -1,4 +1,4 @@
-"""Little-endian binary headers and atomic artifact writes.
+"""Little-endian binary headers, checked JSON reads and atomic artifact writes.
 
 Every on-disk artifact starts with a 4-byte magic, a u32 format version, and
 format-specific u32 header fields, followed by packed little-endian payload
@@ -7,6 +7,7 @@ interrupted run never leaves a torn file behind.
 """
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
@@ -88,3 +89,17 @@ class Reader:
 def read_file(path: str) -> Reader:
     with open(path, "rb") as fh:
         return Reader(fh.read(), path)
+
+
+def read_json(path: str, expected: type = dict, keys: tuple[str, ...] = ()):
+    """The JSON document in ``path``, of type ``expected`` (an object by
+    default, holding ``keys``); FormatError otherwise."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, expected) or any(key not in doc for key in keys):
+        raise FormatError(f"{path}: expected a JSON {expected.__name__}"
+                          + (f" with the keys {', '.join(keys)}" if keys else ""))
+    return doc

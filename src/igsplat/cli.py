@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import association, evaluation, instantiation, synthdata
-from .binio import write_atomic, write_atomic_text
+from .binio import read_json, write_atomic, write_atomic_text
 from .errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from .scene_model import (
     CHILDREN_PER_ANCHOR,
@@ -328,8 +328,10 @@ def cmd_query(cfg: dict, args) -> int:
     text_path = qcfg.get("text_embeddings", os.path.join(scene_dir, "text_embeddings.igem"))
     names_path = qcfg.get("class_names", os.path.join(scene_dir, "class_names.json"))
     text = association.load_embeddings(text_path)
-    with open(names_path) as fh:
-        names = json.load(fh)
+    names = read_json(names_path, list)
+    if len(names) != text.count or not all(isinstance(name, str) for name in names):
+        raise DataError(f"{names_path}: expected {text.count} class names, one string per "
+                        f"text embedding")
     instances = association.load_embeddings(paths["instance_embeddings"])
     anchors, _ = load_checkpoint(paths["checkpoint"])
     labels, m = _load_checked_labels(paths["labels"], anchors.count * CHILDREN_PER_ANCHOR)
@@ -340,7 +342,7 @@ def cmd_query(cfg: dict, args) -> int:
     point_classes, inst_classes = association.semantic_assign(text, instances, labels)
     instantiation.save_labels(paths["semantic"], point_classes.astype(np.uint32), text.count)
     scores = {}
-    for cls, name in enumerate(names[: text.count]):
+    for cls, name in enumerate(names):
         sims = association.score_query(text.vectors[cls], instances)
         best = int(np.argmax(sims))
         scores[name] = {

@@ -46,30 +46,16 @@ image gradients together and returns one gradient set per chain, since the
 training schedule routes them to different parameters. The color chain
 always reaches geometry (opacities, scales, centers); the feature chain
 reaches it only when asked (the joint phase) and otherwise stops at the
-features. Per-contribution terms both chains share are built once per
-call, from the compositing weights and projected slots the forward keeps.
-The (contributions, channels) gathers of a chain's geometry term run in
-blocks of rows, so they stay small however many contributions a view
-makes.
-
-Both passes split their work into tasks that write disjoint outputs and
-run them on the two threads of one persistent pool ("lanes", ``_lanes``):
-``render`` composites the color and feature images side by side, and
-``render_backward`` builds its shared terms in one band of pixel segments
-per lane. A geometry chain then splits into as many contiguous bands as
-the lanes hold for it: two when it is the only one (appearance and
-independent steps), one each in the joint step. Its work runs in phases
-with a join between them, so no task waits on another: the bands' local
-terms, then one prefix sum over the whole view, then the bands' local
-terms that read it, then one bincount over the whole view for each of the
-four per-slot sums, beside one value task (the direct weight * grad sums
-of both chains, one sparse product). The scan and the sums make the
-additions of the one-band chain in its order, and every other step is
-local to a band, so the results are the same bits on any band count and
-on one lane or two. With both chains on geometry a call peaks at about 87
-bytes per contribution above its RenderOutput;
-``BACKWARD_BYTES_PER_CONTRIBUTION`` is the stated bound, which the tests
-check.
+features. Both passes split their work into tasks that write disjoint
+outputs and run them on the two threads of one persistent pool ("lanes",
+``_lanes``): ``render`` composites the color and feature images side by
+side, and ``render_backward`` runs each geometry chain in bands of pixel
+segments and phases with a join between them, keeping only two whole-view
+buffers per chain and rebuilding its other terms in blocks. Its results are
+the same bits on any band count, any block size and on one lane or two.
+With both chains on geometry a call peaks at about 62 bytes per
+contribution above its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is
+the stated bound, which the tests check.
 """
 from __future__ import annotations
 
@@ -81,11 +67,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse._sparsetools import csr_tocsc
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_tocsc
 
-from .binio import write_atomic
-from .errors import ContributionBudgetError, DataError
+from .binio import read_json, write_atomic
+from .errors import ContributionBudgetError, DataError, FormatError
 from .scene_model import SplatSet
 
 NEAR_PLANE = 0.01
@@ -104,10 +89,12 @@ CONTRIBUTION_BUDGET = (4 << 30) // (
 )
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
-# Rows per block of the backward's per-segment expansions; a block is 512 KB.
-_REPEAT_ROWS = 1 << 16
+# Rows per block of whole pixel segments in the backward; a block is 512 KB.
+_SEGMENT_ROWS = 1 << 16
 # Threads of the renderer's task pool (``_lanes``).
 LANES = 2
+# The scalar fields of a camera file, in Camera's order; "R" and "t" follow.
+_CAMERA_SCALARS = ("fx", "fy", "cx", "cy", "width", "height")
 
 
 @dataclass
@@ -136,29 +123,15 @@ class Camera:
         return points @ self.rotation.T + self.translation
 
     def to_json_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-            "R": [float(v) for v in self.rotation.reshape(-1)],
-            "t": [float(v) for v in self.translation],
-        }
+        return {**{name: getattr(self, name) for name in _CAMERA_SCALARS},
+                "R": [float(v) for v in self.rotation.reshape(-1)],
+                "t": [float(v) for v in self.translation]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Camera":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-            rotation=np.array(d["R"], dtype=np.float64).reshape(3, 3),
-            translation=np.array(d["t"], dtype=np.float64),
-        )
+        fx, fy, cx, cy = (float(d[name]) for name in _CAMERA_SCALARS[:4])
+        # __post_init__ makes R and t float64 arrays of their shapes
+        return cls(fx, fy, cx, cy, int(d["width"]), int(d["height"]), d["R"], d["t"])
 
 
 def save_camera(path: str, camera: Camera) -> None:
@@ -166,8 +139,13 @@ def save_camera(path: str, camera: Camera) -> None:
 
 
 def load_camera(path: str) -> Camera:
-    with open(path) as fh:
-        return Camera.from_json_dict(json.load(fh))
+    fields = read_json(path, dict, _CAMERA_SCALARS + ("R", "t"))
+    try:
+        return Camera.from_json_dict(fields)
+    except DataError:  # well formed, but not a valid camera
+        raise
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed camera ({exc})") from exc
 
 
 @dataclass
@@ -523,6 +501,21 @@ def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
     return np.searchsorted(seg_start, total * np.arange(bands + 1) // bands)
 
 
+def _segment_runs(seg_start: np.ndarray, total: int, cuts) -> list:
+    """(contributions, segments) slice pairs of the runs of pixel segments
+    between consecutive ``cuts``, in a view of ``total`` contributions."""
+    ends = np.append(seg_start, total)
+    return [(slice(ends[first], ends[last]), slice(first, last))
+            for first, last in zip(cuts[:-1], cuts[1:])]
+
+
+def _segment_blocks(seg_start: np.ndarray, total: int, rows: slice, segs: slice) -> list:
+    """The run ``segs`` (contributions ``rows``) in blocks of whole segments
+    of about ``_SEGMENT_ROWS`` contributions, or of one longer segment."""
+    firsts = np.searchsorted(seg_start, np.arange(rows.start, rows.stop, _SEGMENT_ROWS))
+    return _segment_runs(seg_start, total, np.unique(np.append(firsts, segs.stop)))
+
+
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
     """Rasterize color, feature, and alpha images with contributor retention.
 
@@ -565,19 +558,16 @@ def render_backward(
     None comes back all zero; summing the two chains gives the gradient of
     the summed objective.
 
-    The per-contribution terms shared by both geometry chains (pixel
-    offsets, d2, 1 / sigma^2, 1 - alpha) are built once, one band per lane
-    (``_lanes``). Each chain that reaches geometry splits into max(1, lanes
-    // geometry chains) bands of pixel segments and runs four phases, with
-    a join between them: per band, <grad, value> per contribution, v =
-    weight * that and v's per-segment totals and first values; one prefix
-    sum of v over the view; per band, d_alpha and the opacity terms; and
-    the opacity, u, v and sigma sums of each slot, one bincount over the
-    view each, beside one value task (the direct weight * grad sums of
-    every chain's channels, one sparse product). Every per-splat sum adds
-    its slot's contributions in order, as a bincount over slots does, so
-    any band count gives the same bits, and is written to the splats at
-    ``proj.indices``; culled splats keep zeros. The call peaks within
+    A geometry chain runs in max(1, lanes // geometry chains) bands of
+    pixel segments and four phases with a join between them: the gathers
+    of <grad, value>, one prefix sum over the view, d_alpha, and the slot
+    sums of all chains in ``LANES`` groups beside the value task (the
+    direct weight * grad sums, one sparse product). It keeps only its q and
+    v over the view; the last two phases rebuild the offsets, d2,
+    1 / sigma^2 and 1 - alpha they read per block of whole segments
+    (``_segment_blocks``). Every per-splat sum adds its slot's terms in
+    order, as a bincount over slots does, so any band count or block size
+    gives the same bits; culled splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
     """
     splats = output.splats
@@ -606,11 +596,12 @@ def render_backward(
         # at those pixels side by side. csc_matvecs adds each slot's products
         # in contribution order, as a bincount over the slots would: the same
         # bits where the build does not fuse the multiply-add (x86-64).
-        weights = csc_matrix((weight, slot, np.append(seg_start, slot.size)),
-                             shape=(proj.count, output.seg_pix.size))
-        sums = weights @ np.concatenate(
+        grads = np.concatenate(
             [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
              for grad_img, _, value_grads, _, _ in chains], axis=1)
+        sums = np.zeros((proj.count, grads.shape[1]))
+        csc_matvecs(proj.count, seg_start.size, grads.shape[1], np.append(seg_start, slot.size),
+                    slot, weight, grads.ravel(), sums.ravel())
         first = 0
         for _, _, value_grads, _, _ in chains:
             value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
@@ -622,37 +613,27 @@ def render_backward(
         value_task()
         return color_grads, feature_grads
 
-    # A band is a run of whole pixel segments; contributions of one pixel
-    # are contiguous, so per-pixel rows expand by repeat instead of a gather.
+    # Contributions of one pixel are contiguous, so a run of whole pixel
+    # segments expands its per-pixel rows by repeat instead of a gather.
     seg_len = np.diff(seg_start, append=len(slot))
     alpha = output.alpha_i
-
-    def bands(cuts):
-        """Each band's contributions, its segments, and their starts
-        within its contributions."""
-        bounds = np.append(seg_start, len(slot))[cuts]
-        return [(slice(lo, hi), slice(first, last), seg_start[first:last] - lo)
-                for lo, hi, first, last in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])]
-
-    # The per-contribution terms every geometry chain reads, each band
-    # filling its own rows.
-    dcol, drow, d2, inv_sig2, one_minus_alpha = (np.empty(len(slot)) for _ in range(5))
     slot_inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
 
-    def shared_task(rows, segs, _):
-        band_slot, lens = slot[rows], seg_len[segs]
-        np.subtract(np.repeat(output.seg_pix[segs] % camera.width, lens), proj.u.take(band_slot),
-                    out=dcol[rows])
-        np.subtract(np.repeat(output.seg_pix[segs] // camera.width, lens),
-                    proj.v.take(band_slot), out=drow[rows])
-        np.square(dcol[rows], out=d2[rows])
-        d2[rows] += np.square(drow[rows])
-        inv_sig2[rows] = slot_inv_sig2.take(band_slot)
-        np.subtract(1.0, alpha[rows], out=one_minus_alpha[rows])
+    def offset(rows, segs, axis):
+        # each contribution's pixel column (axis 0) or row (axis 1) minus its splat centre's
+        pixel = output.seg_pix[segs]
+        pixel = pixel % camera.width if axis == 0 else pixel // camera.width
+        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(slot[rows]))
 
-    def gather_task(grad_img, values, q, v, totals, firsts, rows, segs, starts):
+    def squared_distance(dcol, drow, out=None):
+        d2 = np.square(dcol, out=out)
+        d2 += np.square(drow)
+        return d2
+
+    def gather_task(grad_img, values, q, v, totals, firsts, rows, segs):
         # <image gradient, value> per contribution, in row blocks so the two
         # (rows, dim) operands stay small; each row's sum is the same einsum
+        starts = seg_start[segs] - rows.start
         flat_grad = grad_img.reshape(-1, values.shape[1])
         slot_values = values[proj.indices]
         band_slot, band_pix, band_q = slot[rows], output.pix[rows], q[rows]
@@ -664,71 +645,80 @@ def render_backward(
         totals[segs] = np.add.reduceat(band_v, starts)
         firsts[segs] = band_v[starts]
 
-    def alpha_task(q, v, totals, firsts, rows, segs, starts):
+    def alpha_task(q, v, totals, firsts, blocks):
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
         # the suffix from the view's inclusive cumsum of v = weight * q, in
-        # v's rows; d_alpha goes to q's. The per-segment terms expand in
-        # blocks of whole segments, so each repeat is a block's rows only.
-        lens = seg_len[segs]
-        suffix = v[rows]
-        before, seg_totals = suffix[starts] - firsts[segs], totals[segs]
-        ends = np.append(starts, suffix.size)
-        cuts = np.unique(np.append(
-            np.searchsorted(starts, np.arange(0, suffix.size, _REPEAT_ROWS)), starts.size))
-        for first, last in zip(cuts[:-1], cuts[1:]):
-            block = suffix[ends[first]:ends[last]]
-            block -= np.repeat(before[first:last], lens[first:last])
-            np.subtract(np.repeat(seg_totals[first:last], lens[first:last]), block, out=block)
-        suffix /= one_minus_alpha[rows]
-        d_alpha = np.multiply(q[rows], output.trans[rows], out=q[rows])
-        d_alpha -= suffix
-        # Clamped alphas are constant in the parameters; with d_alpha zeroed
-        # there, every geometry term below is zero there too.
-        d_alpha[output.clamped[rows]] = 0.0
-        # The opacity terms, d_alpha times the Gaussian exp(-d2 / (2 sigma^2)),
-        # in the suffix's rows; then d_alpha * alpha, which the offset terms share.
-        product = np.negative(d2[rows], out=suffix)
-        product *= inv_sig2[rows]
-        product /= 2.0
-        np.exp(product, out=product)
-        product *= d_alpha
-        np.multiply(d_alpha, alpha[rows], out=d_alpha)
+        # v's rows; d_alpha goes to q's. A block's segments start in the
+        # block, so their scanned starts are read before it changes.
+        for block, block_segs in blocks:
+            lens = seg_len[block_segs]
+            suffix = v[block]
+            before = suffix[seg_start[block_segs] - block.start] - firsts[block_segs]
+            suffix -= np.repeat(before, lens)
+            np.subtract(np.repeat(totals[block_segs], lens), suffix, out=suffix)
+            suffix /= 1.0 - alpha[block]
+            d_alpha = np.multiply(q[block], output.trans[block], out=q[block])
+            d_alpha -= suffix
+            # Clamped alphas are constant in the parameters; with d_alpha
+            # zeroed there, every geometry term below is zero there too.
+            d_alpha[output.clamped[block]] = 0.0
+            # The opacity terms, d_alpha times the Gaussian exp(-d2 / (2 sigma^2)),
+            # in v's rows; then d_alpha * alpha, which the offset terms share.
+            product = squared_distance(offset(block, block_segs, 0), offset(block, block_segs, 1),
+                                       out=suffix)
+            np.negative(product, out=product)
+            product *= slot_inv_sig2.take(slot[block])
+            product /= 2.0
+            np.exp(product, out=product)
+            product *= d_alpha
+            np.multiply(d_alpha, alpha[block], out=d_alpha)
 
-    def sums_task(common, product, sums, rows):
-        # Each slot sum is one bincount over the view, which adds a slot's
-        # terms in contribution order. With row 0 (opacity), ``product``
-        # holds its terms, and the next row reuses it.
-        for row in rows:
-            if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
-                np.multiply(common, (dcol, drow, d2)[row - 1], out=product)
-                product *= inv_sig2
-                if row == 3:  # the sigma sum has one more factor, 1 / sigma
-                    for lo in range(0, product.size, _GATHER_ROWS):
-                        block = slice(lo, lo + _GATHER_ROWS)
-                        product[block] /= proj.sigma_px.take(slot[block])
-            sums[row] = np.bincount(slot, weights=product, minlength=proj.count)
+    def sums_task(group):
+        # The opacity, u, v and sigma sums (rows 0-3) of (chain, row) pairs;
+        # each block rebuilds only the offsets its rows read. Its terms, as
+        # the data of a one-column sparse matrix with the slots as row
+        # numbers, times 1.0 (exact, fused or not), add into the slots in
+        # contribution order, as a bincount does; csc_matvec releases the lock.
+        rows_read, one = {row for _, row in group}, np.ones(1)
+        for block, block_segs in view_blocks:
+            block_slot = slot[block]
+            dcol = offset(block, block_segs, 0) if rows_read & {1, 3} else None
+            drow = offset(block, block_segs, 1) if rows_read & {2, 3} else None
+            offsets = (dcol, drow, squared_distance(dcol, drow) if 3 in rows_read else None)
+            inv_sig2 = slot_inv_sig2.take(block_slot) if rows_read - {0} else None
+            for chain, row in group:
+                if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
+                    terms = np.multiply(qs[chain][block], offsets[row - 1])
+                    terms *= inv_sig2
+                    if row == 3:  # the sigma sum has one more factor, 1 / sigma
+                        terms /= proj.sigma_px.take(block_slot)
+                else:
+                    terms = vs[chain][block]
+                csc_matvec(proj.count, 1, np.array([0, terms.size], dtype=slot.dtype), block_slot,
+                           terms, one, slot_sums[chain][row])
 
     lanes = min(_usable_cores(), LANES)
-    _lanes([partial(shared_task, *band) for band in bands(_band_cuts(seg_start, len(slot), lanes))])
-    # The geometry chains' four phases, each a join: gathers, scan, d_alpha, sums.
-    chain_bands = bands(_band_cuts(seg_start, len(slot), max(1, lanes // len(geometry_chains))))
-    # per chain: q (then d_alpha * alpha), v = weight * q (scanned in place,
-    # then the opacity terms), the per-segment totals and first values of v,
-    # and the (4, k) slot sums
+    chain_bands = _segment_runs(seg_start, len(slot), _band_cuts(
+        seg_start, len(slot), max(1, lanes // len(geometry_chains))))
+    band_blocks = [_segment_blocks(seg_start, len(slot), *band) for band in chain_bands]
+    view_blocks = [block for blocks in band_blocks for block in blocks]
+    # The four phases: gathers, scan, d_alpha, sums. Per chain: q (then
+    # d_alpha * alpha), v = weight * q (scanned in place, then the opacity
+    # terms), v's per-segment totals and first values, and the slot sums.
     qs, vs = ([np.empty(len(slot)) for _ in geometry_chains] for _ in range(2))
     totals, firsts = ([np.empty(seg_start.size) for _ in geometry_chains] for _ in range(2))
-    slot_sums = [np.empty((4, proj.count)) for _ in geometry_chains]
+    slot_sums = [np.zeros((4, proj.count)) for _ in geometry_chains]
     _lanes([partial(gather_task, grad_img, values, *buffers, *band)
             for (grad_img, values, _), *buffers in zip(geometry_chains, qs, vs, totals, firsts)
             for band in chain_bands])
     _lanes([partial(np.cumsum, v, out=v) for v in vs])
-    _lanes([partial(alpha_task, *buffers, *band)
-            for buffers in zip(qs, vs, totals, firsts) for band in chain_bands])
-    # A lone geometry chain sums in two tasks, the second in the buffer of
-    # 1 - alpha, which nothing reads after the d_alpha phase.
-    row_groups = [(0, 1, 2, 3)] if len(geometry_chains) > 1 else [(0, 1), (2, 3)]
-    _lanes([partial(sums_task, q, v if rows[0] == 0 else one_minus_alpha, sums, rows)
-            for q, v, sums in zip(qs, vs, slot_sums) for rows in row_groups] + [value_task])
+    _lanes([partial(alpha_task, *buffers, blocks)
+            for buffers in zip(qs, vs, totals, firsts) for blocks in band_blocks])
+    # The 4 slot sums of every geometry chain, in LANES contiguous groups:
+    # one chain each in the joint step, two sums each for a lone chain.
+    pairs = [(chain, row) for chain in range(len(geometry_chains)) for row in range(4)]
+    _lanes([partial(sums_task, pairs[i * len(pairs) // LANES:(i + 1) * len(pairs) // LANES])
+            for i in range(LANES)] + [value_task])
 
     x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
     fx, fy = camera.fx, camera.fy

@@ -167,8 +167,9 @@ def _check_decode_gradients(rng) -> None:
 
 def _check_backward_bands(rng) -> None:
     # 60 splats crowding a 12x10 view; the backward split into two bands at
-    # its most crowded pixel, and into three with an empty middle one (the
-    # scan runs on across it), must give the bytes of one band, on every mode
+    # its most crowded pixel, into three with an empty middle one (the scan
+    # runs on across it), and into blocks of one segment each must give the
+    # bytes of one band, on every mode
     n = 60
     centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
                                rng.uniform(0.0, 1.0, n)])
@@ -186,15 +187,18 @@ def _check_backward_bands(rng) -> None:
                    {"grad_feature": g_feature, "feature_geometry": True}):
         results = []
         crowded = int(np.argmax(seg_len))
-        for cuts in ([0, segments], [0, crowded, segments], [0, crowded, crowded, segments]):
-            with mock.patch.object(renderer, "_band_cuts", lambda *_: np.array(cuts)):
+        rows = renderer._SEGMENT_ROWS
+        for cuts, block_rows in (([0, segments], rows), ([0, crowded, segments], rows),
+                                 ([0, crowded, crowded, segments], rows), ([0, segments], 1)):
+            with mock.patch.object(renderer, "_band_cuts", lambda *_: np.array(cuts)), \
+                    mock.patch.object(renderer, "_SEGMENT_ROWS", block_rows):
                 results.append(render_backward(out, g_color, **kwargs))
         one_band = results[0]
-        for bands, chains in zip((2, 3), results[1:]):
+        for split_by, chains in zip(("2 bands", "3 bands", "1-segment blocks"), results[1:]):
             for one, split in zip(one_band, chains):
                 for name, got in vars(split).items():
                     assert got.tobytes() == getattr(one, name).tobytes(), \
-                        f"{name} differs between one and {bands} bands"
+                        f"{name} differs between one band and {split_by}"
 
 
 def _check_rgb() -> None:

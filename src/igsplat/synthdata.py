@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import EmbeddingTable, load_embeddings, save_embeddings
-from .binio import pack_u32, read_file, write_atomic, write_atomic_text
+from .binio import pack_u32, read_file, read_json, write_atomic, write_atomic_text
 from .errors import DataError, UsageError
 from .losses import NO_MASK, MaskView, load_masks, save_masks
 from .renderer import (
@@ -538,8 +538,8 @@ def load_scene_dir(scene_dir: str):
     Returns (manifest dict, points, colors, gt_instances, gt_classes,
     cameras, target images, mask views with embeddings).
     """
-    with open(os.path.join(scene_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(scene_dir, "manifest.json"), dict,
+                         ("points", "image_size", "cameras", "views", "masks", "mask_embeddings"))
     points, colors, gt_instances, gt_classes = load_pointcloud(
         os.path.join(scene_dir, manifest["points"])
     )

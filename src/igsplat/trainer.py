@@ -162,12 +162,14 @@ def _apply(state: TrainState, name: str, param: np.ndarray, grad: np.ndarray, lr
     adam_update(param, grad, _slot(state, name, param.shape), lr)
 
 
-def _dump_abort(out_dir: str | None, payload: dict) -> str | None:
+def _dump_abort(out_dir: str | None, **payload) -> str:
+    """Write ``payload`` to abort_dump.json in ``out_dir``, if one is given;
+    the note naming the file for the error message, else ''."""
     if out_dir is None:
-        return None
+        return ""
     path = os.path.join(out_dir, "abort_dump.json")
     write_atomic_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return f" (dump: {path})"
 
 
 def train_step(
@@ -194,17 +196,8 @@ def train_step(
     try:
         out = render(splats, view.camera)
     except ContributionBudgetError as exc:
-        path = _dump_abort(
-            dump_dir,
-            {
-                "step": step,
-                "phase": phase.value,
-                "view": view_index,
-                "contributions": exc.contributions,
-                "budget": exc.budget,
-            },
-        )
-        where = f" (dump: {path})" if path else ""
+        where = _dump_abort(dump_dir, step=step, phase=phase.value, view=view_index,
+                            contributions=exc.contributions, budget=exc.budget)
         raise ContributionBudgetError(f"{exc} at step {step}{where}", exc.contributions,
                                       exc.budget) from exc
 
@@ -221,19 +214,9 @@ def train_step(
         degenerate_pairs=degenerate,
     )
     if not np.isfinite([l_rgb, l_smooth, l_contrast]).all():
-        path = _dump_abort(
-            dump_dir,
-            {
-                "step": step,
-                "phase": phase.value,
-                "view": view_index,
-                "l_rgb": float(l_rgb),
-                "l_smooth": float(l_smooth),
-                "l_contrast": float(l_contrast),
-                "degenerate_pairs": degenerate,
-            },
-        )
-        where = f" (dump: {path})" if path else ""
+        where = _dump_abort(dump_dir, step=step, phase=phase.value, view=view_index,
+                            l_rgb=float(l_rgb), l_smooth=float(l_smooth),
+                            l_contrast=float(l_contrast), degenerate_pairs=degenerate)
         raise NumericalError(f"non-finite loss at step {step}{where}")
 
     rgb_active = schedule.mode == PROGRESSIVE or phase is Phase.APPEARANCE

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +349,51 @@ def test_query_rejects_embedding_table_of_other_size(associated, capsys):
             fh.write(good)
     assert "instance_embeddings.igem" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "query"))
+
+
+BAD_SCENE_JSON = {
+    # case: (file in the scene bundle, stage, exit code, artifact it must not write)
+    "manifest_truncated": ("manifest.json", "eval", 3, "eval/metrics.json"),
+    "camera_without_fy": ("cameras/cam_000.json", "associate", 3,
+                          "associate/instance_embeddings.igem"),
+    "camera_fy_not_a_number": ("cameras/cam_000.json", "associate", 3,
+                               "associate/instance_embeddings.igem"),
+    "class_names_object": ("class_names.json", "query", 3, "query"),
+    "one_class_name": ("class_names.json", "query", 2, "query"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENE_JSON))
+def test_bad_scene_json_exits_with_its_code(associated, case, capsys):
+    config_path, out = associated
+    name, stage, code, artifact = BAD_SCENE_JSON[case]
+    path = os.path.join(out, "scene", name)
+    good = Path(path).read_bytes()
+    if case == "manifest_truncated":
+        bad = good[: len(good) // 2]
+    elif case.startswith("camera"):
+        camera = json.loads(good)
+        if case == "camera_without_fy":
+            del camera["fy"]
+        else:
+            camera["fy"] = "x"
+        bad = json.dumps(camera).encode()
+    else:  # the scene has 3 text embeddings
+        bad = json.dumps({"a": 1} if case == "class_names_object" else ["x"]).encode()
+    artifact_path = os.path.join(out, artifact)
+    before = Path(artifact_path).read_bytes() if os.path.isfile(artifact_path) else None
+    with open(path, "wb") as fh:
+        fh.write(bad)
+    try:
+        assert main([stage, "--config", config_path]) == code
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(good)
+    assert name.split("/")[-1] in capsys.readouterr().err
+    if before is None:
+        assert not os.path.exists(artifact_path)
+    else:
+        assert Path(artifact_path).read_bytes() == before
 
 
 @pytest.mark.parametrize("tensor, stage", [("embedding", "associate"), ("head", "instantiate")])

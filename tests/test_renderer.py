@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csc_matvec
 
 from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
@@ -498,18 +499,51 @@ def test_fused_backward_chains_equal_single_chain_calls():
 
 
 def test_backward_row_blocks_match_one_block(monkeypatch):
+    # the gathers' row blocks and the blocks of whole segments, each forced
+    # to one block over the view, and the latter to one segment per block
     splats, cam = dense_view()
     out = render(splats, cam)
     assert out.pix.size > 2 * renderer._GATHER_ROWS
+    assert out.pix.size > 2 * renderer._SEGMENT_ROWS
     rng = np.random.default_rng(5)
     grad_color = rng.normal(size=out.color.shape)
     grad_feature = rng.normal(size=out.feature.shape)
     blocked = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-    monkeypatch.setattr(renderer, "_GATHER_ROWS", out.pix.size)
-    whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-    for got, want in zip(blocked, whole):
-        for name in GRAD_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    view = (slice(0, out.pix.size), slice(0, out.seg_start.size))
+    for name, rows, blocks in (("_GATHER_ROWS", out.pix.size, None),
+                               ("_SEGMENT_ROWS", out.pix.size, 1),
+                               ("_SEGMENT_ROWS", 1, out.seg_start.size)):
+        with monkeypatch.context() as patch:
+            patch.setattr(renderer, name, rows)
+            if blocks:
+                assert len(renderer._segment_blocks(out.seg_start, out.pix.size, *view)) == blocks
+            whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
+        for got, want in zip(blocked, whole):
+            for field in GRAD_FIELDS:
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
+                    (name, rows, field)
+
+
+def test_csc_matvec_over_blocks_equals_bincount():
+    # The backward's slot sums: scipy's private csc_matvec, one call per
+    # block of consecutive terms, each block's terms the data of a
+    # one-column matrix with the slots as row numbers, times 1.0, into one
+    # zeroed array; against one bincount over all terms. Slot 7 has terms
+    # in every block, slot 3 only negative zeros, and slot 49 none.
+    rng = np.random.default_rng(13)
+    slots, n = 50, 5000
+    slot = rng.integers(0, slots - 1, n)
+    slot[::97] = 7
+    terms = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    terms[rng.integers(0, n, 200)] = -0.0
+    terms[slot == 3] = -0.0
+    want = np.bincount(slot, weights=terms, minlength=slots)
+    for cuts in ([0, n], [0, 1, 2, 1000, 2500, n - 1, n], list(range(0, n, 7)) + [n]):
+        got = np.zeros(slots)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            csc_matvec(slots, 1, np.array([0, hi - lo]), slot[lo:hi], terms[lo:hi], np.ones(1), got)
+        assert got.tobytes() == want.tobytes(), cuts
+    assert want[3] == 0.0 and not np.signbit(want[3]) and want[49] == 0.0
 
 
 def assert_same_grads(got, want):
@@ -679,12 +713,12 @@ def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
     monkeypatch.setattr(renderer, "_band_cuts", counted)
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     two_cores = backward(out, grad_color, grad_feature, mode)
-    # the shared terms in two bands, then two bands per lane a chain gets
-    assert counts == [2, 1 if mode == "joint" else 2]
+    # one band per lane a geometry chain gets
+    assert counts == [1 if mode == "joint" else 2]
     counts.clear()
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
-    assert counts == [1, 1]
+    assert counts == [1]
     # three forced bands on one core run inline, in band order
     segments = out.seg_start.size
     force_cuts(monkeypatch, [0, segments // 3, 2 * segments // 3, segments])
