@@ -9,9 +9,10 @@ visible keep a zero vector and score -1.
 
 The id maps of independent views render on the renderer's lanes
 (``render_instance_id_maps``), at most ``renderer.LANES`` views at once.
-A view in flight peaks at its rasterize bound,
-``RASTER_BYTES_PER_CONTRIBUTION`` bytes per contribution, plus the dense
-(pixel, instance) score table of H * W * m doubles. The maps come back in
+A view rasterizes and votes in runs of whole pixel rows of about
+``ID_MAP_BAND`` contributions (``renderer.raster_bands``), so a view in
+flight holds one run's raster and (pixel, instance) score table beside its
+(splat, row) span records, whatever the view's size. The maps come back in
 view order, so the accumulation, and every artifact, is the same as a
 sequential run.
 """
@@ -25,12 +26,18 @@ import numpy as np
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 from .losses import MaskView
-from .renderer import Camera, _lanes, rasterize
+from .renderer import Camera, Raster, _lanes, raster_bands
 from .scene_model import SplatSet
 
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
 NO_CLASS = -1
 MIN_VISIBLE_ALPHA = 0.05
+# Contributions per run of rows of an id map. A run's raster and scores
+# take about 50 bytes per contribution, 3 MB. Whole views on the two lanes
+# held 90 MB each on the benchmark's 128x128 scene, which put the associate
+# stage's peak RSS above the training stage's, by a margin that varied by
+# tens of MB from run to run with the lanes' timing.
+ID_MAP_BAND = 1 << 16
 
 EMBEDDING_MAGIC = b"IGEM"
 EMBEDDING_VERSION = 1
@@ -84,31 +91,37 @@ def render_instance_id_map(
 
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
-    rasterize step runs: no color or feature image is composited, and only
-    the raster's pixel, slot and weight arrays outlive it.
+    rasterize step runs, in runs of whole rows of about ``ID_MAP_BAND``
+    contributions (``raster_bands``): a pixel's contributions all fall in
+    one run, so its sums are the whole view's, and no color or feature
+    image is composited.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
-    ras = rasterize(splats, camera)
-    pix, slot, weight, alpha = ras.pix, ras.slot, ras.weight, ras.alpha
-    slot_labels = instance_labels.take(ras.projected.indices)
-    del ras
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
-    if pix.size == 0:
-        return id_map.reshape(h, w)
-    m = int(instance_labels.max()) + 1
-    # the (pixel, instance) key, built in the pixel buffer
-    pix *= m
-    pix += slot_labels.take(slot)
-    del slot
-    scores = np.bincount(pix, weights=weight, minlength=h * w * m)
-    del pix, weight
-    winners = np.argmax(scores.reshape(h * w, m), axis=1)
-    visible = alpha.reshape(-1) >= MIN_VISIBLE_ALPHA
-    id_map[visible] = winners[visible].astype(np.uint32)
+    for ras in raster_bands(splats, camera, ID_MAP_BAND):
+        if ras.pix.size:
+            _vote(id_map, ras, instance_labels)
+        del ras  # before the next run's raster grows
     return id_map.reshape(h, w)
+
+
+def _vote(id_map: np.ndarray, ras: Raster, instance_labels: np.ndarray) -> None:
+    """Write the winners of the pixels from the first to the last of the
+    run ``ras`` into the flat ``id_map``."""
+    m = int(instance_labels.max()) + 1
+    first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
+    # the (pixel, instance) key, counted from the run's first pixel, in the pixel buffer
+    key = ras.pix
+    key -= first
+    key *= m
+    key += instance_labels.take(ras.projected.indices).take(ras.slot)
+    scores = np.bincount(key, weights=ras.weight, minlength=(stop - first) * m)
+    winners = np.argmax(scores.reshape(stop - first, m), axis=1)
+    visible = ras.alpha.reshape(-1)[first:stop] >= MIN_VISIBLE_ALPHA
+    id_map[first:stop][visible] = winners[visible].astype(np.uint32)
 
 
 def render_instance_id_maps(
@@ -119,9 +132,9 @@ def render_instance_id_maps(
     The views run on the renderer's lanes (``renderer._lanes``), at most
     ``renderer.LANES`` at once and never more than the usable cores or the
     views; NumPy releases the interpreter lock in the kernels that dominate
-    a view. Each view in flight holds up to RASTER_BYTES_PER_CONTRIBUTION
-    bytes per contribution, and two views stay under the training stage's
-    own peak. An exception in any view is raised here.
+    a view. A view in flight holds one run of about ``ID_MAP_BAND``
+    contributions at a time, whatever its size. An exception in any view is
+    raised here.
     """
     return _lanes([partial(render_instance_id_map, splats, instance_labels, camera)
                    for camera in cameras])

@@ -22,8 +22,10 @@ transpose of that spans x pixels matrix, which one stable counting pass
 (scipy's CSR-to-CSC conversion) builds in O(contributions + pixels); its
 column pointers are the per-pixel segments. It then yields alpha,
 transmittance, alpha * T and the alpha image. ``render`` adds the color and
-feature composite; instance id maps need only the first step. The same
-row-span enumeration, fed point disks instead of splat cutoffs, gives the
+feature composite; instance id maps need only the first step, which
+``raster_bands`` also runs in runs of whole pixel rows with the same bits,
+so that a large view streams in bounded memory. The same row-span
+enumeration, fed point disks instead of splat cutoffs, gives the
 ground-truth point z-buffer (``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
@@ -49,7 +51,7 @@ reaches it only when asked (the joint phase) and otherwise stops at the
 features. Both passes split their work into tasks that write disjoint
 outputs and run them on the two threads of one persistent pool ("lanes",
 ``_lanes``): ``render`` composites the color and feature images side by
-side, and ``render_backward`` runs each geometry chain in bands of pixel
+side, each in blocks of whole pixel segments, and ``render_backward`` runs each geometry chain in bands of pixel
 segments and phases with a join between them, keeping only two whole-view
 buffers per chain and rebuilding its other terms in blocks. Its results are
 the same bits on any band count, any block size and on one lane or two.
@@ -271,15 +273,17 @@ def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, column
     return out_data, out_indices, out_indptr
 
 
-def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
-    """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
-    radius r on a w x h image; the arrays are indexed by slot, in depth
-    order.
+def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
+    """The row spans of the (disk, pixel) pairs inside disks of centre
+    (u, v) and radius r on a w x h image, the arrays indexed by slot in
+    depth order: one record per (disk, row) of the disk's image-clipped box,
+    in (row, depth order).
 
-    Returns (pix, slot, d2, seg_start, seg_pix): flat per-pair arrays
-    sorted by (pixel, depth order), the start of each pixel's run of pairs
-    and that pixel. None when no pair exists. Raises ContributionBudgetError
-    past ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
+    Returns (rec_slot, row_ptr, row, lo, counts, u_rec, dv2): each record's
+    slot, the (h + 1,) record offsets of the rows, and per record its row,
+    first kept column (float), kept column count, centre column and dv*dv.
+    None when no pair exists. Raises ContributionBudgetError past
+    ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
 
     The expansion runs over row spans, not bounding boxes: one record per
     (splat, row) of the splat's image-clipped box carries dv*dv and the
@@ -291,12 +295,6 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     du*du + dv*dv <= r*r: under round-to-nearest the rounded test is
     monotone in |col - u|, so those columns are one interval. The kept
     pairs and the bits of d2 equal those of a scan over the whole box.
-
-    The splat x row matrix of records, transposed, puts the records in
-    (row, depth order), so the pairs come out grouped by record in that
-    order. The (pixel, depth order) order is then the transpose of the
-    records x pixels matrix: within a pixel, whose records all share its
-    row, ascending record order is depth order.
     """
     x0 = np.maximum(np.ceil(u - r), 0.0)
     x1 = np.minimum(np.floor(u + r), w - 1.0)
@@ -314,7 +312,7 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     rec_slot, _, row_ptr = _transpose(np.repeat(slots, heights), rows,
                                       np.concatenate(([0], ends)), h)
     row = np.repeat(np.arange(h, dtype=np.int64), np.diff(row_ptr))
-    del first_row, heights, ends, rows, row_ptr
+    del first_row, heights, ends, rows
     dv = row - v[rec_slot]
     dv2 = dv * dv
     r_rec = r[rec_slot]
@@ -344,78 +342,155 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
         )
     if total == 0:
         return None
+    return rec_slot, row_ptr, row, lo, counts, u_rec, dv2
+
+
+def _expand_spans(records: tuple, rows: slice, w: int):
+    """The (disk, pixel) pairs of the ``_span_records`` of the image
+    ``rows``, as (pix, slot, d2, seg_start, seg_pix): flat per-pair arrays
+    sorted by (pixel, depth order), the start of each pixel's run of pairs
+    in them and that pixel, a pixel of the view.
+
+    The records come in (row, depth order), so the pairs come out grouped
+    by record in that order. The (pixel, depth order) order is then the
+    transpose of the records x pixels matrix: within a pixel, whose records
+    all share its row, ascending record order is depth order. Entries are
+    numbered from the first record of ``rows``, and every column and d2 is
+    an exact integer sum or the same float expression, so a band of rows
+    has the bits of the whole view's pairs.
+    """
+    rec_slot, row_ptr, row, lo, counts, u_rec, dv2 = records
+    band = slice(row_ptr[rows.start], row_ptr[rows.stop])
+    counts = counts[band]
 
     # One entry per (splat, row, col) of the spans, grouped by record: entry
     # k sits in column k + span_base of its record. The column is built in
-    # float, where it is exact, and becomes du, then d2.
+    # float, where it is exact, and becomes du, then d2. Pixels count from
+    # the band's first row.
     ends = np.cumsum(counts)
-    span_base = lo - (ends - counts)
-    index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
+    total = int(ends[-1])
+    span_base = lo[band] - (ends - counts)
+    columns = (rows.stop - rows.start) * w
+    index = np.int32 if columns <= np.iinfo(np.int32).max else np.int64
     pix = np.arange(total, dtype=index)
-    pix += np.repeat((row * w + span_base.astype(np.int64)).astype(index), counts)
-    del row, lo, hi, rr
+    pix += np.repeat(((row[band] - rows.start) * w + span_base.astype(np.int64)).astype(index),
+                     counts)
     d2 = np.arange(total, dtype=np.float64)
     d2 += np.repeat(span_base, counts)
-    d2 -= np.repeat(u_rec, counts)
+    d2 -= np.repeat(u_rec[band], counts)
     np.multiply(d2, d2, out=d2)
-    d2 += np.repeat(dv2, counts)
-    del span_base, u_rec, dv2
+    d2 += np.repeat(dv2[band], counts)
+    del span_base
 
     # The records x pixels transpose; its inputs go before the outputs grow.
-    d2, rec, pix_ptr = _transpose(d2, pix, np.concatenate(([0], ends)).astype(index), h * w)
+    d2, rec, pix_ptr = _transpose(d2, pix, np.concatenate(([0], ends)).astype(index), columns)
     del pix, ends, counts
-    slot = rec_slot.take(rec)
+    slot = rec_slot[band].take(rec)
     del rec
     seg_len = np.diff(pix_ptr)
     seg_pix = np.flatnonzero(seg_len)
     seg_start = pix_ptr[seg_pix].astype(np.int64)
-    pix = np.repeat(seg_pix, seg_len[seg_pix])
+    seg_len = seg_len[seg_pix]
+    seg_pix += rows.start * w
+    pix = np.repeat(seg_pix, seg_len)
     return pix, slot, d2, seg_start, seg_pix
 
 
-def rasterize(splats: SplatSet, camera: Camera) -> Raster:
-    """Contributions, their alphas and transmittances, and the alpha image."""
+def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
+    """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
+    radius r on a w x h image, the arrays indexed by slot in depth order:
+    ``_expand_spans`` of every ``_span_records`` row, or None when no pair
+    exists.
+    """
+    records = _span_records(u, v, r, w, h)
+    return None if records is None else _expand_spans(records, slice(0, h), w)
+
+
+def _row_bands(records: tuple, h: int, contributions: int | None) -> list:
+    """Runs of whole image rows of about ``contributions`` pairs each (one
+    run of every row when None); a run starts at a row with pairs."""
+    if contributions is None:
+        return [slice(0, h)]
+    _, row_ptr, _, _, counts, _, _ = records
+    before = np.concatenate(([0], np.cumsum(counts)))[row_ptr]  # pairs before each row
+    firsts = np.searchsorted(before, np.arange(0, before[-1], contributions), side="right") - 1
+    cuts = np.append(np.unique(firsts), h)
+    return [slice(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = None):
+    """``rasterize`` in runs of whole pixel rows of about ``contributions``
+    contributions each (all rows at once when None): one Raster per run, in
+    row order, whose arrays hold that run's contributions (``seg_start``
+    counts from the run's first) and whose alpha image is zero off the run.
+    Every contribution's alpha, transmittance and weight, and every alpha
+    pixel, carries the bits of the one-run raster: the prefix sum behind the
+    transmittances runs on from the runs before. A run holds about the
+    Raster of its contributions, so a large view streams in bounded memory.
+    """
     proj = project_splats(splats, camera)
     h, w = camera.height, camera.width
-    built = _build_contributions(proj.u, proj.v, proj.radius_px, w, h)
-    if built is None:
+    records = _span_records(proj.u, proj.v, proj.radius_px, w, h)
+    if records is None:
         none_i = np.zeros(0, dtype=np.int64)
         none_f = np.zeros(0)
-        return Raster(
+        yield Raster(
             pix=none_i, slot=none_i, alpha_i=none_f, trans=none_f, weight=none_f,
             clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
             alpha=np.zeros((h, w)), projected=proj,
         )
-    pix, slot, d2, seg_start, seg_pix = built
+        return
+    bands = _row_bands(records, h, contributions)
+    # x + -0.0 is x, signed zeros too, so the first run's scan has
+    # np.cumsum's bits
+    carry = -0.0
+    for band in bands:
+        pix, slot, d2, seg_start, seg_pix = _expand_spans(records, band, w)
+        if band.stop == h:  # the last run frees the records before its own arrays grow
+            del records
 
-    # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
-    # the per-splat factors are formed before the gather, with the same bits.
-    alpha = np.negative(d2, out=d2)
-    np.divide(alpha, (2.0 * proj.sigma_px * proj.sigma_px).take(slot), out=alpha)
-    np.exp(alpha, out=alpha)
-    np.multiply(splats.opacities.take(proj.indices).take(slot), alpha, out=alpha)
-    clamped = alpha > ALPHA_MAX
-    alpha[clamped] = ALPHA_MAX
+        # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
+        # the per-splat factors are formed before the gather, with the same bits.
+        alpha = np.negative(d2, out=d2)
+        np.divide(alpha, (2.0 * proj.sigma_px * proj.sigma_px).take(slot), out=alpha)
+        np.exp(alpha, out=alpha)
+        np.multiply(splats.opacities.take(proj.indices).take(slot), alpha, out=alpha)
+        clamped = alpha > ALPHA_MAX
+        alpha[clamped] = ALPHA_MAX
 
-    # Exclusive per-pixel product of (1 - alpha) via a segmented log cumsum,
-    # which becomes the transmittance in place.
-    seg_len = np.diff(seg_start, append=len(pix))
-    logs = np.negative(alpha)
-    np.log1p(logs, out=logs)
-    trans = np.cumsum(logs)
-    trans -= logs
-    del logs
-    trans -= np.repeat(trans[seg_start], seg_len)
-    np.exp(trans, out=trans)
+        # Exclusive per-pixel product of (1 - alpha) via a segmented log
+        # cumsum, which becomes the transmittance in place. The cumsum runs
+        # on from the runs before: their sum goes into the first term for
+        # the scan, and the term comes back for the subtraction.
+        seg_len = np.diff(seg_start, append=len(pix))
+        logs = np.negative(alpha)
+        np.log1p(logs, out=logs)
+        first = logs[0]
+        logs[0] += carry
+        trans = np.cumsum(logs)
+        logs[0] = first
+        carry = trans[-1]
+        trans -= logs
+        del logs
+        trans -= np.repeat(trans[seg_start], seg_len)
+        np.exp(trans, out=trans)
 
-    weight = alpha * trans
-    alpha_img = np.zeros(h * w)
-    alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
-    return Raster(
-        pix=pix, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
-        clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
-        alpha=alpha_img.reshape(h, w), projected=proj,
-    )
+        weight = alpha * trans
+        alpha_img = np.zeros(h * w)
+        alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
+        yield Raster(
+            pix=pix, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
+            clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
+            alpha=alpha_img.reshape(h, w), projected=proj,
+        )
+        # the caller holds the run now; let it go before the next run grows
+        del pix, slot, d2, seg_start, seg_pix, seg_len, alpha, clamped, trans, weight, alpha_img
+
+
+def rasterize(splats: SplatSet, camera: Camera) -> Raster:
+    """Contributions, their alphas and transmittances, and the alpha image."""
+    (ras,) = raster_bands(splats, camera)
+    return ras
 
 
 def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.ndarray:
@@ -519,18 +594,24 @@ def _segment_blocks(seg_start: np.ndarray, total: int, rows: slice, segs: slice)
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
     """Rasterize color, feature, and alpha images with contributor retention.
 
-    The feature and color composites run as two lanes (``_lanes``).
+    The feature and color composites run as two lanes (``_lanes``), each
+    in blocks of whole pixel segments (``_segment_blocks``), so that a
+    lane's scratch is a block's whatever the view.
     """
     ras = rasterize(splats, camera)
     h, w = camera.height, camera.width
+    total = ras.pix.size
+    blocks = _segment_blocks(ras.seg_start, total, slice(0, total), slice(0, ras.seg_start.size))
 
     def composite(values: np.ndarray) -> np.ndarray:
         image = np.zeros((h * w, values.shape[1]))
         # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transpose
-        for ch, channel in enumerate(np.ascontiguousarray(values[ras.projected.indices].T)):
-            image[ras.seg_pix, ch] = np.add.reduceat(
-                ras.weight * channel.take(ras.slot), ras.seg_start
-            )
+        channels = np.ascontiguousarray(values[ras.projected.indices].T)
+        for block, segs in blocks:
+            slot, weight = ras.slot[block], ras.weight[block]
+            starts, pixels = ras.seg_start[segs] - block.start, ras.seg_pix[segs]
+            for ch, channel in enumerate(channels):
+                image[pixels, ch] = np.add.reduceat(weight * channel.take(slot), starts)
         return image.reshape(h, w, -1)
 
     feature, color = _lanes([partial(composite, splats.features),

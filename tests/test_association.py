@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igsplat import renderer
+from igsplat import association, renderer
 from igsplat.association import (
     MIN_VISIBLE_ALPHA,
     EmbeddingTable,
@@ -133,6 +133,17 @@ def test_id_map_pool_equals_sequential_maps(monkeypatch, cores):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     assert render_instance_id_maps(splats, labels, []) == []
+
+
+def test_id_map_runs_match_one_run(monkeypatch):
+    # runs of one row each, or of a few contributions, vote as one run does
+    splats, labels, cameras = multi_view_scene()
+    wants = [render_instance_id_map(splats, labels, camera) for camera in cameras]
+    for band in (1, 37):
+        monkeypatch.setattr(association, "ID_MAP_BAND", band)
+        for camera, want in zip(cameras, wants):
+            got = render_instance_id_map(splats, labels, camera)
+            assert got.tobytes() == want.tobytes(), band
 
 
 def test_id_map_pool_raises_label_count_mismatch():

@@ -20,6 +20,7 @@ from igsplat.renderer import (
     _build_contributions,
     load_camera,
     project_splats,
+    raster_bands,
     rasterize,
     read_raw_f32,
     render,
@@ -522,6 +523,50 @@ def test_backward_row_blocks_match_one_block(monkeypatch):
             for field in GRAD_FIELDS:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
                     (name, rows, field)
+
+
+def test_composite_blocks_match_one_block(monkeypatch):
+    # render's composites in blocks of whole segments: blocks of about 97
+    # rows and of one segment each give the bytes of one block over the view
+    splats, cam = dense_view(n=500, size=48)
+    whole = render(splats, cam)
+    assert 10 * 97 < whole.pix.size <= renderer._SEGMENT_ROWS
+    for rows, blocks in ((97, None), (1, whole.seg_start.size)):
+        with monkeypatch.context() as patch:
+            patch.setattr(renderer, "_SEGMENT_ROWS", rows)
+            if blocks:
+                view = (slice(0, whole.pix.size), slice(0, whole.seg_start.size))
+                assert len(renderer._segment_blocks(whole.seg_start, whole.pix.size, *view)) == blocks
+            blocked = render(splats, cam)
+        for name in ("color", "feature", "alpha"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), (rows, name)
+
+
+def test_raster_bands_carry_the_one_band_bits():
+    # runs of whole rows, down to one row each: concatenated, the runs are
+    # the one-run raster byte for byte, the transmittance scan included
+    splats, cam = dense_view(n=500, size=48)
+    whole = rasterize(splats, cam)
+    rows_with_pairs = np.unique(whole.seg_pix // cam.width).size
+    for contributions in (1, 997, whole.pix.size // 3):
+        runs = list(raster_bands(splats, cam, contributions))
+        assert len(runs) > 1
+        assert contributions > 1 or len(runs) == rows_with_pairs
+        for field in ("pix", "slot", "alpha_i", "trans", "weight", "clamped", "seg_pix"):
+            got = np.concatenate([getattr(run, field) for run in runs])
+            assert got.dtype == getattr(whole, field).dtype
+            assert got.tobytes() == getattr(whole, field).tobytes(), (contributions, field)
+        firsts = np.cumsum([0] + [run.pix.size for run in runs[:-1]])
+        starts = np.concatenate([run.seg_start + first for run, first in zip(runs, firsts)])
+        assert starts.tobytes() == whole.seg_start.tobytes()
+        assert sum(run.alpha for run in runs).tobytes() == whole.alpha.tobytes()
+        # a run holds whole rows
+        assert all(run.seg_pix[0] // cam.width > prev.seg_pix[-1] // cam.width
+                   for prev, run in zip(runs, runs[1:]))
+    behind = SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities,
+                      splats.scales, splats.features, splats.parent)
+    (empty,) = raster_bands(behind, cam, 10)
+    assert empty.pix.size == 0 and not empty.alpha.any()
 
 
 def test_csc_matvec_over_blocks_equals_bincount():
