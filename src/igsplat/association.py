@@ -101,23 +101,27 @@ def render_instance_id_map(
         raise UsageError("one instance label per splat required")
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
+    slot_labels = None
     for ras in raster_bands(splats, camera, ID_MAP_BAND):
         if ras.pix.size:
-            _vote(id_map, ras, instance_labels)
+            if slot_labels is None:  # the view's runs share one projection
+                m = int(instance_labels.max()) + 1
+                slot_labels = instance_labels.take(ras.projected.indices)
+            _vote(id_map, ras, m, slot_labels)
         del ras  # before the next run's raster grows
     return id_map.reshape(h, w)
 
 
-def _vote(id_map: np.ndarray, ras: Raster, instance_labels: np.ndarray) -> None:
+def _vote(id_map: np.ndarray, ras: Raster, m: int, slot_labels: np.ndarray) -> None:
     """Write the winners of the pixels from the first to the last of the
-    run ``ras`` into the flat ``id_map``."""
-    m = int(instance_labels.max()) + 1
+    run ``ras`` into the flat ``id_map``, with ``m`` instances and the
+    instance label of each projected slot."""
     first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
     # the (pixel, instance) key, counted from the run's first pixel, in the pixel buffer
     key = ras.pix
     key -= first
     key *= m
-    key += instance_labels.take(ras.projected.indices).take(ras.slot)
+    key += slot_labels.take(ras.slot)
     scores = np.bincount(key, weights=ras.weight, minlength=(stop - first) * m)
     winners = np.argmax(scores.reshape(stop - first, m), axis=1)
     visible = ras.alpha.reshape(-1)[first:stop] >= MIN_VISIBLE_ALPHA

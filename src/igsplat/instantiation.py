@@ -223,14 +223,15 @@ def kmeans_cluster(
 
     for iterations in range(1, max_iters + 1):
         # d2 = (|x|^2 + |c|^2) - 2 x.c, finished in row blocks. The product
-        # is one call: a row-blocked GEMM rounds differently.
+        # is one call: a row-blocked GEMM rounds differently. Scaling the
+        # centers by 2 scales every product and partial sum exactly, so
+        # x.(2c) has the bits of 2 (x.c).
         c_sq = (centers * centers).sum(axis=1)
-        np.matmul(x, centers.T, out=d2)
+        np.matmul(x, (2.0 * centers).T, out=d2)
         dead = np.flatnonzero(tombstone)
         for lo in range(0, n, rows):
             block = d2[lo:lo + rows]
             near = scratch[:block.shape[0]]
-            block *= 2.0
             np.add(x_sq[lo:lo + rows, None], c_sq, out=near)
             np.subtract(near, block, out=block)
             if dead.size:

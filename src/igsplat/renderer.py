@@ -34,13 +34,15 @@ scattered, through ``projected.indices``. Slots and visible splats
 correspond one to one, so a sum over slots adds the same entries in the
 same order as one over splat indices.
 
-``rasterize`` frees each temporary at its last use and computes the alpha
-and transmittance chains in place, with the same floating-point operations
-in the same order. Its peak is then about the Raster it returns, 44-47
-bytes per contribution; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated
-bound (per-splat and per-pixel arrays aside), which the tests check. A
-view past ``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales
-make, raises ContributionBudgetError (a NumericalError) before any
+``rasterize`` allocates the Raster's arrays once and writes every step
+into them in place, with the same floating-point operations in the same
+order as one pass over the view. Its peak is the Raster (about 43 bytes per
+contribution), the span records and one run of rows in flight per lane,
+53-62 bytes per contribution on the tests' views;
+``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat and
+per-pixel arrays aside), which the tests check. A view past
+``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales make,
+raises ContributionBudgetError (a NumericalError) before any
 per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
@@ -50,11 +52,16 @@ always reaches geometry (opacities, scales, centers); the feature chain
 reaches it only when asked (the joint phase) and otherwise stops at the
 features. Both passes split their work into tasks that write disjoint
 outputs and run them on the two threads of one persistent pool ("lanes",
-``_lanes``): ``render`` composites the color and feature images side by
-side, each in blocks of whole pixel segments, and ``render_backward`` runs each geometry chain in bands of pixel
-segments and phases with a join between them, keeping only two whole-view
-buffers per chain and rebuilding its other terms in blocks. Its results are
-the same bits on any band count, any block size and on one lane or two.
+``_lanes``). ``rasterize`` and ``render`` cut the view into runs of whole
+pixel rows and give each lane a contiguous group of them: a lane expands
+its runs' spans and computes their alphas, one prefix sum over the view
+joins the lanes, and each lane then finishes its runs' transmittances,
+weights and alpha pixels and, in ``render``, the 9 feature and color
+channels of each run while its contributions are in cache.
+``render_backward`` runs each geometry chain in bands of pixel segments and
+phases with a join between them, keeping only two whole-view buffers per
+chain and rebuilding its other terms in blocks. Both passes give the same
+bits on any run, band or block cutting and on one lane or two.
 With both chains on geometry a call peaks at about 62 bytes per
 contribution above its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is
 the stated bound, which the tests check.
@@ -91,7 +98,8 @@ CONTRIBUTION_BUDGET = (4 << 30) // (
 )
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
-# Rows per block of whole pixel segments in the backward; a block is 512 KB.
+# Contributions per block of whole pixel segments in the backward, and per
+# run of whole pixel rows in the forward; 512 KB per float array.
 _SEGMENT_ROWS = 1 << 16
 # Threads of the renderer's task pool (``_lanes``).
 LANES = 2
@@ -345,152 +353,247 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     return rec_slot, row_ptr, row, lo, counts, u_rec, dv2
 
 
-def _expand_spans(records: tuple, rows: slice, w: int):
-    """The (disk, pixel) pairs of the ``_span_records`` of the image
-    ``rows``, as (pix, slot, d2, seg_start, seg_pix): flat per-pair arrays
-    sorted by (pixel, depth order), the start of each pixel's run of pairs
-    in them and that pixel, a pixel of the view.
+def _expand_spans(records: tuple, rows: slice, w: int, pix: np.ndarray, slot: np.ndarray,
+                  d2: np.ndarray, scratch: np.ndarray):
+    """Write the (disk, pixel) pairs of the ``_span_records`` of the image
+    ``rows`` into the flat arrays ``pix`` (a pixel of the view), ``slot``
+    and ``d2``, sorted by (pixel, depth order), and return (seg_start,
+    seg_pix): the start of each pixel's run of pairs in them and that pixel.
+    ``scratch``, a float array of their length, is overwritten.
 
     The records come in (row, depth order), so the pairs come out grouped
     by record in that order. The (pixel, depth order) order is then the
     transpose of the records x pixels matrix: within a pixel, whose records
-    all share its row, ascending record order is depth order. Entries are
-    numbered from the first record of ``rows``, and every column and d2 is
-    an exact integer sum or the same float expression, so a band of rows
-    has the bits of the whole view's pairs.
+    all share its row, ascending record order is depth order. The
+    transpose carries each pair's pixel and names its record, from which
+    the pair's slot, du and dv*dv are gathered. Entries are numbered from
+    the first record of ``rows``, and every column and d2 is an exact
+    integer or the same float expression, so a band of rows has the bits of
+    the whole view's pairs.
     """
     rec_slot, row_ptr, row, lo, counts, u_rec, dv2 = records
     band = slice(row_ptr[rows.start], row_ptr[rows.stop])
     counts = counts[band]
 
     # One entry per (splat, row, col) of the spans, grouped by record: entry
-    # k sits in column k + span_base of its record. The column is built in
-    # float, where it is exact, and becomes du, then d2. Pixels count from
-    # the band's first row.
+    # k sits in column k + span_base of its record. Pixels count from the
+    # band's first row.
     ends = np.cumsum(counts)
     total = int(ends[-1])
     span_base = lo[band] - (ends - counts)
     columns = (rows.stop - rows.start) * w
     index = np.int32 if columns <= np.iinfo(np.int32).max else np.int64
-    pix = np.arange(total, dtype=index)
-    pix += np.repeat(((row[band] - rows.start) * w + span_base.astype(np.int64)).astype(index),
-                     counts)
-    d2 = np.arange(total, dtype=np.float64)
-    d2 += np.repeat(span_base, counts)
-    d2 -= np.repeat(u_rec[band], counts)
-    np.multiply(d2, d2, out=d2)
-    d2 += np.repeat(dv2[band], counts)
+    band_pix = np.arange(total, dtype=index)
+    band_pix += np.repeat(((row[band] - rows.start) * w + span_base.astype(np.int64)).astype(index),
+                          counts)
     del span_base
 
-    # The records x pixels transpose; its inputs go before the outputs grow.
-    d2, rec, pix_ptr = _transpose(d2, pix, np.concatenate(([0], ends)).astype(index), columns)
-    del pix, ends, counts
-    slot = rec_slot[band].take(rec)
+    # The records x pixels transpose, whose data are the pixels themselves
+    band_pix, rec, pix_ptr = _transpose(band_pix, band_pix, np.concatenate(([0], ends)).astype(index),
+                                        columns)
+    del ends, counts
+    np.add(band_pix, np.int64(rows.start * w), out=pix)
+    # d2 = (col - u)^2 + dv^2; the int column converts to float exactly
+    np.remainder(band_pix, w, out=d2)
+    del band_pix
+    # Takes gather several times faster by intp indices, and write to out
+    # unbuffered in clip mode, which never fires here.
+    rec = rec.astype(np.int64)
+    rec_slot[band].take(rec, out=slot, mode="clip")
+    d2 -= u_rec[band].take(rec, out=scratch, mode="clip")
+    np.multiply(d2, d2, out=d2)
+    d2 += dv2[band].take(rec, out=scratch, mode="clip")
     del rec
     seg_len = np.diff(pix_ptr)
     seg_pix = np.flatnonzero(seg_len)
     seg_start = pix_ptr[seg_pix].astype(np.int64)
-    seg_len = seg_len[seg_pix]
     seg_pix += rows.start * w
-    pix = np.repeat(seg_pix, seg_len)
-    return pix, slot, d2, seg_start, seg_pix
+    return seg_start, seg_pix
 
 
 def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
     radius r on a w x h image, the arrays indexed by slot in depth order:
-    ``_expand_spans`` of every ``_span_records`` row, or None when no pair
-    exists.
+    (pix, slot, d2, seg_start, seg_pix) of every ``_span_records`` row
+    (``_expand_spans``), or None when no pair exists.
     """
     records = _span_records(u, v, r, w, h)
-    return None if records is None else _expand_spans(records, slice(0, h), w)
+    if records is None:
+        return None
+    total = int(records[4].sum())
+    pix, slot, d2 = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total)
+    return (pix, slot, d2, *_expand_spans(records, slice(0, h), w, pix, slot, d2, np.empty(total)))
 
 
 def _row_bands(records: tuple, h: int, contributions: int | None) -> list:
     """Runs of whole image rows of about ``contributions`` pairs each (one
-    run of every row when None); a run starts at a row with pairs."""
-    if contributions is None:
-        return [slice(0, h)]
+    run of every row when None), a run starting at a row with pairs: (rows,
+    entries) slice pairs, ``entries`` numbering the view's pairs in (pixel,
+    depth order)."""
     _, row_ptr, _, _, counts, _, _ = records
     before = np.concatenate(([0], np.cumsum(counts)))[row_ptr]  # pairs before each row
-    firsts = np.searchsorted(before, np.arange(0, before[-1], contributions), side="right") - 1
-    cuts = np.append(np.unique(firsts), h)
-    return [slice(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    cuts = [0, h]
+    if contributions is not None:
+        firsts = np.searchsorted(before, np.arange(0, before[-1], contributions), side="right") - 1
+        cuts = np.append(np.unique(firsts), h)
+    return [(slice(int(a), int(b)), slice(int(before[a]), int(before[b])))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _view_runs(splats: SplatSet, camera: Camera, contributions: int | None):
+    """The set-up of a forward pass: the projected splats, their
+    ``_span_records`` (None when no contribution exists), the view's runs of
+    rows (``_row_bands``; none without contributions) and the per-slot
+    factors of alpha, 2 sigma^2 and the opacity."""
+    proj = project_splats(splats, camera)
+    records = _span_records(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
+    runs = [] if records is None else _row_bands(records, camera.height, contributions)
+    factors = (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
+    return proj, records, runs, factors
+
+
+def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Raster:
+    """A Raster of ``contributions`` unset contributions, no segments and a
+    zero alpha image."""
+    return Raster(
+        pix=np.empty(contributions, dtype=np.int64), slot=np.empty(contributions, dtype=np.int64),
+        alpha_i=np.empty(contributions), trans=np.empty(contributions),
+        weight=np.empty(contributions), clamped=np.empty(contributions, dtype=bool),
+        seg_start=np.zeros(0, dtype=np.int64), seg_pix=np.zeros(0, dtype=np.int64),
+        alpha=np.zeros((camera.height, camera.width)), projected=proj,
+    )
+
+
+def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, run: slice):
+    """The first phase of the run of image ``rows``, whose contributions are
+    the entries ``run`` of ``ras``: their pix and slot, their clamped alpha,
+    and log(1 - alpha), parked in ``weight``. Returns the run's (seg_start,
+    seg_pix), the starts counted from the run's first entry."""
+    two_sig2, opacity = factors
+    alpha, slot, d2 = ras.alpha_i[run], ras.slot[run], ras.trans[run]
+    # d2 in the transmittance's entries, which the scan overwrites, and
+    # alpha's entries as the scratch
+    seg_start, seg_pix = _expand_spans(records, rows, w, ras.pix[run], slot, d2, alpha)
+    # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))); the per-splat
+    # factors are formed before the gather, with the same bits.
+    np.negative(d2, out=alpha)
+    np.divide(alpha, two_sig2.take(slot), out=alpha)
+    np.exp(alpha, out=alpha)
+    np.multiply(opacity.take(slot), alpha, out=alpha)
+    clamped = np.greater(alpha, ALPHA_MAX, out=ras.clamped[run])
+    alpha[clamped] = ALPHA_MAX
+    logs = np.negative(alpha, out=ras.weight[run])
+    np.log1p(logs, out=logs)
+    return seg_start, seg_pix
+
+
+def _weights(ras: Raster, run: slice, seg_start: np.ndarray, seg_pix: np.ndarray) -> None:
+    """The second phase of the entries ``run`` of ``ras``, once ``trans``
+    holds the inclusive prefix sum of the logs in ``weight``: the
+    transmittance, the weight alpha * T and the run's alpha pixels.
+
+    The exclusive per-pixel product of (1 - alpha) is the segmented log
+    cumsum, which becomes the transmittance in place. A pixel's entries
+    all lie in its run, so a run reads only its own entries."""
+    trans, weight = ras.trans[run], ras.weight[run]
+    trans -= weight
+    trans -= np.repeat(trans[seg_start], np.diff(seg_start, append=trans.size))
+    np.exp(trans, out=trans)
+    np.multiply(ras.alpha_i[run], trans, out=weight)
+    ras.alpha.reshape(-1)[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
 
 
 def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = None):
     """``rasterize`` in runs of whole pixel rows of about ``contributions``
-    contributions each (all rows at once when None): one Raster per run, in
-    row order, whose arrays hold that run's contributions (``seg_start``
-    counts from the run's first) and whose alpha image is zero off the run.
-    Every contribution's alpha, transmittance and weight, and every alpha
-    pixel, carries the bits of the one-run raster: the prefix sum behind the
-    transmittances runs on from the runs before. A run holds about the
-    Raster of its contributions, so a large view streams in bounded memory.
+    contributions each (all rows at once when None), one after another on
+    the calling thread: one Raster per run, in row order, whose arrays hold
+    that run's contributions (``seg_start`` counts from the run's first)
+    and whose alpha image is zero off the run. Every contribution's alpha,
+    transmittance and weight, and every alpha pixel, carries the bits of
+    ``rasterize``: the prefix sum behind the transmittances runs on from
+    the runs before. A run holds about the Raster of its contributions, so
+    a large view streams in bounded memory.
     """
-    proj = project_splats(splats, camera)
-    h, w = camera.height, camera.width
-    records = _span_records(proj.u, proj.v, proj.radius_px, w, h)
-    if records is None:
-        none_i = np.zeros(0, dtype=np.int64)
-        none_f = np.zeros(0)
-        yield Raster(
-            pix=none_i, slot=none_i, alpha_i=none_f, trans=none_f, weight=none_f,
-            clamped=np.zeros(0, dtype=bool), seg_start=none_i, seg_pix=none_i,
-            alpha=np.zeros((h, w)), projected=proj,
-        )
+    proj, records, runs, factors = _view_runs(splats, camera, contributions)
+    if not runs:
+        yield _new_raster(0, proj, camera)
         return
-    bands = _row_bands(records, h, contributions)
     # x + -0.0 is x, signed zeros too, so the first run's scan has
     # np.cumsum's bits
     carry = -0.0
-    for band in bands:
-        pix, slot, d2, seg_start, seg_pix = _expand_spans(records, band, w)
-        if band.stop == h:  # the last run frees the records before its own arrays grow
+    for rows, run in runs:
+        ras = _new_raster(run.stop - run.start, proj, camera)
+        entries = slice(0, ras.pix.size)
+        seg_start, seg_pix = _alphas(records, rows, camera.width, factors, ras, entries)
+        if rows.stop == camera.height:  # the last run frees the records
             del records
-
-        # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))), in d2's buffer;
-        # the per-splat factors are formed before the gather, with the same bits.
-        alpha = np.negative(d2, out=d2)
-        np.divide(alpha, (2.0 * proj.sigma_px * proj.sigma_px).take(slot), out=alpha)
-        np.exp(alpha, out=alpha)
-        np.multiply(splats.opacities.take(proj.indices).take(slot), alpha, out=alpha)
-        clamped = alpha > ALPHA_MAX
-        alpha[clamped] = ALPHA_MAX
-
-        # Exclusive per-pixel product of (1 - alpha) via a segmented log
-        # cumsum, which becomes the transmittance in place. The cumsum runs
-        # on from the runs before: their sum goes into the first term for
-        # the scan, and the term comes back for the subtraction.
-        seg_len = np.diff(seg_start, append=len(pix))
-        logs = np.negative(alpha)
-        np.log1p(logs, out=logs)
+        # The scan runs on from the runs before: their sum goes into the
+        # first term for the scan, and the term comes back afterwards.
+        logs = ras.weight
         first = logs[0]
         logs[0] += carry
-        trans = np.cumsum(logs)
+        np.cumsum(logs, out=ras.trans)
         logs[0] = first
-        carry = trans[-1]
-        trans -= logs
-        del logs
-        trans -= np.repeat(trans[seg_start], seg_len)
-        np.exp(trans, out=trans)
-
-        weight = alpha * trans
-        alpha_img = np.zeros(h * w)
-        alpha_img[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
-        yield Raster(
-            pix=pix, slot=slot, alpha_i=alpha, trans=trans, weight=weight,
-            clamped=clamped, seg_start=seg_start, seg_pix=seg_pix,
-            alpha=alpha_img.reshape(h, w), projected=proj,
-        )
+        carry = ras.trans[-1]
+        _weights(ras, entries, seg_start, seg_pix)
+        ras.seg_start, ras.seg_pix = seg_start, seg_pix
+        yield ras
         # the caller holds the run now; let it go before the next run grows
-        del pix, slot, d2, seg_start, seg_pix, seg_len, alpha, clamped, trans, weight, alpha_img
+        del ras, seg_start, seg_pix, logs
+
+
+def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
+    """The whole view's Raster, built on the lanes, and the (H, W, C)
+    composite of each (n, C) per-splat array in ``values``.
+
+    The view is cut into runs of whole pixel rows of about ``_SEGMENT_ROWS``
+    contributions, and the runs into ``LANES`` contiguous groups of about
+    equal contribution counts, one task each. The tasks write their runs'
+    slices of the whole-view arrays in two phases with a join between
+    them: ``_alphas``, then one ``np.cumsum`` over the view, then
+    ``_weights`` and the run's composites, each channel a sum of weight *
+    value over a pixel's contributions in order. A pixel's entries lie in
+    one run, so any run or group cutting gives the same bits; a view of one
+    run is one task, which runs inline.
+    """
+    proj, records, runs, factors = _view_runs(splats, camera, _SEGMENT_ROWS)
+    h, w = camera.height, camera.width
+    total = runs[-1][1].stop if runs else 0
+    ras = _new_raster(total, proj, camera)
+    images = [np.zeros((h * w, value.shape[1])) for value in values]
+    # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
+    channels = [np.ascontiguousarray(value[proj.indices].T) for value in values]
+    # a run goes to the group that holds its middle contribution
+    cuts = _band_cuts(np.array([(run.start + run.stop) // 2 for _, run in runs], dtype=np.int64),
+                      total, LANES)
+    groups = [runs[first:last] for first, last in zip(cuts[:-1], cuts[1:]) if last > first]
+
+    def first_phase(group):
+        return [_alphas(records, rows, w, factors, ras, run) for rows, run in group]
+
+    def second_phase(group, segments):
+        for (_, run), (seg_start, seg_pix) in zip(group, segments):
+            _weights(ras, run, seg_start, seg_pix)
+            slot, weight = ras.slot[run], ras.weight[run]
+            for image, image_channels in zip(images, channels):
+                for ch, channel in enumerate(image_channels):
+                    image[seg_pix, ch] = np.add.reduceat(weight * channel.take(slot), seg_start)
+
+    group_segments = _lanes([partial(first_phase, group) for group in groups])
+    del records
+    np.cumsum(ras.weight, out=ras.trans)
+    _lanes([partial(second_phase, *task) for task in zip(groups, group_segments)])
+    # after the empty segment arrays, which keep the dtype of a view without runs
+    run_segments = [segments for part in group_segments for segments in part]
+    ras.seg_start = np.concatenate([ras.seg_start] + [seg_start + run.start for (_, run), (seg_start, _)
+                                                      in zip(runs, run_segments)])
+    ras.seg_pix = np.concatenate([ras.seg_pix] + [seg_pix for _, seg_pix in run_segments])
+    return ras, [image.reshape(h, w, -1) for image in images]
 
 
 def rasterize(splats: SplatSet, camera: Camera) -> Raster:
     """Contributions, their alphas and transmittances, and the alpha image."""
-    (ras,) = raster_bands(splats, camera)
-    return ras
+    return _forward(splats, camera)[0]
 
 
 def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.ndarray:
@@ -570,9 +673,10 @@ def _lanes(tasks: list) -> list:
 
 
 def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
-    """Split a view's pixel segments into ``bands`` contiguous runs of about
-    equal contribution counts: the (bands + 1,) segment indices at which
-    the runs start, then the segment count. A run may be empty."""
+    """Split a view's pixel segments (or runs of rows, by their middle
+    contributions) into ``bands`` contiguous runs of about equal
+    contribution counts: the (bands + 1,) indices at which the runs start,
+    then the count. A run may be empty."""
     return np.searchsorted(seg_start, total * np.arange(bands + 1) // bands)
 
 
@@ -594,28 +698,11 @@ def _segment_blocks(seg_start: np.ndarray, total: int, rows: slice, segs: slice)
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
     """Rasterize color, feature, and alpha images with contributor retention.
 
-    The feature and color composites run as two lanes (``_lanes``), each
-    in blocks of whole pixel segments (``_segment_blocks``), so that a
-    lane's scratch is a block's whatever the view.
+    One pass on the lanes (``_forward``): each lane rasterizes its runs of
+    rows and composites the 9 feature and color channels of each run while
+    its entries are in cache.
     """
-    ras = rasterize(splats, camera)
-    h, w = camera.height, camera.width
-    total = ras.pix.size
-    blocks = _segment_blocks(ras.seg_start, total, slice(0, total), slice(0, ras.seg_start.size))
-
-    def composite(values: np.ndarray) -> np.ndarray:
-        image = np.zeros((h * w, values.shape[1]))
-        # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transpose
-        channels = np.ascontiguousarray(values[ras.projected.indices].T)
-        for block, segs in blocks:
-            slot, weight = ras.slot[block], ras.weight[block]
-            starts, pixels = ras.seg_start[segs] - block.start, ras.seg_pix[segs]
-            for ch, channel in enumerate(channels):
-                image[pixels, ch] = np.add.reduceat(weight * channel.take(slot), starts)
-        return image.reshape(h, w, -1)
-
-    feature, color = _lanes([partial(composite, splats.features),
-                             partial(composite, splats.colors)])
+    ras, (feature, color) = _forward(splats, camera, (splats.features, splats.colors))
     return RenderOutput(**vars(ras), color=color, feature=feature, splats=splats, camera=camera)
 
 

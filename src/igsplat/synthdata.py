@@ -21,7 +21,7 @@ import numpy as np
 
 from .association import EmbeddingTable, load_embeddings, save_embeddings
 from .binio import pack_u32, read_file, read_json, write_atomic, write_atomic_text
-from .errors import DataError, UsageError
+from .errors import DataError, FormatError, UsageError
 from .losses import NO_MASK, MaskView, load_masks, save_masks
 from .renderer import (
     Camera, load_camera, read_raw_f32, save_camera, write_raw_f32, zbuffer_owners,
@@ -538,8 +538,14 @@ def load_scene_dir(scene_dir: str):
     Returns (manifest dict, points, colors, gt_instances, gt_classes,
     cameras, target images, mask views with embeddings).
     """
-    manifest = read_json(os.path.join(scene_dir, "manifest.json"), dict,
-                         ("points", "image_size", "cameras", "views", "masks", "mask_embeddings"))
+    path = os.path.join(scene_dir, "manifest.json")
+    lists = ("cameras", "views", "masks", "mask_embeddings")
+    manifest = read_json(path, dict, ("points", "image_size") + lists)
+    if not (isinstance(manifest["points"], str) and type(manifest["image_size"]) is int
+            and all(isinstance(manifest[key], list) and all(isinstance(p, str) for p in manifest[key])
+                    for key in lists)):
+        raise FormatError(f"{path}: expected a file name in \"points\", an integer "
+                          f"\"image_size\" and lists of file names in {', '.join(lists)}")
     points, colors, gt_instances, gt_classes = load_pointcloud(
         os.path.join(scene_dir, manifest["points"])
     )

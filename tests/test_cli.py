@@ -354,6 +354,9 @@ def test_query_rejects_embedding_table_of_other_size(associated, capsys):
 BAD_SCENE_JSON = {
     # case: (file in the scene bundle, stage, exit code, artifact it must not write)
     "manifest_truncated": ("manifest.json", "eval", 3, "eval/metrics.json"),
+    "manifest_camera_not_a_name": ("manifest.json", "associate", 3,
+                                   "associate/instance_embeddings.igem"),
+    "manifest_image_size_a_string": ("manifest.json", "eval", 3, "eval/metrics.json"),
     "camera_without_fy": ("cameras/cam_000.json", "associate", 3,
                           "associate/instance_embeddings.igem"),
     "camera_fy_not_a_number": ("cameras/cam_000.json", "associate", 3,
@@ -371,6 +374,13 @@ def test_bad_scene_json_exits_with_its_code(associated, case, capsys):
     good = Path(path).read_bytes()
     if case == "manifest_truncated":
         bad = good[: len(good) // 2]
+    elif case.startswith("manifest"):
+        manifest = json.loads(good)
+        if case == "manifest_camera_not_a_name":
+            manifest["cameras"] = [5]
+        else:
+            manifest["image_size"] = str(manifest["image_size"])
+        bad = json.dumps(manifest).encode()
     elif case.startswith("camera"):
         camera = json.loads(good)
         if case == "camera_without_fy":

@@ -525,23 +525,6 @@ def test_backward_row_blocks_match_one_block(monkeypatch):
                     (name, rows, field)
 
 
-def test_composite_blocks_match_one_block(monkeypatch):
-    # render's composites in blocks of whole segments: blocks of about 97
-    # rows and of one segment each give the bytes of one block over the view
-    splats, cam = dense_view(n=500, size=48)
-    whole = render(splats, cam)
-    assert 10 * 97 < whole.pix.size <= renderer._SEGMENT_ROWS
-    for rows, blocks in ((97, None), (1, whole.seg_start.size)):
-        with monkeypatch.context() as patch:
-            patch.setattr(renderer, "_SEGMENT_ROWS", rows)
-            if blocks:
-                view = (slice(0, whole.pix.size), slice(0, whole.seg_start.size))
-                assert len(renderer._segment_blocks(whole.seg_start, whole.pix.size, *view)) == blocks
-            blocked = render(splats, cam)
-        for name in ("color", "feature", "alpha"):
-            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), (rows, name)
-
-
 def test_raster_bands_carry_the_one_band_bits():
     # runs of whole rows, down to one row each: concatenated, the runs are
     # the one-run raster byte for byte, the transmittance scan included
@@ -701,6 +684,107 @@ def crowded_output():
     out = render(*crowded_view())
     rng = np.random.default_rng(9)
     return out, rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+
+
+RASTER_FIELDS = ("pix", "slot", "alpha_i", "trans", "weight", "clamped", "seg_start", "seg_pix",
+                 "alpha")
+
+
+def one_row_view():
+    """The crowded view's splats seen by a camera one pixel high: every
+    contribution in one row, which no run size can split."""
+    splats, _ = crowded_view()
+    return splats, Camera(fx=24.0, fy=24.0, cx=11.7, cy=0.0, width=24, height=1,
+                          rotation=np.eye(3), translation=np.zeros(3))
+
+
+def culled_view():
+    splats, cam = crowded_view()
+    return SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities, splats.scales,
+                    splats.features, splats.parent), cam
+
+
+FORWARD_VIEWS = {
+    "dense": dense_view,  # over _SEGMENT_ROWS contributions: runs on both lanes
+    "small": lambda: dense_view(n=500, size=48),  # one run: one task, inline
+    "crowded": crowded_view,
+    "one_row": one_row_view,
+    "culled": culled_view,  # no contribution
+}
+
+
+@pytest.mark.parametrize("view", sorted(FORWARD_VIEWS))
+def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
+    # render on the lanes, at the default run size, in runs of about 97
+    # contributions and of one row, on two lanes and on one, against the
+    # view as one run on one lane; its Raster also against raster_bands'
+    # one run, whose scan runs on the calling thread
+    splats, cam = FORWARD_VIEWS[view]()
+    tasks = []
+    lanes = renderer._lanes
+    monkeypatch.setattr(renderer, "_lanes", lambda todo: tasks.append(len(todo)) or lanes(todo))
+    with monkeypatch.context() as patch:
+        patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(renderer, "_SEGMENT_ROWS", 1 << 40)
+        want = render(splats, cam)
+    (one_run,) = raster_bands(splats, cam)
+    for name in RASTER_FIELDS:
+        assert getattr(one_run, name).dtype == getattr(want, name).dtype, name
+        assert getattr(one_run, name).tobytes() == getattr(want, name).tobytes(), name
+    rows_with_pairs = np.unique(want.seg_pix // cam.width).size
+    assert (view == "one_row") == (rows_with_pairs == 1)
+    assert (view == "culled") == (want.pix.size == 0)
+    for rows, cores in ((None, {0, 1}), (97, {0, 1}), (1, {0, 1}), (1, {0})):
+        with monkeypatch.context() as patch:
+            patch.setattr(renderer.os, "sched_getaffinity", lambda pid: cores, raising=False)
+            if rows:
+                patch.setattr(renderer, "_SEGMENT_ROWS", rows)
+            tasks.clear()
+            got = render(splats, cam)
+            raster = rasterize(splats, cam)
+        # one task per phase and group of runs: none without contributions,
+        # one for a view of one run, else one per lane
+        several_runs = rows_with_pairs > 1 and (rows is not None or view == "dense")
+        assert tasks == [(2 if several_runs else 1) if want.pix.size else 0] * 4, (rows, tasks)
+        for name in RASTER_FIELDS + ("color", "feature"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
+        for name in RASTER_FIELDS:
+            assert getattr(raster, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
+    if view == "dense":
+        assert want.pix.size > 2 * renderer._SEGMENT_ROWS
+
+
+def test_concurrent_renders_give_one_run_bits(monkeypatch):
+    # four callers at once, each rendering three times in runs of one row
+    # on the two lanes, with thread switches forced often: the phases join
+    # on each caller's thread, so every caller finishes with the bits of
+    # one run on one lane
+    splats, cam = crowded_view()
+    with monkeypatch.context() as patch:
+        patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+        want = render(splats, cam)
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(renderer, "_SEGMENT_ROWS", 1)
+    results = []
+
+    def caller():
+        for _ in range(3):
+            got = render(splats, cam)
+            results.append(all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                               for name in RASTER_FIELDS + ("color", "feature")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == [True] * 12
 
 
 BACKWARD_MODES = ("color", "independent", "joint")
