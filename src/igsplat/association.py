@@ -26,7 +26,7 @@ import numpy as np
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 from .losses import MaskView
-from .renderer import Camera, Raster, _lanes, raster_bands
+from .renderer import Camera, Raster, _add_at, _lanes, raster_bands
 from .scene_model import SplatSet
 
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
@@ -117,12 +117,15 @@ def _vote(id_map: np.ndarray, ras: Raster, m: int, slot_labels: np.ndarray) -> N
     run ``ras`` into the flat ``id_map``, with ``m`` instances and the
     instance label of each projected slot."""
     first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
-    # the (pixel, instance) key, counted from the run's first pixel, in the pixel buffer
-    key = ras.pix
+    # the (pixel, instance) key, counted from the run's first pixel, in
+    # int64, where (pixels x instances) cannot overflow
+    key = ras.pix.astype(np.int64)
     key -= first
     key *= m
-    key += slot_labels.take(ras.slot)
-    scores = np.bincount(key, weights=ras.weight, minlength=(stop - first) * m)
+    key += slot_labels.take(ras.slot.astype(np.int64))
+    # each pixel's alpha * T per instance, added in contribution order
+    scores = np.zeros((stop - first) * m)
+    _add_at(scores, key, np.multiply(ras.alpha_i, ras.trans))
     winners = np.argmax(scores.reshape(stop - first, m), axis=1)
     visible = ras.alpha.reshape(-1)[first:stop] >= MIN_VISIBLE_ALPHA
     id_map[first:stop][visible] = winners[visible].astype(np.uint32)

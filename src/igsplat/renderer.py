@@ -21,10 +21,11 @@ spans in (row, depth) order. The (pixel, depth) order it needs is the
 transpose of that spans x pixels matrix, which one stable counting pass
 (scipy's CSR-to-CSC conversion) builds in O(contributions + pixels); its
 column pointers are the per-pixel segments. It then yields alpha,
-transmittance, alpha * T and the alpha image. ``render`` adds the color and
-feature composite; instance id maps need only the first step, which
-``raster_bands`` also runs in runs of whole pixel rows with the same bits,
-so that a large view streams in bounded memory. The same row-span
+transmittance and the alpha image. ``render`` adds the color and feature
+composite, each channel a sum of the weights alpha * T times the values;
+instance id maps need only the first step, which ``raster_bands`` also
+runs in runs of whole pixel rows with the same bits, so that a large view
+streams in bounded memory. The same row-span
 enumeration, fed point disks instead of splat cutoffs, gives the
 ground-truth point z-buffer (``zbuffer_owners``).
 
@@ -34,13 +35,18 @@ scattered, through ``projected.indices``. Slots and visible splats
 correspond one to one, so a sum over slots adds the same entries in the
 same order as one over splat indices.
 
-``rasterize`` allocates the Raster's arrays once and writes every step
-into them in place, with the same floating-point operations in the same
-order as one pass over the view. Its peak is the Raster (about 43 bytes per
-contribution), the span records and one run of rows in flight per lane,
-53-62 bytes per contribution on the tests' views;
-``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat and
-per-pixel arrays aside), which the tests check. A view past
+The Raster keeps only what the backward cannot rebuild with the same
+bits: int32 pixels and slots, alpha, transmittance and the clamp flags,
+25 bytes per contribution. The weight alpha * T is one multiply, which
+the composite, the backward and the id maps' votes each redo per block
+with the same bits. ``rasterize`` allocates the Raster's arrays once and
+writes every step into them in place, with the same floating-point
+operations in the same order as one pass over the view; the logs and
+then the weights live in one whole-view scratch array, freed on return.
+Its peak is the Raster, that scratch, the span records and one run of
+rows in flight per lane, 45-53 bytes per contribution on the tests'
+views; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat
+and per-pixel arrays aside), which the tests check. A view past
 ``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales make,
 raises ContributionBudgetError (a NumericalError) before any
 per-contribution array exists.
@@ -60,11 +66,13 @@ weights and alpha pixels and, in ``render``, the 9 feature and color
 channels of each run while its contributions are in cache.
 ``render_backward`` runs each geometry chain in bands of pixel segments and
 phases with a join between them, keeping only two whole-view buffers per
-chain and rebuilding its other terms in blocks. Both passes give the same
-bits on any run, band or block cutting and on one lane or two.
-With both chains on geometry a call peaks at about 62 bytes per
-contribution above its RenderOutput; ``BACKWARD_BYTES_PER_CONTRIBUTION`` is
-the stated bound, which the tests check.
+chain and rebuilding its other terms, the weights among them, in blocks.
+Both passes give the same bits on any run, band or block cutting and on
+one lane or two. With both chains on geometry a call peaks at about 62
+bytes per contribution above its RenderOutput, and a training step's
+render and backward together at about 91;
+``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
+are the stated bounds, which the tests check.
 """
 from __future__ import annotations
 
@@ -86,16 +94,17 @@ NEAR_PLANE = 0.01
 ALPHA_MAX = 0.99
 CUTOFF_SIGMAS = 3.0
 # Memory bound of one rasterize call, in peak bytes per contribution.
-RASTER_BYTES_PER_CONTRIBUTION = 64
+RASTER_BYTES_PER_CONTRIBUTION = 58
 # Memory bound of one render_backward call above its RenderOutput, in peak
 # bytes per contribution, with both chains reaching geometry on two lanes.
-BACKWARD_BYTES_PER_CONTRIBUTION = 96
-# Contributions one view may make: a training step holds a raster and a
-# backward above it, so 4 GiB over their two bounds, about 26.8M, 12x the
-# ~2.2M a 128x128 view makes at init.
-CONTRIBUTION_BUDGET = (4 << 30) // (
-    RASTER_BYTES_PER_CONTRIBUTION + BACKWARD_BYTES_PER_CONTRIBUTION
-)
+BACKWARD_BYTES_PER_CONTRIBUTION = 72
+# Memory bound of one training step, a render and a joint-phase backward of
+# its output, in peak bytes per contribution: the kept Raster's 25 bytes,
+# the backward's bound above it, and 3 for the images and per-pixel arrays.
+STEP_BYTES_PER_CONTRIBUTION = 100
+# Contributions one view may make: 4 GiB over a training step's bound,
+# about 42.9M, 19x the ~2.2M a 128x128 view makes at init.
+CONTRIBUTION_BUDGET = (4 << 30) // STEP_BYTES_PER_CONTRIBUTION
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
 # Contributions per block of whole pixel segments in the backward, and per
@@ -228,15 +237,17 @@ class Raster:
     The flat per-contribution arrays are sorted by (pixel, depth order):
     they are the per-pixel contributor lists the backward pass reads.
     A contribution names its splat by ``slot``: ``projected.indices[slot]``.
-    ``weight`` is alpha_i * trans, the compositing weight of each
-    contribution.
+    Its compositing weight is alpha_i * trans, which the readers rebuild
+    per block with the bits the composite used, so it is not kept: 25
+    bytes per contribution. ``pix`` and ``slot`` are int32 while the
+    view's pixels and the projected splats fit it; readers widen a block
+    of them to int64 before a ``take``, which runs several times faster.
     """
 
-    pix: np.ndarray  # (q,) flat pixel index
-    slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays
+    pix: np.ndarray  # (q,) flat pixel index, int32 (int64 past 2^31 pixels)
+    slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays, as pix
     alpha_i: np.ndarray  # (q,) clamped alpha
     trans: np.ndarray  # (q,) transmittance before this contribution
-    weight: np.ndarray  # (q,) alpha_i * trans
     clamped: np.ndarray  # (q,) bool, alpha hit the 0.99 clamp
     seg_start: np.ndarray  # (#pixels with contributions,) segment starts
     seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
@@ -253,6 +264,11 @@ class RenderOutput(Raster):
     feature: np.ndarray  # (H, W, 6)
     splats: SplatSet
     camera: Camera
+
+
+def _index_dtype(count: int):
+    """int32 when every index up to ``count`` fits in it, else int64."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
 def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, columns: int):
@@ -272,7 +288,7 @@ def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, column
     outputs to that call byte for byte.
     """
     rows = indptr.size - 1
-    index = np.int32 if max(rows, columns, data.size) <= np.iinfo(np.int32).max else np.int64
+    index = _index_dtype(max(rows, columns, data.size))
     out_data = np.empty(data.size, dtype=data.dtype)
     out_indices = np.empty(data.size, dtype=index)
     out_indptr = np.empty(columns + 1, dtype=index)
@@ -287,9 +303,9 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     depth order: one record per (disk, row) of the disk's image-clipped box,
     in (row, depth order).
 
-    Returns (rec_slot, row_ptr, row, lo, counts, u_rec, dv2): each record's
-    slot, the (h + 1,) record offsets of the rows, and per record its row,
-    first kept column (float), kept column count, centre column and dv*dv.
+    Returns (rec_slot, row_ptr, lo, counts, u_rec, dv2): each record's
+    slot, the (h + 1,) record offsets of the rows, and per record its first
+    kept column (float), kept column count, centre column and dv*dv.
     None when no pair exists. Raises ContributionBudgetError past
     ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
 
@@ -322,6 +338,7 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     row = np.repeat(np.arange(h, dtype=np.int64), np.diff(row_ptr))
     del first_row, heights, ends, rows
     dv = row - v[rec_slot]
+    del row
     dv2 = dv * dv
     r_rec = r[rec_slot]
     rr = r_rec * r_rec
@@ -350,16 +367,17 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
         )
     if total == 0:
         return None
-    return rec_slot, row_ptr, row, lo, counts, u_rec, dv2
+    return rec_slot, row_ptr, lo, counts, u_rec, dv2
 
 
 def _expand_spans(records: tuple, rows: slice, w: int, pix: np.ndarray, slot: np.ndarray,
                   d2: np.ndarray, scratch: np.ndarray):
     """Write the (disk, pixel) pairs of the ``_span_records`` of the image
     ``rows`` into the flat arrays ``pix`` (a pixel of the view), ``slot``
-    and ``d2``, sorted by (pixel, depth order), and return (seg_start,
-    seg_pix): the start of each pixel's run of pairs in them and that pixel.
-    ``scratch``, a float array of their length, is overwritten.
+    (int64) and ``d2``, sorted by (pixel, depth order), and return
+    (seg_start, seg_pix): the start of each pixel's run of pairs in them
+    and that pixel. ``scratch``, a float array of their length, is
+    overwritten.
 
     The records come in (row, depth order), so the pairs come out grouped
     by record in that order. The (pixel, depth order) order is then the
@@ -371,28 +389,29 @@ def _expand_spans(records: tuple, rows: slice, w: int, pix: np.ndarray, slot: np
     integer or the same float expression, so a band of rows has the bits of
     the whole view's pairs.
     """
-    rec_slot, row_ptr, row, lo, counts, u_rec, dv2 = records
+    rec_slot, row_ptr, lo, counts, u_rec, dv2 = records
     band = slice(row_ptr[rows.start], row_ptr[rows.stop])
     counts = counts[band]
 
     # One entry per (splat, row, col) of the spans, grouped by record: entry
     # k sits in column k + span_base of its record. Pixels count from the
-    # band's first row.
+    # band's first row, whose records' rows come from the row offsets.
     ends = np.cumsum(counts)
     total = int(ends[-1])
     span_base = lo[band] - (ends - counts)
     columns = (rows.stop - rows.start) * w
-    index = np.int32 if columns <= np.iinfo(np.int32).max else np.int64
+    index = _index_dtype(columns)
+    row = np.repeat(np.arange(rows.stop - rows.start, dtype=np.int64),
+                    np.diff(row_ptr[rows.start:rows.stop + 1]))
     band_pix = np.arange(total, dtype=index)
-    band_pix += np.repeat(((row[band] - rows.start) * w + span_base.astype(np.int64)).astype(index),
-                          counts)
-    del span_base
+    band_pix += np.repeat((row * w + span_base.astype(np.int64)).astype(index), counts)
+    del span_base, row
 
     # The records x pixels transpose, whose data are the pixels themselves
     band_pix, rec, pix_ptr = _transpose(band_pix, band_pix, np.concatenate(([0], ends)).astype(index),
                                         columns)
     del ends, counts
-    np.add(band_pix, np.int64(rows.start * w), out=pix)
+    np.add(band_pix, rows.start * w, out=pix, dtype=pix.dtype)
     # d2 = (col - u)^2 + dv^2; the int column converts to float exactly
     np.remainder(band_pix, w, out=d2)
     del band_pix
@@ -420,7 +439,7 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     records = _span_records(u, v, r, w, h)
     if records is None:
         return None
-    total = int(records[4].sum())
+    total = int(records[3].sum())
     pix, slot, d2 = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total)
     return (pix, slot, d2, *_expand_spans(records, slice(0, h), w, pix, slot, d2, np.empty(total)))
 
@@ -430,7 +449,7 @@ def _row_bands(records: tuple, h: int, contributions: int | None) -> list:
     run of every row when None), a run starting at a row with pairs: (rows,
     entries) slice pairs, ``entries`` numbering the view's pairs in (pixel,
     depth order)."""
-    _, row_ptr, _, _, counts, _, _ = records
+    _, row_ptr, _, counts, _, _ = records
     before = np.concatenate(([0], np.cumsum(counts)))[row_ptr]  # pairs before each row
     cuts = [0, h]
     if contributions is not None:
@@ -456,51 +475,64 @@ def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Ra
     """A Raster of ``contributions`` unset contributions, no segments and a
     zero alpha image."""
     return Raster(
-        pix=np.empty(contributions, dtype=np.int64), slot=np.empty(contributions, dtype=np.int64),
+        pix=np.empty(contributions, dtype=_index_dtype(camera.height * camera.width)),
+        slot=np.empty(contributions, dtype=_index_dtype(proj.count)),
         alpha_i=np.empty(contributions), trans=np.empty(contributions),
-        weight=np.empty(contributions), clamped=np.empty(contributions, dtype=bool),
+        clamped=np.empty(contributions, dtype=bool),
         seg_start=np.zeros(0, dtype=np.int64), seg_pix=np.zeros(0, dtype=np.int64),
         alpha=np.zeros((camera.height, camera.width)), projected=proj,
     )
 
 
-def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, run: slice):
+def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, run: slice,
+            logs: np.ndarray):
     """The first phase of the run of image ``rows``, whose contributions are
     the entries ``run`` of ``ras``: their pix and slot, their clamped alpha,
-    and log(1 - alpha), parked in ``weight``. Returns the run's (seg_start,
-    seg_pix), the starts counted from the run's first entry."""
+    and log(1 - alpha) into ``logs``, the run's entries of a scratch array.
+    Returns the run's (seg_start, seg_pix), the starts counted from the
+    run's first entry."""
     two_sig2, opacity = factors
-    alpha, slot, d2 = ras.alpha_i[run], ras.slot[run], ras.trans[run]
-    # d2 in the transmittance's entries, which the scan overwrites, and
-    # alpha's entries as the scratch
+    alpha, d2 = ras.alpha_i[run], ras.trans[run]
+    # No array of the run's length is allocated here: d2 goes into the
+    # transmittance's entries, which the scan overwrites, with alpha's
+    # entries as the scratch, and the int64 slots, for the takes, into the
+    # logs' entries until the logs are formed.
+    slot = logs.view(np.int64)
     seg_start, seg_pix = _expand_spans(records, rows, w, ras.pix[run], slot, d2, alpha)
+    ras.slot[run] = slot
     # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))); the per-splat
-    # factors are formed before the gather, with the same bits.
+    # factors are formed before the gather, with the same bits, and gathered
+    # into d2's entries once alpha no longer reads them.
     np.negative(d2, out=alpha)
-    np.divide(alpha, two_sig2.take(slot), out=alpha)
+    np.divide(alpha, two_sig2.take(slot, out=d2, mode="clip"), out=alpha)
     np.exp(alpha, out=alpha)
-    np.multiply(opacity.take(slot), alpha, out=alpha)
-    clamped = np.greater(alpha, ALPHA_MAX, out=ras.clamped[run])
-    alpha[clamped] = ALPHA_MAX
-    logs = np.negative(alpha, out=ras.weight[run])
+    np.multiply(opacity.take(slot, out=d2, mode="clip"), alpha, out=alpha)
+    np.greater(alpha, ALPHA_MAX, out=ras.clamped[run])
+    # the clamp in one pass: NaN stays NaN and -0.0 stays -0.0, as under a
+    # masked write
+    np.minimum(alpha, ALPHA_MAX, out=alpha)
+    np.negative(alpha, out=logs)
     np.log1p(logs, out=logs)
     return seg_start, seg_pix
 
 
-def _weights(ras: Raster, run: slice, seg_start: np.ndarray, seg_pix: np.ndarray) -> None:
+def _weights(ras: Raster, run: slice, seg_start: np.ndarray, seg_pix: np.ndarray,
+             logs: np.ndarray) -> np.ndarray:
     """The second phase of the entries ``run`` of ``ras``, once ``trans``
-    holds the inclusive prefix sum of the logs in ``weight``: the
-    transmittance, the weight alpha * T and the run's alpha pixels.
+    holds the inclusive prefix sum of the run's ``logs``: the
+    transmittance, the run's alpha pixels, and the weights alpha * T, which
+    come back in ``logs``' memory.
 
     The exclusive per-pixel product of (1 - alpha) is the segmented log
     cumsum, which becomes the transmittance in place. A pixel's entries
     all lie in its run, so a run reads only its own entries."""
-    trans, weight = ras.trans[run], ras.weight[run]
-    trans -= weight
+    trans = ras.trans[run]
+    trans -= logs
     trans -= np.repeat(trans[seg_start], np.diff(seg_start, append=trans.size))
     np.exp(trans, out=trans)
-    np.multiply(ras.alpha_i[run], trans, out=weight)
+    weight = np.multiply(ras.alpha_i[run], trans, out=logs)
     ras.alpha.reshape(-1)[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
+    return weight
 
 
 def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = None):
@@ -508,8 +540,8 @@ def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = N
     contributions each (all rows at once when None), one after another on
     the calling thread: one Raster per run, in row order, whose arrays hold
     that run's contributions (``seg_start`` counts from the run's first)
-    and whose alpha image is zero off the run. Every contribution's alpha,
-    transmittance and weight, and every alpha pixel, carries the bits of
+    and whose alpha image is zero off the run. Every contribution's alpha
+    and transmittance, and every alpha pixel, carries the bits of
     ``rasterize``: the prefix sum behind the transmittances runs on from
     the runs before. A run holds about the Raster of its contributions, so
     a large view streams in bounded memory.
@@ -524,22 +556,23 @@ def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = N
     for rows, run in runs:
         ras = _new_raster(run.stop - run.start, proj, camera)
         entries = slice(0, ras.pix.size)
-        seg_start, seg_pix = _alphas(records, rows, camera.width, factors, ras, entries)
+        logs = np.empty(ras.pix.size)
+        seg_start, seg_pix = _alphas(records, rows, camera.width, factors, ras, entries, logs)
         if rows.stop == camera.height:  # the last run frees the records
             del records
         # The scan runs on from the runs before: their sum goes into the
         # first term for the scan, and the term comes back afterwards.
-        logs = ras.weight
         first = logs[0]
         logs[0] += carry
         np.cumsum(logs, out=ras.trans)
         logs[0] = first
         carry = ras.trans[-1]
-        _weights(ras, entries, seg_start, seg_pix)
+        _weights(ras, entries, seg_start, seg_pix, logs)
+        del logs
         ras.seg_start, ras.seg_pix = seg_start, seg_pix
         yield ras
         # the caller holds the run now; let it go before the next run grows
-        del ras, seg_start, seg_pix, logs
+        del ras, seg_start, seg_pix
 
 
 def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
@@ -552,14 +585,16 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     slices of the whole-view arrays in two phases with a join between
     them: ``_alphas``, then one ``np.cumsum`` over the view, then
     ``_weights`` and the run's composites, each channel a sum of weight *
-    value over a pixel's contributions in order. A pixel's entries lie in
-    one run, so any run or group cutting gives the same bits; a view of one
-    run is one task, which runs inline.
+    value over a pixel's contributions in order. The logs and then the
+    weights live in one whole-view scratch array, freed on return. A
+    pixel's entries lie in one run, so any run or group cutting gives the
+    same bits; a view of one run is one task, which runs inline.
     """
     proj, records, runs, factors = _view_runs(splats, camera, _SEGMENT_ROWS)
     h, w = camera.height, camera.width
     total = runs[-1][1].stop if runs else 0
     ras = _new_raster(total, proj, camera)
+    logs = np.empty(total)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
     # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
     channels = [np.ascontiguousarray(value[proj.indices].T) for value in values]
@@ -569,20 +604,22 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     groups = [runs[first:last] for first, last in zip(cuts[:-1], cuts[1:]) if last > first]
 
     def first_phase(group):
-        return [_alphas(records, rows, w, factors, ras, run) for rows, run in group]
+        return [_alphas(records, rows, w, factors, ras, run, logs[run]) for rows, run in group]
 
     def second_phase(group, segments):
         for (_, run), (seg_start, seg_pix) in zip(group, segments):
-            _weights(ras, run, seg_start, seg_pix)
-            slot, weight = ras.slot[run], ras.weight[run]
+            weight = _weights(ras, run, seg_start, seg_pix, logs[run])
+            if images:
+                slot = ras.slot[run].astype(np.int64)
             for image, image_channels in zip(images, channels):
                 for ch, channel in enumerate(image_channels):
                     image[seg_pix, ch] = np.add.reduceat(weight * channel.take(slot), seg_start)
 
     group_segments = _lanes([partial(first_phase, group) for group in groups])
     del records
-    np.cumsum(ras.weight, out=ras.trans)
+    np.cumsum(logs, out=ras.trans)
     _lanes([partial(second_phase, *task) for task in zip(groups, group_segments)])
+    del logs
     # after the empty segment arrays, which keep the dtype of a view without runs
     run_segments = [segments for part in group_segments for segments in part]
     ras.seg_start = np.concatenate([ras.seg_start] + [seg_start + run.start for (_, run), (seg_start, _)
@@ -672,6 +709,16 @@ def _lanes(tasks: list) -> list:
     return [future.result() for future in futures]
 
 
+def _add_at(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
+    """Add each of ``terms`` into ``out`` at its int64 ``index``, in order:
+    the bits of a bincount over the terms added so far, with the
+    interpreter lock released, which ``np.bincount`` holds. The terms are
+    the data of a one-column sparse matrix with the indices as row numbers,
+    times 1.0, which is exact whether or not the build fuses the
+    multiply-add."""
+    csc_matvec(out.size, 1, np.array([0, terms.size], dtype=np.int64), index, terms, np.ones(1), out)
+
+
 def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
     """Split a view's pixel segments (or runs of rows, by their middle
     contributions) into ``bands`` contiguous runs of about equal
@@ -730,12 +777,13 @@ def render_backward(
     pixel segments and four phases with a join between them: the gathers
     of <grad, value>, one prefix sum over the view, d_alpha, and the slot
     sums of all chains in ``LANES`` groups beside the value task (the
-    direct weight * grad sums, one sparse product). It keeps only its q and
-    v over the view; the last two phases rebuild the offsets, d2,
-    1 / sigma^2 and 1 - alpha they read per block of whole segments
-    (``_segment_blocks``). Every per-splat sum adds its slot's terms in
-    order, as a bincount over slots does, so any band count or block size
-    gives the same bits; culled splats keep zeros. The call peaks within
+    direct weight * grad sums, one sparse product per block of whole
+    segments). It keeps only its q and v over the view; the gathers
+    rebuild the weights alpha * T per row block, and the last two phases
+    rebuild the offsets, d2, 1 / sigma^2 and 1 - alpha they read per block
+    of whole segments (``_segment_blocks``). Every per-splat sum adds its
+    slot's terms in order, as a bincount over slots does, so any band count
+    or block size gives the same bits; culled splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
     """
     splats = output.splats
@@ -754,22 +802,30 @@ def render_backward(
         return color_grads, feature_grads
 
     slot = output.slot
-    weight = output.weight
     seg_start = output.seg_start
+    alpha = output.alpha_i
 
-    def value_task():
+    def value_task(blocks):
         # The direct weight * grad sums of every chain's channels are one
-        # sparse product: the slots x pixels matrix of weights, whose columns
-        # hold each pixel's contributions in order, times the image gradients
-        # at those pixels side by side. csc_matvecs adds each slot's products
-        # in contribution order, as a bincount over the slots would: the same
-        # bits where the build does not fuse the multiply-add (x86-64).
+        # sparse product per block of whole segments: the slots x pixels
+        # matrix of the block's weights alpha * T, whose columns hold each
+        # pixel's contributions in order, times the image gradients at those
+        # pixels side by side. csc_matvecs adds each slot's products in
+        # contribution order, block after block, as a bincount over the
+        # slots would: the same bits where the build does not fuse the
+        # multiply-add (x86-64).
         grads = np.concatenate(
             [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
              for grad_img, _, value_grads, _, _ in chains], axis=1)
         sums = np.zeros((proj.count, grads.shape[1]))
-        csc_matvecs(proj.count, seg_start.size, grads.shape[1], np.append(seg_start, slot.size),
-                    slot, weight, grads.ravel(), sums.ravel())
+        weight = np.empty(max(block.stop - block.start for block, _ in blocks))
+        for block, segs in blocks:
+            csc_matvecs(proj.count, segs.stop - segs.start, grads.shape[1],
+                        np.append(seg_start[segs] - block.start,
+                                  block.stop - block.start).astype(slot.dtype),
+                        slot[block], np.multiply(alpha[block], output.trans[block],
+                                                 out=weight[:block.stop - block.start]),
+                        grads[segs].ravel(), sums.ravel())
         first = 0
         for _, _, value_grads, _, _ in chains:
             value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
@@ -778,20 +834,21 @@ def render_backward(
     geometry_chains = [(grad_img, values, grads)
                        for grad_img, values, _, grads, geometry in chains if geometry]
     if not geometry_chains:
-        value_task()
+        value_task(_segment_blocks(seg_start, slot.size, slice(0, slot.size),
+                                   slice(0, seg_start.size)))
         return color_grads, feature_grads
 
     # Contributions of one pixel are contiguous, so a run of whole pixel
     # segments expands its per-pixel rows by repeat instead of a gather.
+    # Takes gather by int64 indices, widened per block from the stored int32.
     seg_len = np.diff(seg_start, append=len(slot))
-    alpha = output.alpha_i
     slot_inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
 
-    def offset(rows, segs, axis):
+    def offset(block_slot, segs, axis):
         # each contribution's pixel column (axis 0) or row (axis 1) minus its splat centre's
         pixel = output.seg_pix[segs]
         pixel = pixel % camera.width if axis == 0 else pixel // camera.width
-        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(slot[rows]))
+        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(block_slot))
 
     def squared_distance(dcol, drow, out=None):
         d2 = np.square(dcol, out=out)
@@ -800,16 +857,18 @@ def render_backward(
 
     def gather_task(grad_img, values, q, v, totals, firsts, rows, segs):
         # <image gradient, value> per contribution, in row blocks so the two
-        # (rows, dim) operands stay small; each row's sum is the same einsum
+        # (rows, dim) operands stay small; each row's sum is the same einsum.
+        # v = weight * q, the weight rebuilt per block.
         starts = seg_start[segs] - rows.start
         flat_grad = grad_img.reshape(-1, values.shape[1])
         slot_values = values[proj.indices]
-        band_slot, band_pix, band_q = slot[rows], output.pix[rows], q[rows]
-        for lo in range(0, band_q.size, _GATHER_ROWS):
-            block = slice(lo, lo + _GATHER_ROWS)
-            np.einsum("ij,ij->i", flat_grad.take(band_pix[block], axis=0),
-                      slot_values.take(band_slot[block], axis=0), out=band_q[block])
-        band_v = np.multiply(weight[rows], band_q, out=v[rows])
+        for lo in range(rows.start, rows.stop, _GATHER_ROWS):
+            block = slice(lo, min(lo + _GATHER_ROWS, rows.stop))
+            np.einsum("ij,ij->i", flat_grad.take(output.pix[block].astype(np.int64), axis=0),
+                      slot_values.take(slot[block].astype(np.int64), axis=0), out=q[block])
+            block_v = np.multiply(alpha[block], output.trans[block], out=v[block])
+            block_v *= q[block]
+        band_v = v[rows]
         totals[segs] = np.add.reduceat(band_v, starts)
         firsts[segs] = band_v[starts]
 
@@ -819,6 +878,7 @@ def render_backward(
         # v's rows; d_alpha goes to q's. A block's segments start in the
         # block, so their scanned starts are read before it changes.
         for block, block_segs in blocks:
+            block_slot = slot[block].astype(np.int64)
             lens = seg_len[block_segs]
             suffix = v[block]
             before = suffix[seg_start[block_segs] - block.start] - firsts[block_segs]
@@ -832,10 +892,10 @@ def render_backward(
             d_alpha[output.clamped[block]] = 0.0
             # The opacity terms, d_alpha times the Gaussian exp(-d2 / (2 sigma^2)),
             # in v's rows; then d_alpha * alpha, which the offset terms share.
-            product = squared_distance(offset(block, block_segs, 0), offset(block, block_segs, 1),
-                                       out=suffix)
+            product = squared_distance(offset(block_slot, block_segs, 0),
+                                       offset(block_slot, block_segs, 1), out=suffix)
             np.negative(product, out=product)
-            product *= slot_inv_sig2.take(slot[block])
+            product *= slot_inv_sig2.take(block_slot)
             product /= 2.0
             np.exp(product, out=product)
             product *= d_alpha
@@ -843,15 +903,13 @@ def render_backward(
 
     def sums_task(group):
         # The opacity, u, v and sigma sums (rows 0-3) of (chain, row) pairs;
-        # each block rebuilds only the offsets its rows read. Its terms, as
-        # the data of a one-column sparse matrix with the slots as row
-        # numbers, times 1.0 (exact, fused or not), add into the slots in
-        # contribution order, as a bincount does; csc_matvec releases the lock.
-        rows_read, one = {row for _, row in group}, np.ones(1)
+        # each block rebuilds only the offsets its rows read, and adds its
+        # terms into the slots in contribution order (``_add_at``).
+        rows_read = {row for _, row in group}
         for block, block_segs in view_blocks:
-            block_slot = slot[block]
-            dcol = offset(block, block_segs, 0) if rows_read & {1, 3} else None
-            drow = offset(block, block_segs, 1) if rows_read & {2, 3} else None
+            block_slot = slot[block].astype(np.int64)
+            dcol = offset(block_slot, block_segs, 0) if rows_read & {1, 3} else None
+            drow = offset(block_slot, block_segs, 1) if rows_read & {2, 3} else None
             offsets = (dcol, drow, squared_distance(dcol, drow) if 3 in rows_read else None)
             inv_sig2 = slot_inv_sig2.take(block_slot) if rows_read - {0} else None
             for chain, row in group:
@@ -862,8 +920,7 @@ def render_backward(
                         terms /= proj.sigma_px.take(block_slot)
                 else:
                     terms = vs[chain][block]
-                csc_matvec(proj.count, 1, np.array([0, terms.size], dtype=slot.dtype), block_slot,
-                           terms, one, slot_sums[chain][row])
+                _add_at(slot_sums[chain][row], block_slot, terms)
 
     lanes = min(_usable_cores(), LANES)
     chain_bands = _segment_runs(seg_start, len(slot), _band_cuts(
@@ -886,7 +943,7 @@ def render_backward(
     # one chain each in the joint step, two sums each for a lone chain.
     pairs = [(chain, row) for chain in range(len(geometry_chains)) for row in range(4)]
     _lanes([partial(sums_task, pairs[i * len(pairs) // LANES:(i + 1) * len(pairs) // LANES])
-            for i in range(LANES)] + [value_task])
+            for i in range(LANES)] + [partial(value_task, view_blocks)])
 
     x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
     fx, fy = camera.fx, camera.fy

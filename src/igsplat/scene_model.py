@@ -294,6 +294,16 @@ def decode_backward(
     into the parent anchor's feature gradient; child center gradients sum
     into the anchor position gradient.
     """
+    return _decode_backward(anchors, decoder, splats, True, d_centers, d_colors, d_opacities,
+                            d_scales, d_features)
+
+
+def _decode_backward(anchors: AnchorSet, decoder: DecoderParams, splats: SplatSet,
+                     embeddings: bool, d_centers=None, d_colors=None, d_opacities=None,
+                     d_scales=None, d_features=None) -> dict[str, np.ndarray]:
+    """``decode_backward``, without the embeddings gradient unless
+    ``embeddings`` is set: a chain that must not reach the embeddings skips
+    its (n, d_e) products."""
     n = anchors.count
     if not splats.activations:
         raise UsageError("decode_backward needs a splat set from decode_gaussians; "
@@ -307,7 +317,7 @@ def decode_backward(
     if d_features is not None:
         grads["features"] = d_features.reshape(n, CHILDREN_PER_ANCHOR, FEATURE_DIM).sum(axis=1)
 
-    grad_e = np.zeros((n, anchors.embedding_dim))
+    grad_e = np.zeros((n, anchors.embedding_dim)) if embeddings else None
     upstream = {"offset": d_centers, "color": d_colors, "opacity": d_opacities, "scale": d_scales}
     for name in HEAD_ORDER:
         if upstream[name] is None:
@@ -326,8 +336,9 @@ def decode_backward(
         grads[f"decoder.{name}.b1"] = d_pre.sum(axis=0)
         grads[f"decoder.{name}.w2"] = hidden.T @ d_raw
         grads[f"decoder.{name}.b2"] = d_raw.sum(axis=0)
-        grad_e += d_pre @ head.w1.T
-        grads["embeddings"] = grad_e
+        if embeddings:
+            grad_e += d_pre @ head.w1.T
+            grads["embeddings"] = grad_e
     return grads
 
 

@@ -43,6 +43,7 @@ from .renderer import Camera, render, render_backward
 from .scene_model import (
     AnchorSet,
     DecoderParams,
+    _decode_backward,
     decode_backward,
     decode_gaussians,
     parameters,
@@ -249,10 +250,9 @@ def train_step(
                                       d_scales=sg.scales))
     if feature_active:
         geometry = {"d_centers": sgf.centers, "d_opacities": sgf.opacities} if joint_active else {}
-        feature_grads = decode_backward(anchors, decoder, splats, d_features=sgf.features,
-                                        **geometry)
-        feature_grads.pop("embeddings", None)  # embeddings follow reconstruction only
-        chains.append(feature_grads)
+        # embeddings follow reconstruction only, so this chain skips their gradient
+        chains.append(_decode_backward(anchors, decoder, splats, embeddings=False,
+                                       d_features=sgf.features, **geometry))
 
     # Single adaptive-moment update per tensor, on the sum of what each chain
     # reached, the color chain's gradient first.

@@ -426,11 +426,12 @@ def test_non_finite_checkpoint_exits_2(instantiated, tensor, stage, capsys):
 
 
 def test_associate_past_contribution_budget_exits_4(instantiated, tmp_path, capsys):
-    # the trained splats with every scale blown up 1e4x, seen by 160x160
-    # views: 1350 splats x 25600 pixels is past the renderer's budget
+    # the trained splats with every scale blown up 1e4x, seen by 200x200
+    # views: 1350 splats x 40000 pixels is past the renderer's budget
+    assert 1350 * 200 * 200 > renderer.CONTRIBUTION_BUDGET
     config_path, out = instantiated
     cfg = json.loads(open(config_path).read())
-    cfg["scene"]["synth"]["image_size"] = 160
+    cfg["scene"]["synth"]["image_size"] = 200
     cfg["output"] = str(tmp_path / "huge")
     huge_config = tmp_path / "huge.json"
     huge_config.write_text(json.dumps(cfg))

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse._sparsetools import csc_matvec
 
 from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
@@ -15,6 +14,7 @@ from igsplat.renderer import (
     BACKWARD_BYTES_PER_CONTRIBUTION,
     CONTRIBUTION_BUDGET,
     RASTER_BYTES_PER_CONTRIBUTION,
+    STEP_BYTES_PER_CONTRIBUTION,
     Camera,
     ProjectedSplats,
     _build_contributions,
@@ -333,29 +333,53 @@ def test_rasterize_peak_within_stated_bound():
 
 
 def test_exploding_scales_exceed_contribution_budget():
-    # every splat covers the whole 128x128 image, 2000 x 16384 contributions:
+    # every splat covers the whole 128x128 image, 3000 x 16384 contributions:
     # the builder raises from its per-(splat, row) records, before any
     # per-contribution array exists
     assert CONTRIBUTION_BUDGET >= 10 * 2_200_000  # ~2.2M: a 128x128 bench view at init
-    splats, cam = dense_view()
+    assert 3000 * 128 * 128 > CONTRIBUTION_BUDGET
+    splats, cam = dense_view(n=3000)
     huge = SplatSet(splats.centers, splats.colors, splats.opacities, splats.scales * 1e4,
                     splats.features, splats.parent)
     tracemalloc.start()
     try:
-        with pytest.raises(NumericalError, match=f"makes {2000 * 128 * 128} contributions, "
+        with pytest.raises(NumericalError, match=f"makes {3000 * 128 * 128} contributions, "
                                                  f"over the budget of {CONTRIBUTION_BUDGET}"):
             rasterize(huge, cam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 128 * 2000 * 128, peak / (2000 * 128)  # bytes per record
+    assert peak <= 128 * 3000 * 128, peak / (3000 * 128)  # bytes per record
+
+
+def test_raster_keeps_25_bytes_per_contribution_and_rebuilds_the_composite():
+    # The Raster keeps int32 pixels and slots, alpha, transmittance and the
+    # clamp flags, nothing else per contribution; the weights alpha_i *
+    # trans it leaves out, composited per pixel segment in order, give
+    # render's color and feature bits.
+    splats, cam = dense_view()
+    out = render(splats, cam)
+    q = out.pix.size
+    kept = {name: value for name, value in vars(out).items()
+            if isinstance(value, np.ndarray) and value.shape == (q,)}
+    assert sorted(kept) == ["alpha_i", "clamped", "pix", "slot", "trans"]
+    assert out.pix.dtype == out.slot.dtype == np.int32
+    assert sum(value.nbytes for value in kept.values()) == 25 * q
+    weight = out.alpha_i * out.trans
+    for image, values in ((out.color, splats.colors), (out.feature, splats.features)):
+        slot_values = values[out.projected.indices]
+        want = np.zeros((cam.height * cam.width, values.shape[1]))
+        for ch in range(values.shape[1]):
+            want[out.seg_pix, ch] = np.add.reduceat(weight * slot_values[out.slot, ch],
+                                                    out.seg_start)
+        assert want.reshape(image.shape).tobytes() == image.tobytes()
 
 
 def test_raster_arrays_share_no_memory():
     splats, cam = dense_view(n=300, size=48)
     ras = rasterize(splats, cam)
     arrays = {name: value for name, value in vars(ras).items() if isinstance(value, np.ndarray)}
-    assert ras.pix.size > 0 and len(arrays) == 9
+    assert ras.pix.size > 0 and len(arrays) == 8
     names = sorted(arrays)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -535,7 +559,7 @@ def test_raster_bands_carry_the_one_band_bits():
         runs = list(raster_bands(splats, cam, contributions))
         assert len(runs) > 1
         assert contributions > 1 or len(runs) == rows_with_pairs
-        for field in ("pix", "slot", "alpha_i", "trans", "weight", "clamped", "seg_pix"):
+        for field in ("pix", "slot", "alpha_i", "trans", "clamped", "seg_pix"):
             got = np.concatenate([getattr(run, field) for run in runs])
             assert got.dtype == getattr(whole, field).dtype
             assert got.tobytes() == getattr(whole, field).tobytes(), (contributions, field)
@@ -553,10 +577,11 @@ def test_raster_bands_carry_the_one_band_bits():
 
 
 def test_csc_matvec_over_blocks_equals_bincount():
-    # The backward's slot sums: scipy's private csc_matvec, one call per
-    # block of consecutive terms, each block's terms the data of a
-    # one-column matrix with the slots as row numbers, times 1.0, into one
-    # zeroed array; against one bincount over all terms. Slot 7 has terms
+    # The backward's slot sums and the id maps' votes: ``_add_at`` (scipy's
+    # private csc_matvec), one call per block of consecutive terms, each
+    # block's terms the data of a one-column matrix with the slots as row
+    # numbers, times 1.0, into one zeroed array; against one bincount over
+    # all terms. Slot 7 has terms
     # in every block, slot 3 only negative zeros, and slot 49 none.
     rng = np.random.default_rng(13)
     slots, n = 50, 5000
@@ -569,7 +594,7 @@ def test_csc_matvec_over_blocks_equals_bincount():
     for cuts in ([0, n], [0, 1, 2, 1000, 2500, n - 1, n], list(range(0, n, 7)) + [n]):
         got = np.zeros(slots)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            csc_matvec(slots, 1, np.array([0, hi - lo]), slot[lo:hi], terms[lo:hi], np.ones(1), got)
+            renderer._add_at(got, slot[lo:hi], terms[lo:hi])
         assert got.tobytes() == want.tobytes(), cuts
     assert want[3] == 0.0 and not np.signbit(want[3]) and want[49] == 0.0
 
@@ -612,7 +637,7 @@ def test_value_grads_equal_bincount_over_slots(dense_output):
         flat = grad_img.reshape(-1, grad_img.shape[2])
         want, scale = np.zeros_like(getattr(grads, field)), np.zeros_like(getattr(grads, field))
         for ch in range(flat.shape[1]):
-            terms = out.weight * flat[out.pix, ch]
+            terms = out.alpha_i * out.trans * flat[out.pix, ch]
             want[out.projected.indices, ch] = np.bincount(out.slot, weights=terms,
                                                           minlength=out.projected.count)
             scale[out.projected.indices, ch] = np.bincount(out.slot, weights=np.abs(terms),
@@ -641,7 +666,7 @@ def test_lanes_without_affinity_use_cpu_count(dense_output, monkeypatch):
     out, grad_color, grad_feature = dense_output
     monkeypatch.delattr(renderer.os, "sched_getaffinity")
     again = render(out.splats, out.camera)
-    for name in ("color", "feature", "alpha", "weight", "pix", "slot"):
+    for name in ("color", "feature", "alpha", "alpha_i", "trans", "pix", "slot"):
         assert getattr(again, name).tobytes() == getattr(out, name).tobytes(), name
     assert renderer._lanes([lambda: 1, lambda: 2]) == [1, 2]
 
@@ -686,8 +711,7 @@ def crowded_output():
     return out, rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
 
 
-RASTER_FIELDS = ("pix", "slot", "alpha_i", "trans", "weight", "clamped", "seg_start", "seg_pix",
-                 "alpha")
+RASTER_FIELDS = ("pix", "slot", "alpha_i", "trans", "clamped", "seg_start", "seg_pix", "alpha")
 
 
 def one_row_view():
@@ -938,6 +962,31 @@ def test_backward_peak_within_stated_bound():
     assert out.pix.size >= 100_000
     assert max(peaks) <= BACKWARD_BYTES_PER_CONTRIBUTION * out.pix.size, \
         max(peaks) / out.pix.size
+
+
+def test_train_step_peak_within_stated_bound():
+    # A training step's render and its joint-phase backward, both chains on
+    # geometry, on the 400k-contribution view of the backward's bound: the
+    # RenderOutput it keeps and the backward above it.
+    splats, cam = dense_view(n=6000)
+    out = render(splats, cam)
+    rng = np.random.default_rng(6)
+    grad_color = rng.normal(size=out.color.shape)
+    grad_feature = rng.normal(size=out.feature.shape)
+    contributions = out.pix.size
+    del out
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            out = render(splats, cam)
+            render_backward(out, grad_color, grad_feature, feature_geometry=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del out
+    assert contributions >= 400_000
+    assert max(peaks) <= STEP_BYTES_PER_CONTRIBUTION * contributions, max(peaks) / contributions
 
 
 def test_backward_fully_clamped_splat_has_zero_geometry_grads():

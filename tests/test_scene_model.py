@@ -7,6 +7,7 @@ from igsplat.scene_model import (
     CHILDREN_PER_ANCHOR,
     ModelConfig,
     SplatSet,
+    _decode_backward,
     checkpoint_bytes,
     decode_backward,
     decode_gaussians,
@@ -178,6 +179,12 @@ def test_decode_backward_returns_only_reached_tensors():
                            d_opacities, rng.normal(size=20), d_features)
     for name in heads | {"positions", "features"}:
         assert grads[name].tobytes() == full[name].tobytes(), name
+    # the joint feature chain's call skips the embeddings gradient, and only it
+    skipped = _decode_backward(anchors, decoder, splats, embeddings=False, d_centers=d_centers,
+                               d_opacities=d_opacities, d_features=d_features)
+    assert skipped.keys() == grads.keys() - {"embeddings"}
+    for name, grad in skipped.items():
+        assert grad.tobytes() == grads[name].tobytes(), name
 
 
 def test_decode_backward_rejects_hand_built_splats():
