@@ -9,8 +9,8 @@ visible keep a zero vector and score -1.
 
 The id maps of independent views render on the renderer's lanes
 (``render_instance_id_maps``), at most ``renderer.LANES`` views at once.
-A view rasterizes and votes in runs of whole pixel rows of about
-``ID_MAP_BAND`` contributions (``renderer.raster_bands``), so a view in
+A view rasterizes and votes in the runs of whole pixel rows that the
+renderer cuts every view into (``renderer.raster_bands``), so a view in
 flight holds one run's raster and (pixel, instance) score table beside its
 (splat, row) span records, whatever the view's size. The maps come back in
 view order, so the accumulation, and every artifact, is the same as a
@@ -32,12 +32,6 @@ from .scene_model import SplatSet
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
 NO_CLASS = -1
 MIN_VISIBLE_ALPHA = 0.05
-# Contributions per run of rows of an id map. A run's raster and scores
-# take about 50 bytes per contribution, 3 MB. Whole views on the two lanes
-# held 90 MB each on the benchmark's 128x128 scene, which put the associate
-# stage's peak RSS above the training stage's, by a margin that varied by
-# tens of MB from run to run with the lanes' timing.
-ID_MAP_BAND = 1 << 16
 
 EMBEDDING_MAGIC = b"IGEM"
 EMBEDDING_VERSION = 1
@@ -91,18 +85,21 @@ def render_instance_id_map(
 
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
-    rasterize step runs, in runs of whole rows of about ``ID_MAP_BAND``
-    contributions (``raster_bands``): a pixel's contributions all fall in
-    one run, so its sums are the whole view's, and no color or feature
-    image is composited.
+    rasterize step runs, in the view's runs of whole rows (``raster_bands``),
+    whose raster and scores take about 50 bytes per contribution: a
+    pixel's contributions all fall in one run, so its sums are the whole
+    view's, and no color or feature image is composited. Labels must be
+    non-negative.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
+    if (instance_labels < 0).any():
+        raise UsageError("instance labels must be non-negative")
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
     slot_labels = None
-    for ras in raster_bands(splats, camera, ID_MAP_BAND):
+    for ras in raster_bands(splats, camera):
         if ras.pix.size:
             if slot_labels is None:  # the view's runs share one projection
                 m = int(instance_labels.max()) + 1
@@ -139,9 +136,8 @@ def render_instance_id_maps(
     The views run on the renderer's lanes (``renderer._lanes``), at most
     ``renderer.LANES`` at once and never more than the usable cores or the
     views; NumPy releases the interpreter lock in the kernels that dominate
-    a view. A view in flight holds one run of about ``ID_MAP_BAND``
-    contributions at a time, whatever its size. An exception in any view is
-    raised here.
+    a view. A view in flight holds one run of rows at a time, whatever its
+    size. An exception in any view is raised here.
     """
     return _lanes([partial(render_instance_id_map, splats, instance_labels, camera)
                    for camera in cameras])

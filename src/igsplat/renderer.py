@@ -24,10 +24,10 @@ column pointers are the per-pixel segments. It then yields alpha,
 transmittance and the alpha image. ``render`` adds the color and feature
 composite, each channel a sum of the weights alpha * T times the values;
 instance id maps need only the first step, which ``raster_bands`` also
-runs in runs of whole pixel rows with the same bits, so that a large view
-streams in bounded memory. The same row-span
-enumeration, fed point disks instead of splat cutoffs, gives the
-ground-truth point z-buffer (``zbuffer_owners``).
+runs one run of rows after another with the same bits, so that a large
+view streams in bounded memory. The same row-span enumeration, fed point
+disks instead of splat cutoffs, gives the ground-truth point z-buffer
+(``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
 projected arrays; per-splat values are gathered, and per-splat sums
@@ -58,19 +58,22 @@ always reaches geometry (opacities, scales, centers); the feature chain
 reaches it only when asked (the joint phase) and otherwise stops at the
 features. Both passes split their work into tasks that write disjoint
 outputs and run them on the two threads of one persistent pool ("lanes",
-``_lanes``). ``rasterize`` and ``render`` cut the view into runs of whole
-pixel rows and give each lane a contiguous group of them: a lane expands
-its runs' spans and computes their alphas, one prefix sum over the view
-joins the lanes, and each lane then finishes its runs' transmittances,
-weights and alpha pixels and, in ``render``, the 9 feature and color
-channels of each run while its contributions are in cache.
-``render_backward`` runs each geometry chain in bands of pixel segments and
-phases with a join between them, keeping only two whole-view buffers per
-chain and rebuilding its other terms, the weights among them, in blocks.
-Both passes give the same bits on any run, band or block cutting and on
-one lane or two. With both chains on geometry a call peaks at about 62
-bytes per contribution above its RenderOutput, and a training step's
-render and backward together at about 91;
+``_lanes``), one task per phase and lane group of the view's cutting,
+which ``_row_runs`` makes for both passes and the id maps: ``LANES``
+groups of about equal contribution counts, each cut into runs of whole
+pixel rows. In ``rasterize`` and ``render`` a lane expands its runs' spans
+and computes their alphas, one prefix sum over the view joins the lanes,
+and each lane then finishes its runs' transmittances, weights and alpha
+pixels and, in ``render``, the 9 feature and color channels of each run
+while its contributions are in cache. ``render_backward`` rebuilds the
+groups from the Raster's segments and walks them in phases with a join
+between them, every chain of a group in one task, keeping only two
+whole-view buffers per geometry chain and rebuilding its other terms,
+the weights among them, per run. Both passes give the same bits on any
+cutting into runs and groups and on one lane or two. With both chains on
+geometry a call peaks at about 62 bytes per contribution above its
+RenderOutput, and a training step's render and backward together at
+about 92;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
 are the stated bounds, which the tests check.
 """
@@ -107,8 +110,8 @@ STEP_BYTES_PER_CONTRIBUTION = 100
 CONTRIBUTION_BUDGET = (4 << 30) // STEP_BYTES_PER_CONTRIBUTION
 # Rows per block of the backward's gathers; a block is at most 1.5 MB.
 _GATHER_ROWS = 1 << 14
-# Contributions per block of whole pixel segments in the backward, and per
-# run of whole pixel rows in the forward; 512 KB per float array.
+# Contributions per run of whole pixel rows (``_row_runs``), which the
+# forward, the backward and the id maps walk; 512 KB per float array.
 _SEGMENT_ROWS = 1 << 16
 # Threads of the renderer's task pool (``_lanes``).
 LANES = 2
@@ -444,31 +447,40 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     return (pix, slot, d2, *_expand_spans(records, slice(0, h), w, pix, slot, d2, np.empty(total)))
 
 
-def _row_bands(records: tuple, h: int, contributions: int | None) -> list:
-    """Runs of whole image rows of about ``contributions`` pairs each (one
-    run of every row when None), a run starting at a row with pairs: (rows,
-    entries) slice pairs, ``entries`` numbering the view's pairs in (pixel,
-    depth order)."""
-    _, row_ptr, _, counts, _, _ = records
-    before = np.concatenate(([0], np.cumsum(counts)))[row_ptr]  # pairs before each row
-    cuts = [0, h]
-    if contributions is not None:
-        firsts = np.searchsorted(before, np.arange(0, before[-1], contributions), side="right") - 1
-        cuts = np.append(np.unique(firsts), h)
-    return [(slice(int(a), int(b)), slice(int(before[a]), int(before[b])))
-            for a, b in zip(cuts[:-1], cuts[1:])]
+def _row_runs(before: np.ndarray) -> list:
+    """How every pass cuts a view, from ``before``, the (h + 1,) count of
+    contributions before each row: ``LANES`` groups of rows of about equal
+    contribution counts, each cut into runs of whole rows of about
+    ``_SEGMENT_ROWS`` contributions that start at rows with contributions.
+    Returns the non-empty groups in row order, as lists of (rows, entries)
+    slice pairs; ``entries`` number the view's contributions."""
+    # A group starts at the row boundary nearest its share of the view, a
+    # run at the row of every _SEGMENT_ROWS-th contribution of its group.
+    shares = int(before[-1]) * np.arange(LANES) // LANES
+    bounds = np.append(np.searchsorted(before[:-1] + before[1:], 2 * shares, side="right"),
+                       before.size - 1)
+    groups = []
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        if before[stop] > before[first]:
+            rows = np.searchsorted(before, np.arange(before[first], before[stop], _SEGMENT_ROWS),
+                                   side="right") - 1
+            cuts = np.append(np.unique(rows), stop)
+            groups.append([(slice(int(a), int(b)), slice(int(before[a]), int(before[b])))
+                           for a, b in zip(cuts[:-1], cuts[1:])])
+    return groups
 
 
-def _view_runs(splats: SplatSet, camera: Camera, contributions: int | None):
+def _view_runs(splats: SplatSet, camera: Camera):
     """The set-up of a forward pass: the projected splats, their
-    ``_span_records`` (None when no contribution exists), the view's runs of
-    rows (``_row_bands``; none without contributions) and the per-slot
-    factors of alpha, 2 sigma^2 and the opacity."""
+    ``_span_records`` (None when no contribution exists), the view's lane
+    groups of runs of rows (``_row_runs``; none without contributions) and
+    the per-slot factors of alpha, 2 sigma^2 and the opacity."""
     proj = project_splats(splats, camera)
     records = _span_records(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
-    runs = [] if records is None else _row_bands(records, camera.height, contributions)
+    groups = [] if records is None else _row_runs(
+        np.concatenate(([0], np.cumsum(records[3])))[records[1]])
     factors = (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
-    return proj, records, runs, factors
+    return proj, records, groups, factors
 
 
 def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Raster:
@@ -535,25 +547,24 @@ def _weights(ras: Raster, run: slice, seg_start: np.ndarray, seg_pix: np.ndarray
     return weight
 
 
-def raster_bands(splats: SplatSet, camera: Camera, contributions: int | None = None):
-    """``rasterize`` in runs of whole pixel rows of about ``contributions``
-    contributions each (all rows at once when None), one after another on
-    the calling thread: one Raster per run, in row order, whose arrays hold
-    that run's contributions (``seg_start`` counts from the run's first)
-    and whose alpha image is zero off the run. Every contribution's alpha
-    and transmittance, and every alpha pixel, carries the bits of
-    ``rasterize``: the prefix sum behind the transmittances runs on from
-    the runs before. A run holds about the Raster of its contributions, so
-    a large view streams in bounded memory.
+def raster_bands(splats: SplatSet, camera: Camera):
+    """``rasterize`` in the view's runs of whole pixel rows (``_row_runs``),
+    one after another on the calling thread: one Raster per run, in row
+    order, whose arrays hold that run's contributions (``seg_start`` counts
+    from the run's first) and whose alpha image is zero off the run. Every
+    contribution's alpha and transmittance, and every alpha pixel, carries
+    the bits of ``rasterize``: the prefix sum behind the transmittances
+    runs on from the runs before. A run holds about the Raster of its
+    contributions, so a large view streams in bounded memory.
     """
-    proj, records, runs, factors = _view_runs(splats, camera, contributions)
-    if not runs:
+    proj, records, groups, factors = _view_runs(splats, camera)
+    if not groups:
         yield _new_raster(0, proj, camera)
         return
     # x + -0.0 is x, signed zeros too, so the first run's scan has
     # np.cumsum's bits
     carry = -0.0
-    for rows, run in runs:
+    for rows, run in (run for group in groups for run in group):
         ras = _new_raster(run.stop - run.start, proj, camera)
         entries = slice(0, ras.pix.size)
         logs = np.empty(ras.pix.size)
@@ -579,29 +590,24 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     """The whole view's Raster, built on the lanes, and the (H, W, C)
     composite of each (n, C) per-splat array in ``values``.
 
-    The view is cut into runs of whole pixel rows of about ``_SEGMENT_ROWS``
-    contributions, and the runs into ``LANES`` contiguous groups of about
-    equal contribution counts, one task each. The tasks write their runs'
-    slices of the whole-view arrays in two phases with a join between
-    them: ``_alphas``, then one ``np.cumsum`` over the view, then
-    ``_weights`` and the run's composites, each channel a sum of weight *
-    value over a pixel's contributions in order. The logs and then the
-    weights live in one whole-view scratch array, freed on return. A
-    pixel's entries lie in one run, so any run or group cutting gives the
-    same bits; a view of one run is one task, which runs inline.
+    The view's lane groups of runs of rows (``_row_runs``) are one task
+    each. The tasks write their runs' slices of the whole-view arrays in
+    two phases with a join between them: ``_alphas``, then one
+    ``np.cumsum`` over the view, then ``_weights`` and the run's
+    composites, each channel a sum of weight * value over a pixel's
+    contributions in order. The logs and then the weights live in one
+    whole-view scratch array, freed on return. A pixel's entries lie in
+    one run, so any run or group cutting gives the same bits.
     """
-    proj, records, runs, factors = _view_runs(splats, camera, _SEGMENT_ROWS)
+    proj, records, groups, factors = _view_runs(splats, camera)
     h, w = camera.height, camera.width
+    runs = [run for group in groups for run in group]
     total = runs[-1][1].stop if runs else 0
     ras = _new_raster(total, proj, camera)
     logs = np.empty(total)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
     # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
     channels = [np.ascontiguousarray(value[proj.indices].T) for value in values]
-    # a run goes to the group that holds its middle contribution
-    cuts = _band_cuts(np.array([(run.start + run.stop) // 2 for _, run in runs], dtype=np.int64),
-                      total, LANES)
-    groups = [runs[first:last] for first, last in zip(cuts[:-1], cuts[1:]) if last > first]
 
     def first_phase(group):
         return [_alphas(records, rows, w, factors, ras, run, logs[run]) for rows, run in group]
@@ -719,29 +725,6 @@ def _add_at(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
     csc_matvec(out.size, 1, np.array([0, terms.size], dtype=np.int64), index, terms, np.ones(1), out)
 
 
-def _band_cuts(seg_start: np.ndarray, total: int, bands: int) -> np.ndarray:
-    """Split a view's pixel segments (or runs of rows, by their middle
-    contributions) into ``bands`` contiguous runs of about equal
-    contribution counts: the (bands + 1,) indices at which the runs start,
-    then the count. A run may be empty."""
-    return np.searchsorted(seg_start, total * np.arange(bands + 1) // bands)
-
-
-def _segment_runs(seg_start: np.ndarray, total: int, cuts) -> list:
-    """(contributions, segments) slice pairs of the runs of pixel segments
-    between consecutive ``cuts``, in a view of ``total`` contributions."""
-    ends = np.append(seg_start, total)
-    return [(slice(ends[first], ends[last]), slice(first, last))
-            for first, last in zip(cuts[:-1], cuts[1:])]
-
-
-def _segment_blocks(seg_start: np.ndarray, total: int, rows: slice, segs: slice) -> list:
-    """The run ``segs`` (contributions ``rows``) in blocks of whole segments
-    of about ``_SEGMENT_ROWS`` contributions, or of one longer segment."""
-    firsts = np.searchsorted(seg_start, np.arange(rows.start, rows.stop, _SEGMENT_ROWS))
-    return _segment_runs(seg_start, total, np.unique(np.append(firsts, segs.stop)))
-
-
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
     """Rasterize color, feature, and alpha images with contributor retention.
 
@@ -773,17 +756,19 @@ def render_backward(
     None comes back all zero; summing the two chains gives the gradient of
     the summed objective.
 
-    A geometry chain runs in max(1, lanes // geometry chains) bands of
-    pixel segments and four phases with a join between them: the gathers
-    of <grad, value>, one prefix sum over the view, d_alpha, and the slot
-    sums of all chains in ``LANES`` groups beside the value task (the
-    direct weight * grad sums, one sparse product per block of whole
-    segments). It keeps only its q and v over the view; the gathers
-    rebuild the weights alpha * T per row block, and the last two phases
-    rebuild the offsets, d2, 1 / sigma^2 and 1 - alpha they read per block
-    of whole segments (``_segment_blocks``). Every per-splat sum adds its
-    slot's terms in order, as a bincount over slots does, so any band count
-    or block size gives the same bits; culled splats keep zeros. The call peaks within
+    A geometry chain runs in four phases with a join between them: the
+    gathers of <grad, value>, one prefix sum over the view per chain,
+    d_alpha, and the slot sums of all chains in ``LANES`` groups beside the
+    value task (the direct weight * grad sums, one sparse product per run).
+    The gathers and d_alpha run one task per lane group of the forward's
+    cutting (``_row_runs``, rebuilt from the Raster's segments), each for
+    every geometry chain, so a run's slots, offsets and Gaussian terms are
+    built once for all of them. A chain keeps only its q and v over the
+    view; the gathers rebuild the weights alpha * T per row block, and the
+    last two phases rebuild the offsets, d2, 1 / sigma^2 and 1 - alpha they
+    read per run. Every per-splat sum adds its slot's terms in order, as a
+    bincount over slots does, so any cutting into runs and groups gives the
+    same bits; culled splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
     """
     splats = output.splats
@@ -804,38 +789,42 @@ def render_backward(
     slot = output.slot
     seg_start = output.seg_start
     alpha = output.alpha_i
+    # The forward's groups of runs, as (contributions, segments) slice pairs:
+    # the first segment of each row gives the contributions before it.
+    row_seg = np.searchsorted(output.seg_pix, np.arange(camera.height + 1) * camera.width)
+    groups = [[(entries, slice(row_seg[rows.start], row_seg[rows.stop])) for rows, entries in group]
+              for group in _row_runs(np.append(seg_start, len(slot))[row_seg])]
+    view_runs = [run for group in groups for run in group]
 
-    def value_task(blocks):
+    def value_task():
         # The direct weight * grad sums of every chain's channels are one
-        # sparse product per block of whole segments: the slots x pixels
-        # matrix of the block's weights alpha * T, whose columns hold each
-        # pixel's contributions in order, times the image gradients at those
-        # pixels side by side. csc_matvecs adds each slot's products in
-        # contribution order, block after block, as a bincount over the
-        # slots would: the same bits where the build does not fuse the
-        # multiply-add (x86-64).
+        # sparse product per run: the slots x pixels matrix of the run's
+        # weights alpha * T, whose columns hold each pixel's contributions
+        # in order, times the image gradients at those pixels side by side.
+        # csc_matvecs adds each slot's products in contribution order, run
+        # after run, as a bincount over the slots would: the same bits
+        # where the build does not fuse the multiply-add (x86-64).
         grads = np.concatenate(
             [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
              for grad_img, _, value_grads, _, _ in chains], axis=1)
         sums = np.zeros((proj.count, grads.shape[1]))
-        weight = np.empty(max(block.stop - block.start for block, _ in blocks))
-        for block, segs in blocks:
+        weight = np.empty(max(run.stop - run.start for run, _ in view_runs))
+        for run, segs in view_runs:
             csc_matvecs(proj.count, segs.stop - segs.start, grads.shape[1],
-                        np.append(seg_start[segs] - block.start,
-                                  block.stop - block.start).astype(slot.dtype),
-                        slot[block], np.multiply(alpha[block], output.trans[block],
-                                                 out=weight[:block.stop - block.start]),
+                        np.append(seg_start[segs] - run.start, run.stop - run.start).astype(slot.dtype),
+                        slot[run], np.multiply(alpha[run], output.trans[run],
+                                               out=weight[:run.stop - run.start]),
                         grads[segs].ravel(), sums.ravel())
         first = 0
         for _, _, value_grads, _, _ in chains:
             value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
             first += value_grads.shape[1]
 
-    geometry_chains = [(grad_img, values, grads)
+    # (flat image gradient, per-slot values, gradients) of each geometry chain
+    geometry_chains = [(grad_img.reshape(-1, values.shape[1]), values.take(proj.indices, axis=0), grads)
                        for grad_img, values, _, grads, geometry in chains if geometry]
     if not geometry_chains:
-        value_task(_segment_blocks(seg_start, slot.size, slice(0, slot.size),
-                                   slice(0, seg_start.size)))
+        value_task()
         return color_grads, feature_grads
 
     # Contributions of one pixel are contiguous, so a run of whole pixel
@@ -855,95 +844,96 @@ def render_backward(
         d2 += np.square(drow)
         return d2
 
-    def gather_task(grad_img, values, q, v, totals, firsts, rows, segs):
-        # <image gradient, value> per contribution, in row blocks so the two
-        # (rows, dim) operands stay small; each row's sum is the same einsum.
-        # v = weight * q, the weight rebuilt per block.
-        starts = seg_start[segs] - rows.start
-        flat_grad = grad_img.reshape(-1, values.shape[1])
-        slot_values = values[proj.indices]
+    def gather_task(group):
+        # <image gradient, value> per contribution over the group's runs, in
+        # row blocks so the (rows, dim) operands stay small; each row's sum
+        # is the same einsum. v = weight * q, the weight rebuilt per block.
+        rows = slice(group[0][0].start, group[-1][0].stop)
+        segs = slice(group[0][1].start, group[-1][1].stop)
+        weights = np.empty(_GATHER_ROWS)
         for lo in range(rows.start, rows.stop, _GATHER_ROWS):
             block = slice(lo, min(lo + _GATHER_ROWS, rows.stop))
-            np.einsum("ij,ij->i", flat_grad.take(output.pix[block].astype(np.int64), axis=0),
-                      slot_values.take(slot[block].astype(np.int64), axis=0), out=q[block])
-            block_v = np.multiply(alpha[block], output.trans[block], out=v[block])
-            block_v *= q[block]
-        band_v = v[rows]
-        totals[segs] = np.add.reduceat(band_v, starts)
-        firsts[segs] = band_v[starts]
+            block_pix, block_slot = output.pix[block].astype(np.int64), slot[block].astype(np.int64)
+            weight = np.multiply(alpha[block], output.trans[block], out=weights[:block.stop - block.start])
+            for (flat_grad, slot_values, _), q, v in zip(geometry_chains, qs, vs):
+                np.einsum("ij,ij->i", flat_grad.take(block_pix, axis=0),
+                          slot_values.take(block_slot, axis=0), out=q[block])
+                np.multiply(weight, q[block], out=v[block])
+        starts = seg_start[segs] - rows.start
+        for v, chain_totals, chain_firsts in zip(vs, totals, firsts):
+            chain_totals[segs] = np.add.reduceat(v[rows], starts)
+            chain_firsts[segs] = v[rows][starts]
 
-    def alpha_task(q, v, totals, firsts, blocks):
+    def alpha_task(group):
         # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
         # the suffix from the view's inclusive cumsum of v = weight * q, in
-        # v's rows; d_alpha goes to q's. A block's segments start in the
-        # block, so their scanned starts are read before it changes.
-        for block, block_segs in blocks:
-            block_slot = slot[block].astype(np.int64)
-            lens = seg_len[block_segs]
-            suffix = v[block]
-            before = suffix[seg_start[block_segs] - block.start] - firsts[block_segs]
-            suffix -= np.repeat(before, lens)
-            np.subtract(np.repeat(totals[block_segs], lens), suffix, out=suffix)
-            suffix /= 1.0 - alpha[block]
-            d_alpha = np.multiply(q[block], output.trans[block], out=q[block])
-            d_alpha -= suffix
-            # Clamped alphas are constant in the parameters; with d_alpha
-            # zeroed there, every geometry term below is zero there too.
-            d_alpha[output.clamped[block]] = 0.0
-            # The opacity terms, d_alpha times the Gaussian exp(-d2 / (2 sigma^2)),
-            # in v's rows; then d_alpha * alpha, which the offset terms share.
-            product = squared_distance(offset(block_slot, block_segs, 0),
-                                       offset(block_slot, block_segs, 1), out=suffix)
-            np.negative(product, out=product)
-            product *= slot_inv_sig2.take(block_slot)
-            product /= 2.0
-            np.exp(product, out=product)
-            product *= d_alpha
-            np.multiply(d_alpha, alpha[block], out=d_alpha)
+        # v's rows; d_alpha goes to q's. A run's segments start in the run,
+        # so their scanned starts are read before it changes. The run's
+        # slots, 1 - alpha and Gaussian terms serve every chain.
+        for run, segs in group:
+            block_slot = slot[run].astype(np.int64)
+            lens = seg_len[segs]
+            one_minus_alpha = 1.0 - alpha[run]
+            for q, v, chain_totals, chain_firsts in zip(qs, vs, totals, firsts):
+                suffix = v[run]
+                before = suffix[seg_start[segs] - run.start] - chain_firsts[segs]
+                suffix -= np.repeat(before, lens)
+                np.subtract(np.repeat(chain_totals[segs], lens), suffix, out=suffix)
+                suffix /= one_minus_alpha
+                d_alpha = np.multiply(q[run], output.trans[run], out=q[run])
+                d_alpha -= suffix
+                # Clamped alphas are constant in the parameters; with d_alpha
+                # zeroed there, every geometry term below is zero there too.
+                d_alpha[output.clamped[run]] = 0.0
+            # The Gaussians exp(-d2 / (2 sigma^2)), in the first chain's v
+            # rows, whose suffix is spent; then per chain, the first last, the
+            # opacity terms, the Gaussian times d_alpha, in v's rows, and
+            # d_alpha * alpha, which the offset terms share.
+            gaussian = squared_distance(offset(block_slot, segs, 0), offset(block_slot, segs, 1),
+                                        out=vs[0][run])
+            np.negative(gaussian, out=gaussian)
+            gaussian *= slot_inv_sig2.take(block_slot)
+            gaussian /= 2.0
+            np.exp(gaussian, out=gaussian)
+            for q, v in zip(qs[::-1], vs[::-1]):
+                np.multiply(gaussian, q[run], out=v[run])
+                np.multiply(q[run], alpha[run], out=q[run])
 
     def sums_task(group):
         # The opacity, u, v and sigma sums (rows 0-3) of (chain, row) pairs;
-        # each block rebuilds only the offsets its rows read, and adds its
+        # each run rebuilds only the offsets its rows read, and adds its
         # terms into the slots in contribution order (``_add_at``).
         rows_read = {row for _, row in group}
-        for block, block_segs in view_blocks:
-            block_slot = slot[block].astype(np.int64)
-            dcol = offset(block_slot, block_segs, 0) if rows_read & {1, 3} else None
-            drow = offset(block_slot, block_segs, 1) if rows_read & {2, 3} else None
+        for run, segs in view_runs:
+            block_slot = slot[run].astype(np.int64)
+            dcol = offset(block_slot, segs, 0) if rows_read & {1, 3} else None
+            drow = offset(block_slot, segs, 1) if rows_read & {2, 3} else None
             offsets = (dcol, drow, squared_distance(dcol, drow) if 3 in rows_read else None)
             inv_sig2 = slot_inv_sig2.take(block_slot) if rows_read - {0} else None
             for chain, row in group:
                 if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
-                    terms = np.multiply(qs[chain][block], offsets[row - 1])
+                    terms = np.multiply(qs[chain][run], offsets[row - 1])
                     terms *= inv_sig2
                     if row == 3:  # the sigma sum has one more factor, 1 / sigma
                         terms /= proj.sigma_px.take(block_slot)
                 else:
-                    terms = vs[chain][block]
+                    terms = vs[chain][run]
                 _add_at(slot_sums[chain][row], block_slot, terms)
 
-    lanes = min(_usable_cores(), LANES)
-    chain_bands = _segment_runs(seg_start, len(slot), _band_cuts(
-        seg_start, len(slot), max(1, lanes // len(geometry_chains))))
-    band_blocks = [_segment_blocks(seg_start, len(slot), *band) for band in chain_bands]
-    view_blocks = [block for blocks in band_blocks for block in blocks]
     # The four phases: gathers, scan, d_alpha, sums. Per chain: q (then
     # d_alpha * alpha), v = weight * q (scanned in place, then the opacity
     # terms), v's per-segment totals and first values, and the slot sums.
     qs, vs = ([np.empty(len(slot)) for _ in geometry_chains] for _ in range(2))
     totals, firsts = ([np.empty(seg_start.size) for _ in geometry_chains] for _ in range(2))
     slot_sums = [np.zeros((4, proj.count)) for _ in geometry_chains]
-    _lanes([partial(gather_task, grad_img, values, *buffers, *band)
-            for (grad_img, values, _), *buffers in zip(geometry_chains, qs, vs, totals, firsts)
-            for band in chain_bands])
+    _lanes([partial(gather_task, group) for group in groups])
     _lanes([partial(np.cumsum, v, out=v) for v in vs])
-    _lanes([partial(alpha_task, *buffers, blocks)
-            for buffers in zip(qs, vs, totals, firsts) for blocks in band_blocks])
+    _lanes([partial(alpha_task, group) for group in groups])
     # The 4 slot sums of every geometry chain, in LANES contiguous groups:
     # one chain each in the joint step, two sums each for a lone chain.
     pairs = [(chain, row) for chain in range(len(geometry_chains)) for row in range(4)]
     _lanes([partial(sums_task, pairs[i * len(pairs) // LANES:(i + 1) * len(pairs) // LANES])
-            for i in range(LANES)] + [partial(value_task, view_blocks)])
+            for i in range(LANES)] + [value_task])
 
     x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
     fx, fy = camera.fx, camera.fy

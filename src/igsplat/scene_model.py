@@ -281,6 +281,7 @@ def decode_backward(
     d_opacities: np.ndarray | None = None,
     d_scales: np.ndarray | None = None,
     d_features: np.ndarray | None = None,
+    embeddings: bool = True,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of the decode that made ``splats`` w.r.t. anchors
     and decoder weights, keyed as in ``parameters``.
@@ -289,21 +290,12 @@ def decode_backward(
     ``decode_gaussians(anchors, decoder)``, so no head runs again. Only
     the tensors an upstream gradient reaches come back: positions from
     ``d_centers``, features from ``d_features``, a head's four tensors from
-    its attribute's gradient, and embeddings from any head reached; an
+    its attribute's gradient, and embeddings from any head reached unless
+    ``embeddings`` is unset, which skips their (n, d_e) products; an
     omitted (None) gradient reaches nothing. Child feature gradients sum
     into the parent anchor's feature gradient; child center gradients sum
     into the anchor position gradient.
     """
-    return _decode_backward(anchors, decoder, splats, True, d_centers, d_colors, d_opacities,
-                            d_scales, d_features)
-
-
-def _decode_backward(anchors: AnchorSet, decoder: DecoderParams, splats: SplatSet,
-                     embeddings: bool, d_centers=None, d_colors=None, d_opacities=None,
-                     d_scales=None, d_features=None) -> dict[str, np.ndarray]:
-    """``decode_backward``, without the embeddings gradient unless
-    ``embeddings`` is set: a chain that must not reach the embeddings skips
-    its (n, d_e) products."""
     n = anchors.count
     if not splats.activations:
         raise UsageError("decode_backward needs a splat set from decode_gaussians; "

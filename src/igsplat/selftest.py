@@ -2,9 +2,10 @@
 
 A fast subset of the property checks the test suite runs in full: the
 renderer's contribution list against a dense scan, render and decode
-gradient agreement with finite differences, the backward's bands against
-one band, loss identities, sampler and clustering invariants, and
-voxel-adjacency and component-aggregation correctness on random graphs.
+gradient agreement with finite differences, the backward's runs of rows
+against the default runs, loss identities, sampler and clustering
+invariants, and voxel-adjacency and component-aggregation correctness on
+random graphs.
 """
 from __future__ import annotations
 
@@ -165,11 +166,11 @@ def _check_decode_gradients(rng) -> None:
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
 
 
-def _check_backward_bands(rng) -> None:
-    # 60 splats crowding a 12x10 view; the backward split into two bands at
-    # its most crowded pixel, into three with an empty middle one (the scan
-    # runs on across it), and into blocks of one segment each must give the
-    # bytes of one band, on every mode
+def _check_backward_runs(rng) -> None:
+    # 60 splats crowding a 12x10 view; the backward in runs of one row, and
+    # in runs of a size that starts one at the row of its most crowded
+    # pixel off the lane groups' first rows, must give the bytes of the
+    # default runs, on every mode
     n = 60
     centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
                                rng.uniform(0.0, 1.0, n)])
@@ -181,24 +182,27 @@ def _check_backward_bands(rng) -> None:
     out = render(splats, camera)
     seg_len = np.diff(out.seg_start, append=out.pix.size)
     assert seg_len.max() >= 24, "view not crowded"
-    segments = out.seg_start.size
+    # the contributions before each row, and the run size that counts from
+    # the first row of the crowded row's group to that row
+    seg_row = out.seg_pix // camera.width
+    before = np.append(out.seg_start, out.pix.size)[
+        np.searchsorted(seg_row, np.arange(camera.height + 1))]
+    group_rows = [int(group[0][0].start) for group in renderer._row_runs(before)]
+    crowded = int(seg_row[np.argmax(np.where(np.isin(seg_row, group_rows), 0, seg_len))])
+    size = int(before[crowded] - before[max(row for row in group_rows if row < crowded)])
     g_color, g_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
     for kwargs in ({}, {"grad_feature": g_feature},
                    {"grad_feature": g_feature, "feature_geometry": True}):
-        results = []
-        crowded = int(np.argmax(seg_len))
-        rows = renderer._SEGMENT_ROWS
-        for cuts, block_rows in (([0, segments], rows), ([0, crowded, segments], rows),
-                                 ([0, crowded, crowded, segments], rows), ([0, segments], 1)):
-            with mock.patch.object(renderer, "_band_cuts", lambda *_: np.array(cuts)), \
-                    mock.patch.object(renderer, "_SEGMENT_ROWS", block_rows):
-                results.append(render_backward(out, g_color, **kwargs))
-        one_band = results[0]
-        for split_by, chains in zip(("2 bands", "3 bands", "1-segment blocks"), results[1:]):
-            for one, split in zip(one_band, chains):
+        default = render_backward(out, g_color, **kwargs)
+        for split_by, rows in (("runs of one row", 1), ("a run at the crowded row", size)):
+            with mock.patch.object(renderer, "_SEGMENT_ROWS", rows):
+                starts = {run[0].start for group in renderer._row_runs(before) for run in group}
+                assert crowded in starts, f"no run starts at row {crowded}"
+                chains = render_backward(out, g_color, **kwargs)
+            for one, split in zip(default, chains):
                 for name, got in vars(split).items():
                     assert got.tobytes() == getattr(one, name).tobytes(), \
-                        f"{name} differs between one band and {split_by}"
+                        f"{name} differs between the default runs and {split_by}"
 
 
 def _check_rgb() -> None:
@@ -215,7 +219,7 @@ CHECKS = [
     ("component_aggregation", _check_components),
     ("loss_identities", lambda rng: _check_losses()),
     ("render_gradients", _check_gradients),
-    ("backward_bands", _check_backward_bands),
+    ("backward_runs", _check_backward_runs),
     ("decode_gradients", _check_decode_gradients),
     ("rgb_loss", lambda rng: _check_rgb()),
 ]

@@ -43,7 +43,6 @@ from .renderer import Camera, render, render_backward
 from .scene_model import (
     AnchorSet,
     DecoderParams,
-    _decode_backward,
     decode_backward,
     decode_gaussians,
     parameters,
@@ -251,8 +250,8 @@ def train_step(
     if feature_active:
         geometry = {"d_centers": sgf.centers, "d_opacities": sgf.opacities} if joint_active else {}
         # embeddings follow reconstruction only, so this chain skips their gradient
-        chains.append(_decode_backward(anchors, decoder, splats, embeddings=False,
-                                       d_features=sgf.features, **geometry))
+        chains.append(decode_backward(anchors, decoder, splats, d_features=sgf.features,
+                                      embeddings=False, **geometry))
 
     # Single adaptive-moment update per tensor, on the sum of what each chain
     # reached, the color chain's gradient first.

@@ -140,7 +140,7 @@ def test_id_map_runs_match_one_run(monkeypatch):
     splats, labels, cameras = multi_view_scene()
     wants = [render_instance_id_map(splats, labels, camera) for camera in cameras]
     for band in (1, 37):
-        monkeypatch.setattr(association, "ID_MAP_BAND", band)
+        monkeypatch.setattr(renderer, "_SEGMENT_ROWS", band)
         for camera, want in zip(cameras, wants):
             got = render_instance_id_map(splats, labels, camera)
             assert got.tobytes() == want.tobytes(), band
@@ -150,6 +150,15 @@ def test_id_map_pool_raises_label_count_mismatch():
     splats, labels, cameras = multi_view_scene()
     with pytest.raises(UsageError, match="one instance label per splat"):
         render_instance_id_maps(splats, labels[:-1], cameras)
+
+
+def test_id_map_rejects_negative_labels():
+    # a negative label would index before the run's score table
+    splats, labels, cameras = multi_view_scene(views=1)
+    labels = labels.copy()
+    labels[::2] = -1
+    with pytest.raises(UsageError, match="non-negative"):
+        render_instance_id_map(splats, labels, cameras[0])
 
 
 def test_id_map_leaves_inputs_unmodified():

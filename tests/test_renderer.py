@@ -13,6 +13,7 @@ from igsplat.oracles import central_differences, contributions_oracle, relative_
 from igsplat.renderer import (
     BACKWARD_BYTES_PER_CONTRIBUTION,
     CONTRIBUTION_BUDGET,
+    NEAR_PLANE,
     RASTER_BYTES_PER_CONTRIBUTION,
     STEP_BYTES_PER_CONTRIBUTION,
     Camera,
@@ -89,9 +90,11 @@ def test_pixel_radius_formula():
 
 
 def test_behind_camera_is_culled():
-    splats = make_splats([[0.0, 0.0, -1.0], [0.0, 0.0, 0.005], [0.0, 0.0, 1.0]])
+    # a splat exactly on the near plane is culled, the next float past it kept
+    splats = make_splats([[0.0, 0.0, -1.0], [0.0, 0.0, 0.005], [0.0, 0.0, 1.0],
+                          [0.0, 0.0, NEAR_PLANE], [0.0, 0.0, np.nextafter(NEAR_PLANE, 1.0)]])
     proj = project_splats(splats, identity_camera(offset=0.0))
-    assert proj.indices.tolist() == [2]
+    assert proj.indices.tolist() == [4, 2]
 
 
 def test_equal_depth_ties_break_by_index():
@@ -524,29 +527,22 @@ def test_fused_backward_chains_equal_single_chain_calls():
 
 
 def test_backward_row_blocks_match_one_block(monkeypatch):
-    # the gathers' row blocks and the blocks of whole segments, each forced
-    # to one block over the view, and the latter to one segment per block
+    # the gathers' row blocks, forced to one block per lane group and to
+    # blocks of 97 rows, which do not align with the runs
     splats, cam = dense_view()
     out = render(splats, cam)
     assert out.pix.size > 2 * renderer._GATHER_ROWS
-    assert out.pix.size > 2 * renderer._SEGMENT_ROWS
     rng = np.random.default_rng(5)
     grad_color = rng.normal(size=out.color.shape)
     grad_feature = rng.normal(size=out.feature.shape)
     blocked = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-    view = (slice(0, out.pix.size), slice(0, out.seg_start.size))
-    for name, rows, blocks in (("_GATHER_ROWS", out.pix.size, None),
-                               ("_SEGMENT_ROWS", out.pix.size, 1),
-                               ("_SEGMENT_ROWS", 1, out.seg_start.size)):
+    for rows in (out.pix.size, 97):
         with monkeypatch.context() as patch:
-            patch.setattr(renderer, name, rows)
-            if blocks:
-                assert len(renderer._segment_blocks(out.seg_start, out.pix.size, *view)) == blocks
+            patch.setattr(renderer, "_GATHER_ROWS", rows)
             whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
         for got, want in zip(blocked, whole):
             for field in GRAD_FIELDS:
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
-                    (name, rows, field)
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (rows, field)
 
 
 def test_raster_bands_carry_the_one_band_bits():
@@ -556,7 +552,9 @@ def test_raster_bands_carry_the_one_band_bits():
     whole = rasterize(splats, cam)
     rows_with_pairs = np.unique(whole.seg_pix // cam.width).size
     for contributions in (1, 997, whole.pix.size // 3):
-        runs = list(raster_bands(splats, cam, contributions))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(renderer, "_SEGMENT_ROWS", contributions)
+            runs = list(raster_bands(splats, cam))
         assert len(runs) > 1
         assert contributions > 1 or len(runs) == rows_with_pairs
         for field in ("pix", "slot", "alpha_i", "trans", "clamped", "seg_pix"):
@@ -572,7 +570,7 @@ def test_raster_bands_carry_the_one_band_bits():
                    for prev, run in zip(runs, runs[1:]))
     behind = SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities,
                       splats.scales, splats.features, splats.parent)
-    (empty,) = raster_bands(behind, cam, 10)
+    (empty,) = raster_bands(behind, cam)
     assert empty.pix.size == 0 and not empty.alpha.any()
 
 
@@ -728,13 +726,39 @@ def culled_view():
                     splats.features, splats.parent), cam
 
 
+def pixel_view():
+    """The crowded view's splats seen by a 1x1 camera: one pixel, one
+    segment of dozens of contributions."""
+    splats, _ = crowded_view()
+    return splats, Camera(fx=24.0, fy=24.0, cx=0.0, cy=0.0, width=1, height=1,
+                          rotation=np.eye(3), translation=np.zeros(3))
+
+
 FORWARD_VIEWS = {
-    "dense": dense_view,  # over _SEGMENT_ROWS contributions: runs on both lanes
-    "small": lambda: dense_view(n=500, size=48),  # one run: one task, inline
+    "dense": dense_view,  # over _SEGMENT_ROWS contributions: several runs per group
+    "small": lambda: dense_view(n=500, size=48),  # one run per group
     "crowded": crowded_view,
-    "one_row": one_row_view,
-    "culled": culled_view,  # no contribution
+    "one_row": one_row_view,  # one row: one group
+    "culled": culled_view,  # no contribution: no group
 }
+
+
+def force_groups(monkeypatch, cuts):
+    """Cut every view into lane groups of the rows between consecutive
+    ``cuts`` that hold contributions, each group one run of its rows, in
+    place of ``_row_runs``' cutting."""
+    def row_runs(before):
+        return [[(slice(a, b), slice(int(before[a]), int(before[b])))]
+                for a, b in zip(cuts[:-1], cuts[1:]) if before[b] > before[a]]
+    monkeypatch.setattr(renderer, "_row_runs", row_runs)
+
+
+def count_lane_tasks(monkeypatch) -> list:
+    """The task count of every ``_lanes`` call from here on."""
+    tasks = []
+    lanes = renderer._lanes
+    monkeypatch.setattr(renderer, "_lanes", lambda todo: tasks.append(len(todo)) or lanes(todo))
+    return tasks
 
 
 @pytest.mark.parametrize("view", sorted(FORWARD_VIEWS))
@@ -744,14 +768,12 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
     # view as one run on one lane; its Raster also against raster_bands'
     # one run, whose scan runs on the calling thread
     splats, cam = FORWARD_VIEWS[view]()
-    tasks = []
-    lanes = renderer._lanes
-    monkeypatch.setattr(renderer, "_lanes", lambda todo: tasks.append(len(todo)) or lanes(todo))
+    tasks = count_lane_tasks(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
-        patch.setattr(renderer, "_SEGMENT_ROWS", 1 << 40)
+        force_groups(patch, [0, cam.height])
         want = render(splats, cam)
-    (one_run,) = raster_bands(splats, cam)
+        (one_run,) = raster_bands(splats, cam)
     for name in RASTER_FIELDS:
         assert getattr(one_run, name).dtype == getattr(want, name).dtype, name
         assert getattr(one_run, name).tobytes() == getattr(want, name).tobytes(), name
@@ -766,10 +788,10 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
             tasks.clear()
             got = render(splats, cam)
             raster = rasterize(splats, cam)
-        # one task per phase and group of runs: none without contributions,
-        # one for a view of one run, else one per lane
-        several_runs = rows_with_pairs > 1 and (rows is not None or view == "dense")
-        assert tasks == [(2 if several_runs else 1) if want.pix.size else 0] * 4, (rows, tasks)
+        # one task per phase and lane group, whatever the run size: none
+        # without contributions, one for a view of one row, else one per lane
+        groups = {"culled": 0, "one_row": 1}.get(view, renderer.LANES)
+        assert tasks == [groups] * 4, (rows, tasks)
         for name in RASTER_FIELDS + ("color", "feature"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
         for name in RASTER_FIELDS:
@@ -820,11 +842,6 @@ def backward(out, grad_color, grad_feature, mode):
     return render_backward(out, grad_color, grad_feature, feature_geometry=mode == "joint")
 
 
-def force_cuts(monkeypatch, cuts):
-    """Split every backward into the bands that start at segments ``cuts``."""
-    monkeypatch.setattr(renderer, "_band_cuts", lambda seg_start, total, bands: np.array(cuts))
-
-
 def assert_same_bytes(got_chains, want_chains):
     for got, want in zip(got_chains, want_chains):
         for field in GRAD_FIELDS:
@@ -832,86 +849,92 @@ def assert_same_bytes(got_chains, want_chains):
 
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
+@pytest.mark.parametrize("view", sorted(FORWARD_VIEWS) + ["pixel"])
+def test_backward_runs_and_lanes_give_one_run_bits(monkeypatch, view, mode):
+    # the backward in runs of one row, of about 97 contributions, of the
+    # default size and of whole groups, on one core and on two, against the
+    # view as one run on one core
+    splats, cam = FORWARD_VIEWS.get(view, pixel_view)()
+    out = render(splats, cam)
+    assert view != "pixel" or (out.seg_start.size == 1 and out.pix.size >= 10)
+    rng = np.random.default_rng(10)
+    grad_color, grad_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+    with monkeypatch.context() as patch:
+        patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+        force_groups(patch, [0, cam.height])
+        want = backward(out, grad_color, grad_feature, mode)
+    assert want[0].centers.any() == (view != "culled")
+    for rows in (1, 97, renderer._SEGMENT_ROWS, 1 << 40):
+        for cores in ({0}, {0, 1}):
+            with monkeypatch.context() as patch:
+                patch.setattr(renderer.os, "sched_getaffinity", lambda pid: cores, raising=False)
+                patch.setattr(renderer, "_SEGMENT_ROWS", rows)
+                assert_same_bytes(backward(out, grad_color, grad_feature, mode), want)
+
+
+@pytest.mark.parametrize("mode", BACKWARD_MODES)
 @pytest.mark.parametrize("where", ["first", "second", "crowded", "last", "end", "five"])
 def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
-    # the cut before the first segment and after the last leave one band
-    # empty; the crowded cut starts the second band at a pixel of >= 40
-    # contributors, so the scan enters a band mid-view in a long segment;
-    # "five" splits the view into five bands, two of them empty
+    # lane groups forced where ``_row_runs`` does not cut, against one
+    # group: a first group of the first one or two rows with contributions,
+    # a second group from the row of a pixel of >= 40 contributors, a last
+    # group of the last one or two rows, and five groups on two lanes
     out, grad_color, grad_feature = crowded_output
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    segments = out.seg_start.size
+    h, w = out.camera.height, out.camera.width
+    rows = np.unique(out.seg_pix // w)
     seg_len = np.diff(out.seg_start, append=out.pix.size)
-    cuts = {"first": [0, 0, segments], "second": [0, 1, segments],
-            "crowded": [0, int(np.flatnonzero(seg_len >= 40)[0]), segments],
-            "last": [0, segments - 1, segments], "end": [0, segments, segments],
-            "five": [0, 0, 7, segments // 2, segments, segments]}[where]
-    force_cuts(monkeypatch, [0, segments])
-    one_band = backward(out, grad_color, grad_feature, mode)
-    force_cuts(monkeypatch, cuts)
-    assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
-    assert one_band[0].centers.any()
+    crowded = int(out.seg_pix[np.flatnonzero(seg_len >= 40)[0]] // w)
+    cuts = {"first": [0, rows[0] + 1, h], "second": [0, rows[1] + 1, h],
+            "crowded": [0, crowded, h], "last": [0, rows[-1], h], "end": [0, rows[-2], h],
+            "five": [0, rows[0] + 1, crowded, crowded + 1, rows[-1], h]}[where]
+    assert rows[0] + 1 < crowded < rows[-2] and len(set(cuts)) == len(cuts)
+    force_groups(monkeypatch, [0, h])
+    one_group = backward(out, grad_color, grad_feature, mode)
+    force_groups(monkeypatch, cuts)
+    assert len(renderer._row_runs(np.append(out.seg_start, out.pix.size)[
+        np.searchsorted(out.seg_pix, np.arange(h + 1) * w)])) == len(cuts) - 1
+    assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_group)
+    assert one_group[0].centers.any()
 
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
 def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
+    # the backward walks the forward's lane groups: its gather and d_alpha
+    # phases run one task per group the forward ran, and one usable core
+    # gives the bits of two
     out, grad_color, grad_feature = crowded_output
-    counts = []
-    band_cuts = renderer._band_cuts
-
-    def counted(seg_start, total, bands):
-        counts.append(bands)
-        return band_cuts(seg_start, total, bands)
-
-    monkeypatch.setattr(renderer, "_band_cuts", counted)
+    tasks = count_lane_tasks(monkeypatch)
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    render(out.splats, out.camera)
+    groups = tasks[0]
+    assert tasks == [renderer.LANES] * 2
+    tasks.clear()
     two_cores = backward(out, grad_color, grad_feature, mode)
-    # one band per lane a geometry chain gets
-    assert counts == [1 if mode == "joint" else 2]
-    counts.clear()
+    # gathers, one scan per geometry chain, d_alpha, then the LANES groups
+    # of slot sums beside the value task
+    assert tasks == [groups, 2 if mode == "joint" else 1, groups, renderer.LANES + 1]
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
-    assert counts == [1]
-    # three forced bands on one core run inline, in band order
-    segments = out.seg_start.size
-    force_cuts(monkeypatch, [0, segments // 3, 2 * segments // 3, segments])
-    assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
-
-
-@pytest.mark.parametrize("mode", BACKWARD_MODES)
-def test_single_pixel_view_in_bands(monkeypatch, mode):
-    splats, _ = crowded_view()
-    cam = Camera(fx=24.0, fy=24.0, cx=0.0, cy=0.0, width=1, height=1,
-                 rotation=np.eye(3), translation=np.zeros(3))
-    out = render(splats, cam)
-    assert out.seg_start.size == 1 and out.pix.size >= 10
-    rng = np.random.default_rng(10)
-    grad_color, grad_feature = rng.normal(size=(1, 1, 3)), rng.normal(size=(1, 1, 6))
-    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    force_cuts(monkeypatch, [0, 1])
-    one_band = backward(out, grad_color, grad_feature, mode)
-    for cuts in ([0, 0, 1], [0, 1, 1], [0, 0, 1, 1]):
-        force_cuts(monkeypatch, cuts)
-        assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_band)
 
 
 def test_concurrent_callers_in_bands_give_one_band_bits(crowded_output, monkeypatch):
-    # four callers at once, each running three backwards in two forced
-    # bands on the two lanes, with thread switches forced often: no task
-    # waits on another, so every caller finishes, each with one-band bits
+    # four callers at once, each running three backwards in runs of one row
+    # on the two lanes, with thread switches forced often: no task waits on
+    # another, so every caller finishes, each with the bits of one run
     out, grad_color, grad_feature = crowded_output
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    segments = out.seg_start.size
-    force_cuts(monkeypatch, [0, segments])
-    one_band = {mode: backward(out, grad_color, grad_feature, mode) for mode in BACKWARD_MODES}
-    force_cuts(monkeypatch, [0, segments // 2, segments])
+    with monkeypatch.context() as patch:
+        force_groups(patch, [0, out.camera.height])
+        one_run = {mode: backward(out, grad_color, grad_feature, mode) for mode in BACKWARD_MODES}
+    monkeypatch.setattr(renderer, "_SEGMENT_ROWS", 1)
     results = []
 
     def caller(mode):
         for _ in range(3):
             got = backward(out, grad_color, grad_feature, mode)
             results.append(all(getattr(g, field).tobytes() == getattr(w, field).tobytes()
-                               for g, w in zip(got, one_band[mode]) for field in GRAD_FIELDS))
+                               for g, w in zip(got, one_run[mode]) for field in GRAD_FIELDS))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -7,7 +7,6 @@ from igsplat.scene_model import (
     CHILDREN_PER_ANCHOR,
     ModelConfig,
     SplatSet,
-    _decode_backward,
     checkpoint_bytes,
     decode_backward,
     decode_gaussians,
@@ -180,8 +179,8 @@ def test_decode_backward_returns_only_reached_tensors():
     for name in heads | {"positions", "features"}:
         assert grads[name].tobytes() == full[name].tobytes(), name
     # the joint feature chain's call skips the embeddings gradient, and only it
-    skipped = _decode_backward(anchors, decoder, splats, embeddings=False, d_centers=d_centers,
-                               d_opacities=d_opacities, d_features=d_features)
+    skipped = decode_backward(anchors, decoder, splats, d_centers=d_centers,
+                              d_opacities=d_opacities, d_features=d_features, embeddings=False)
     assert skipped.keys() == grads.keys() - {"embeddings"}
     for name, grad in skipped.items():
         assert grad.tobytes() == grads[name].tobytes(), name
