@@ -86,7 +86,7 @@ def render_instance_id_map(
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
     rasterize step runs, in the view's runs of whole rows (``raster_bands``),
-    whose raster and scores take about 50 bytes per contribution: a
+    whose raster and scores take about 45 bytes per contribution: a
     pixel's contributions all fall in one run, so its sums are the whole
     view's, and no color or feature image is composited. Labels must be
     non-negative.
@@ -100,7 +100,7 @@ def render_instance_id_map(
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
     slot_labels = None
     for ras in raster_bands(splats, camera):
-        if ras.pix.size:
+        if ras.slot.size:
             if slot_labels is None:  # the view's runs share one projection
                 m = int(instance_labels.max()) + 1
                 slot_labels = instance_labels.take(ras.projected.indices)
@@ -115,10 +115,9 @@ def _vote(id_map: np.ndarray, ras: Raster, m: int, slot_labels: np.ndarray) -> N
     instance label of each projected slot."""
     first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
     # the (pixel, instance) key, counted from the run's first pixel, in
-    # int64, where (pixels x instances) cannot overflow
-    key = ras.pix.astype(np.int64)
-    key -= first
-    key *= m
+    # int64, where (pixels x instances) cannot overflow: each segment's
+    # pixel part repeated over its contributions
+    key = np.repeat((ras.seg_pix - first) * m, np.diff(ras.seg_start, append=ras.slot.size))
     key += slot_labels.take(ras.slot.astype(np.int64))
     # each pixel's alpha * T per instance, added in contribution order
     scores = np.zeros((stop - first) * m)

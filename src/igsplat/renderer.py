@@ -36,20 +36,22 @@ correspond one to one, so a sum over slots adds the same entries in the
 same order as one over splat indices.
 
 The Raster keeps only what the backward cannot rebuild with the same
-bits: int32 pixels and slots, alpha, transmittance and the clamp flags,
-25 bytes per contribution. The weight alpha * T is one multiply, which
-the composite, the backward and the id maps' votes each redo per block
-with the same bits. ``rasterize`` allocates the Raster's arrays once and
-writes every step into them in place, with the same floating-point
-operations in the same order as one pass over the view; the logs and
-then the weights live in one whole-view scratch array, freed on return.
-Its peak is the Raster, that scratch, the span records and one run of
-rows in flight per lane, 45-53 bytes per contribution on the tests'
-views; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat
-and per-pixel arrays aside), which the tests check. A view past
-``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales make,
-raises ContributionBudgetError (a NumericalError) before any
-per-contribution array exists.
+bits: int32 slots, alpha and transmittance, 20 bytes per contribution.
+The weight alpha * T is one multiply, which the composite, the backward
+and the id maps' votes each redo per block with the same bits; a
+contribution's pixel is its pixel segment's, which the backward's
+gathers and the votes repeat over the segment; and its alpha hit the
+clamp where it equals ``ALPHA_MAX``. ``rasterize`` allocates the
+Raster's arrays once and writes every step into them in place, with the
+same floating-point operations in the same order as one pass over the
+view; the logs and then the weights live in one whole-view scratch
+array, freed on return. Its peak is the Raster, that scratch, the span
+records and one run of rows in flight per lane, 38-48 bytes per
+contribution on the tests' views; ``RASTER_BYTES_PER_CONTRIBUTION`` is
+the stated bound (per-splat and per-pixel arrays aside), which the tests
+check. A view past ``CONTRIBUTION_BUDGET`` contributions, as exploding
+splat scales make, raises ContributionBudgetError (a NumericalError)
+before any per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -71,9 +73,9 @@ between them, every chain of a group in one task, keeping only two
 whole-view buffers per geometry chain and rebuilding its other terms,
 the weights among them, per run. Both passes give the same bits on any
 cutting into runs and groups and on one lane or two. With both chains on
-geometry a call peaks at about 62 bytes per contribution above its
+geometry a call peaks at about 60 bytes per contribution above its
 RenderOutput, and a training step's render and backward together at
-about 92;
+about 84-87;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
 are the stated bounds, which the tests check.
 """
@@ -96,19 +98,22 @@ from .scene_model import SplatSet
 NEAR_PLANE = 0.01
 ALPHA_MAX = 0.99
 CUTOFF_SIGMAS = 3.0
-# Memory bound of one rasterize call, in peak bytes per contribution.
-RASTER_BYTES_PER_CONTRIBUTION = 58
+# Memory bound of one rasterize call, in peak bytes per contribution:
+# 46.8-47.8 measured on the tests' 145k-contribution view, plus 4.
+RASTER_BYTES_PER_CONTRIBUTION = 52
 # Memory bound of one render_backward call above its RenderOutput, in peak
 # bytes per contribution, with both chains reaching geometry on two lanes.
 BACKWARD_BYTES_PER_CONTRIBUTION = 72
 # Memory bound of one training step, a render and a joint-phase backward of
-# its output, in peak bytes per contribution: the kept Raster's 25 bytes,
-# the backward's bound above it, and 3 for the images and per-pixel arrays.
-STEP_BYTES_PER_CONTRIBUTION = 100
+# its output, in peak bytes per contribution: the kept Raster's 20 bytes,
+# the backward's bound above it, and 3 for the images and per-pixel arrays;
+# 83.7-87.4 measured on the tests' 432k-contribution view.
+STEP_BYTES_PER_CONTRIBUTION = 95
 # Contributions one view may make: 4 GiB over a training step's bound,
-# about 42.9M, 19x the ~2.2M a 128x128 view makes at init.
+# about 45.2M, 20x the ~2.2M a 128x128 view makes at init.
 CONTRIBUTION_BUDGET = (4 << 30) // STEP_BYTES_PER_CONTRIBUTION
-# Rows per block of the backward's gathers; a block is at most 1.5 MB.
+# Contributions per block of the backward's gathers, which start at whole
+# pixel segments; a block of that many is 1.5 MB.
 _GATHER_ROWS = 1 << 14
 # Contributions per run of whole pixel rows (``_row_runs``), which the
 # forward, the backward and the id maps walk; 512 KB per float array.
@@ -238,24 +243,39 @@ class Raster:
     """One view's contributions and alpha image, without any composite.
 
     The flat per-contribution arrays are sorted by (pixel, depth order):
-    they are the per-pixel contributor lists the backward pass reads.
-    A contribution names its splat by ``slot``: ``projected.indices[slot]``.
-    Its compositing weight is alpha_i * trans, which the readers rebuild
-    per block with the bits the composite used, so it is not kept: 25
-    bytes per contribution. ``pix`` and ``slot`` are int32 while the
-    view's pixels and the projected splats fit it; readers widen a block
-    of them to int64 before a ``take``, which runs several times faster.
+    they are the per-pixel contributor lists the backward pass reads, each
+    pixel's list one segment. A contribution names its splat by ``slot``:
+    ``projected.indices[slot]``. The Raster keeps only the slot, alpha and
+    transmittance, 20 bytes per contribution; what else a reader needs is
+    rebuilt with the same bits. The weight alpha_i * trans is one multiply
+    per block; a contribution's pixel is its segment's (``pix``); and its
+    alpha hit the clamp where it equals ``ALPHA_MAX`` (``clamped``).
+    ``slot`` is int32 while the projected splats fit it; readers widen a
+    block of it to int64 before a ``take``, which runs several times
+    faster.
     """
 
-    pix: np.ndarray  # (q,) flat pixel index, int32 (int64 past 2^31 pixels)
-    slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays, as pix
+    slot: np.ndarray  # (q,) index into the projected (depth-sorted) arrays, int32
     alpha_i: np.ndarray  # (q,) clamped alpha
     trans: np.ndarray  # (q,) transmittance before this contribution
-    clamped: np.ndarray  # (q,) bool, alpha hit the 0.99 clamp
     seg_start: np.ndarray  # (#pixels with contributions,) segment starts
     seg_pix: np.ndarray  # (#pixels,) flat pixel index per segment
     alpha: np.ndarray  # (H, W) composited alpha
     projected: ProjectedSplats
+
+    @property
+    def pix(self) -> np.ndarray:
+        """(q,) flat pixel index of each contribution, rebuilt from the
+        segments on each read: int32, int64 past 2^31 pixels."""
+        return np.repeat(self.seg_pix.astype(_index_dtype(self.alpha.size)),
+                         np.diff(self.seg_start, append=self.slot.size))
+
+    @property
+    def clamped(self) -> np.ndarray:
+        """(q,) bool, the contribution's alpha hit the 0.99 clamp: alpha_i
+        equals ``ALPHA_MAX``, which an unclamped alpha of exactly 0.99 does
+        too (``render_backward``)."""
+        return self.alpha_i >= ALPHA_MAX
 
 
 @dataclass
@@ -373,14 +393,13 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     return rec_slot, row_ptr, lo, counts, u_rec, dv2
 
 
-def _expand_spans(records: tuple, rows: slice, w: int, pix: np.ndarray, slot: np.ndarray,
-                  d2: np.ndarray, scratch: np.ndarray):
+def _expand_spans(records: tuple, rows: slice, w: int, slot: np.ndarray, d2: np.ndarray,
+                  scratch: np.ndarray):
     """Write the (disk, pixel) pairs of the ``_span_records`` of the image
-    ``rows`` into the flat arrays ``pix`` (a pixel of the view), ``slot``
-    (int64) and ``d2``, sorted by (pixel, depth order), and return
-    (seg_start, seg_pix): the start of each pixel's run of pairs in them
-    and that pixel. ``scratch``, a float array of their length, is
-    overwritten.
+    ``rows`` into the flat arrays ``slot`` (int64) and ``d2``, sorted by
+    (pixel, depth order), and return (seg_start, seg_pix): the start of
+    each pixel's run of pairs in them and that pixel, a pixel of the view.
+    ``scratch``, a float array of their length, is overwritten.
 
     The records come in (row, depth order), so the pairs come out grouped
     by record in that order. The (pixel, depth order) order is then the
@@ -414,7 +433,6 @@ def _expand_spans(records: tuple, rows: slice, w: int, pix: np.ndarray, slot: np
     band_pix, rec, pix_ptr = _transpose(band_pix, band_pix, np.concatenate(([0], ends)).astype(index),
                                         columns)
     del ends, counts
-    np.add(band_pix, rows.start * w, out=pix, dtype=pix.dtype)
     # d2 = (col - u)^2 + dv^2; the int column converts to float exactly
     np.remainder(band_pix, w, out=d2)
     del band_pix
@@ -437,14 +455,16 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     """Enumerate (disk, pixel) pairs inside disks of centre (u, v) and
     radius r on a w x h image, the arrays indexed by slot in depth order:
     (pix, slot, d2, seg_start, seg_pix) of every ``_span_records`` row
-    (``_expand_spans``), or None when no pair exists.
+    (``_expand_spans``), the int64 pixels repeated from the segments, or
+    None when no pair exists.
     """
     records = _span_records(u, v, r, w, h)
     if records is None:
         return None
     total = int(records[3].sum())
-    pix, slot, d2 = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total)
-    return (pix, slot, d2, *_expand_spans(records, slice(0, h), w, pix, slot, d2, np.empty(total)))
+    slot, d2 = np.empty(total, dtype=np.int64), np.empty(total)
+    seg_start, seg_pix = _expand_spans(records, slice(0, h), w, slot, d2, np.empty(total))
+    return np.repeat(seg_pix, np.diff(seg_start, append=total)), slot, d2, seg_start, seg_pix
 
 
 def _row_runs(before: np.ndarray) -> list:
@@ -487,10 +507,8 @@ def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Ra
     """A Raster of ``contributions`` unset contributions, no segments and a
     zero alpha image."""
     return Raster(
-        pix=np.empty(contributions, dtype=_index_dtype(camera.height * camera.width)),
         slot=np.empty(contributions, dtype=_index_dtype(proj.count)),
         alpha_i=np.empty(contributions), trans=np.empty(contributions),
-        clamped=np.empty(contributions, dtype=bool),
         seg_start=np.zeros(0, dtype=np.int64), seg_pix=np.zeros(0, dtype=np.int64),
         alpha=np.zeros((camera.height, camera.width)), projected=proj,
     )
@@ -499,8 +517,8 @@ def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Ra
 def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, run: slice,
             logs: np.ndarray):
     """The first phase of the run of image ``rows``, whose contributions are
-    the entries ``run`` of ``ras``: their pix and slot, their clamped alpha,
-    and log(1 - alpha) into ``logs``, the run's entries of a scratch array.
+    the entries ``run`` of ``ras``: their slot, their clamped alpha, and
+    log(1 - alpha) into ``logs``, the run's entries of a scratch array.
     Returns the run's (seg_start, seg_pix), the starts counted from the
     run's first entry."""
     two_sig2, opacity = factors
@@ -510,7 +528,7 @@ def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, ru
     # entries as the scratch, and the int64 slots, for the takes, into the
     # logs' entries until the logs are formed.
     slot = logs.view(np.int64)
-    seg_start, seg_pix = _expand_spans(records, rows, w, ras.pix[run], slot, d2, alpha)
+    seg_start, seg_pix = _expand_spans(records, rows, w, slot, d2, alpha)
     ras.slot[run] = slot
     # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))); the per-splat
     # factors are formed before the gather, with the same bits, and gathered
@@ -519,7 +537,6 @@ def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, ru
     np.divide(alpha, two_sig2.take(slot, out=d2, mode="clip"), out=alpha)
     np.exp(alpha, out=alpha)
     np.multiply(opacity.take(slot, out=d2, mode="clip"), alpha, out=alpha)
-    np.greater(alpha, ALPHA_MAX, out=ras.clamped[run])
     # the clamp in one pass: NaN stays NaN and -0.0 stays -0.0, as under a
     # masked write
     np.minimum(alpha, ALPHA_MAX, out=alpha)
@@ -566,8 +583,8 @@ def raster_bands(splats: SplatSet, camera: Camera):
     carry = -0.0
     for rows, run in (run for group in groups for run in group):
         ras = _new_raster(run.stop - run.start, proj, camera)
-        entries = slice(0, ras.pix.size)
-        logs = np.empty(ras.pix.size)
+        entries = slice(0, ras.slot.size)
+        logs = np.empty(ras.slot.size)
         seg_start, seg_pix = _alphas(records, rows, camera.width, factors, ras, entries, logs)
         if rows.stop == camera.height:  # the last run frees the records
             del records
@@ -607,7 +624,7 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     logs = np.empty(total)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
     # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
-    channels = [np.ascontiguousarray(value[proj.indices].T) for value in values]
+    channels = [np.ascontiguousarray(value.take(proj.indices, axis=0).T) for value in values]
 
     def first_phase(group):
         return [_alphas(records, rows, w, factors, ras, run, logs[run]) for rows, run in group]
@@ -770,6 +787,13 @@ def render_backward(
     bincount over slots does, so any cutting into runs and groups gives the
     same bits; culled splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
+
+    A contribution counts as clamped where its alpha equals ``ALPHA_MAX``
+    (``Raster.clamped``): its d_alpha is zeroed, so it passes no gradient
+    to geometry. At the clamp's kink this takes the derivative from above:
+    an alpha of exactly 0.99 that the clamp left as it was, such as a splat
+    of opacity 0.99 at its own centre pixel, gets no geometry gradient
+    there.
     """
     splats = output.splats
     camera = output.camera
@@ -783,10 +807,10 @@ def render_backward(
                        feature_geometry))
     if grad_color is not None:
         chains.append((grad_color, splats.colors, color_grads.colors, color_grads, True))
-    if not chains or output.pix.size == 0:
+    slot = output.slot
+    if not chains or slot.size == 0:
         return color_grads, feature_grads
 
-    slot = output.slot
     seg_start = output.seg_start
     alpha = output.alpha_i
     # The forward's groups of runs, as (contributions, segments) slice pairs:
@@ -846,20 +870,27 @@ def render_backward(
 
     def gather_task(group):
         # <image gradient, value> per contribution over the group's runs, in
-        # row blocks so the (rows, dim) operands stay small; each row's sum
-        # is the same einsum. v = weight * q, the weight rebuilt per block.
+        # blocks of whole pixel segments, a block from the segment of every
+        # _GATHER_ROWS-th contribution of the group, so the (rows, dim)
+        # operands stay small; each row's sum is the same einsum. A block
+        # gathers the image gradient once per pixel and repeats it over the
+        # pixel's contributions. v = weight * q, the weight rebuilt per block.
         rows = slice(group[0][0].start, group[-1][0].stop)
         segs = slice(group[0][1].start, group[-1][1].stop)
-        weights = np.empty(_GATHER_ROWS)
-        for lo in range(rows.start, rows.stop, _GATHER_ROWS):
-            block = slice(lo, min(lo + _GATHER_ROWS, rows.stop))
-            block_pix, block_slot = output.pix[block].astype(np.int64), slot[block].astype(np.int64)
-            weight = np.multiply(alpha[block], output.trans[block], out=weights[:block.stop - block.start])
+        bounds = np.append(seg_start[segs], rows.stop)
+        cuts = np.searchsorted(bounds[:-1], np.arange(rows.start, rows.stop, _GATHER_ROWS), side="right")
+        cuts = np.append(np.unique(cuts - 1), bounds.size - 1)
+        for first, stop in zip(cuts[:-1], cuts[1:]):
+            block = slice(bounds[first], bounds[stop])
+            block_segs = slice(segs.start + first, segs.start + stop)
+            block_slot = slot[block].astype(np.int64)
+            weight = np.multiply(alpha[block], output.trans[block])
             for (flat_grad, slot_values, _), q, v in zip(geometry_chains, qs, vs):
-                np.einsum("ij,ij->i", flat_grad.take(block_pix, axis=0),
+                pixel_grad = flat_grad.take(output.seg_pix[block_segs], axis=0)
+                np.einsum("ij,ij->i", np.repeat(pixel_grad, seg_len[block_segs], axis=0),
                           slot_values.take(block_slot, axis=0), out=q[block])
                 np.multiply(weight, q[block], out=v[block])
-        starts = seg_start[segs] - rows.start
+        starts = bounds[:-1] - rows.start
         for v, chain_totals, chain_firsts in zip(vs, totals, firsts):
             chain_totals[segs] = np.add.reduceat(v[rows], starts)
             chain_firsts[segs] = v[rows][starts]
@@ -884,7 +915,7 @@ def render_backward(
                 d_alpha -= suffix
                 # Clamped alphas are constant in the parameters; with d_alpha
                 # zeroed there, every geometry term below is zero there too.
-                d_alpha[output.clamped[run]] = 0.0
+                d_alpha[alpha[run] >= ALPHA_MAX] = 0.0
             # The Gaussians exp(-d2 / (2 sigma^2)), in the first chain's v
             # rows, whose suffix is spent; then per chain, the first last, the
             # opacity terms, the Gaussian times d_alpha, in v's rows, and

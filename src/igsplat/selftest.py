@@ -180,12 +180,12 @@ def _check_backward_runs(rng) -> None:
     camera = Camera(fx=12.0, fy=12.0, cx=5.5, cy=4.5, width=12, height=10,
                     rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
     out = render(splats, camera)
-    seg_len = np.diff(out.seg_start, append=out.pix.size)
+    seg_len = np.diff(out.seg_start, append=out.slot.size)
     assert seg_len.max() >= 24, "view not crowded"
     # the contributions before each row, and the run size that counts from
     # the first row of the crowded row's group to that row
     seg_row = out.seg_pix // camera.width
-    before = np.append(out.seg_start, out.pix.size)[
+    before = np.append(out.seg_start, out.slot.size)[
         np.searchsorted(seg_row, np.arange(camera.height + 1))]
     group_rows = [int(group[0][0].start) for group in renderer._row_runs(before)]
     crowded = int(seg_row[np.argmax(np.where(np.isin(seg_row, group_rows), 0, seg_len))])

@@ -30,7 +30,7 @@ def contributors(raster: Raster, row: int, col: int) -> list:
     if pos == len(raster.seg_pix) or raster.seg_pix[pos] != flat:
         return []
     lo = raster.seg_start[pos]
-    hi = raster.seg_start[pos + 1] if pos + 1 < len(raster.seg_start) else len(raster.pix)
+    hi = raster.seg_start[pos + 1] if pos + 1 < len(raster.seg_start) else len(raster.slot)
     splat = raster.projected.indices.take(raster.slot[lo:hi])
     return list(zip(splat, raster.alpha_i[lo:hi], raster.trans[lo:hi]))
 

@@ -11,6 +11,7 @@ from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
 from igsplat.oracles import central_differences, contributions_oracle, relative_errors
 from igsplat.renderer import (
+    ALPHA_MAX,
     BACKWARD_BYTES_PER_CONTRIBUTION,
     CONTRIBUTION_BUDGET,
     NEAR_PLANE,
@@ -140,10 +141,10 @@ def test_hand_compositing_two_overlapping_splats():
 def test_transmittance_non_increasing_and_weights_bounded():
     splats, cam = random_cover_scene(n=6, seed=3)
     out = render(splats, cam)
-    for start, stop in zip(out.seg_start, list(out.seg_start[1:]) + [len(out.pix)]):
+    for start, stop in zip(out.seg_start, list(out.seg_start[1:]) + [len(out.slot)]):
         trans = out.trans[start:stop]
         assert np.all(np.diff(trans) <= 1e-15)
-    per_pixel = np.bincount(out.pix, weights=out.alpha_i * out.trans)
+    per_pixel = np.add.reduceat(out.alpha_i * out.trans, out.seg_start)
     assert per_pixel.max() <= 1.0 + 1e-12
     assert out.alpha.min() >= 0.0 and out.alpha.max() <= 1.0
 
@@ -330,9 +331,9 @@ def test_rasterize_peak_within_stated_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ras.pix.size >= 100_000
+    assert ras.slot.size >= 100_000
     assert ras.clamped.any()
-    assert peak <= RASTER_BYTES_PER_CONTRIBUTION * ras.pix.size, peak / ras.pix.size
+    assert peak <= RASTER_BYTES_PER_CONTRIBUTION * ras.slot.size, peak / ras.slot.size
 
 
 def test_exploding_scales_exceed_contribution_budget():
@@ -355,19 +356,19 @@ def test_exploding_scales_exceed_contribution_budget():
     assert peak <= 128 * 3000 * 128, peak / (3000 * 128)  # bytes per record
 
 
-def test_raster_keeps_25_bytes_per_contribution_and_rebuilds_the_composite():
-    # The Raster keeps int32 pixels and slots, alpha, transmittance and the
-    # clamp flags, nothing else per contribution; the weights alpha_i *
-    # trans it leaves out, composited per pixel segment in order, give
-    # render's color and feature bits.
+def test_raster_keeps_20_bytes_per_contribution_and_rebuilds_the_composite():
+    # The Raster keeps int32 slots, alpha and transmittance, nothing else
+    # per contribution; the weights alpha_i * trans it leaves out,
+    # composited per pixel segment in order, give render's color and
+    # feature bits.
     splats, cam = dense_view()
     out = render(splats, cam)
-    q = out.pix.size
+    q = out.slot.size
     kept = {name: value for name, value in vars(out).items()
             if isinstance(value, np.ndarray) and value.shape == (q,)}
-    assert sorted(kept) == ["alpha_i", "clamped", "pix", "slot", "trans"]
-    assert out.pix.dtype == out.slot.dtype == np.int32
-    assert sum(value.nbytes for value in kept.values()) == 25 * q
+    assert sorted(kept) == ["alpha_i", "slot", "trans"]
+    assert out.slot.dtype == np.int32
+    assert sum(value.nbytes for value in kept.values()) == 20 * q
     weight = out.alpha_i * out.trans
     for image, values in ((out.color, splats.colors), (out.feature, splats.features)):
         slot_values = values[out.projected.indices]
@@ -382,7 +383,7 @@ def test_raster_arrays_share_no_memory():
     splats, cam = dense_view(n=300, size=48)
     ras = rasterize(splats, cam)
     arrays = {name: value for name, value in vars(ras).items() if isinstance(value, np.ndarray)}
-    assert ras.pix.size > 0 and len(arrays) == 8
+    assert ras.slot.size > 0 and len(arrays) == 6
     names = sorted(arrays)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -527,16 +528,17 @@ def test_fused_backward_chains_equal_single_chain_calls():
 
 
 def test_backward_row_blocks_match_one_block(monkeypatch):
-    # the gathers' row blocks, forced to one block per lane group and to
-    # blocks of 97 rows, which do not align with the runs
+    # the gathers' blocks of whole pixel segments, forced to one block per
+    # lane group and to a block from every 97th contribution's segment,
+    # which do not align with the runs
     splats, cam = dense_view()
     out = render(splats, cam)
-    assert out.pix.size > 2 * renderer._GATHER_ROWS
+    assert out.slot.size > 2 * renderer._GATHER_ROWS
     rng = np.random.default_rng(5)
     grad_color = rng.normal(size=out.color.shape)
     grad_feature = rng.normal(size=out.feature.shape)
     blocked = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-    for rows in (out.pix.size, 97):
+    for rows in (out.slot.size, 97):
         with monkeypatch.context() as patch:
             patch.setattr(renderer, "_GATHER_ROWS", rows)
             whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
@@ -551,17 +553,17 @@ def test_raster_bands_carry_the_one_band_bits():
     splats, cam = dense_view(n=500, size=48)
     whole = rasterize(splats, cam)
     rows_with_pairs = np.unique(whole.seg_pix // cam.width).size
-    for contributions in (1, 997, whole.pix.size // 3):
+    for contributions in (1, 997, whole.slot.size // 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(renderer, "_SEGMENT_ROWS", contributions)
             runs = list(raster_bands(splats, cam))
         assert len(runs) > 1
         assert contributions > 1 or len(runs) == rows_with_pairs
-        for field in ("pix", "slot", "alpha_i", "trans", "clamped", "seg_pix"):
+        for field in ("slot", "alpha_i", "trans", "seg_pix"):
             got = np.concatenate([getattr(run, field) for run in runs])
             assert got.dtype == getattr(whole, field).dtype
             assert got.tobytes() == getattr(whole, field).tobytes(), (contributions, field)
-        firsts = np.cumsum([0] + [run.pix.size for run in runs[:-1]])
+        firsts = np.cumsum([0] + [run.slot.size for run in runs[:-1]])
         starts = np.concatenate([run.seg_start + first for run, first in zip(runs, firsts)])
         assert starts.tobytes() == whole.seg_start.tobytes()
         assert sum(run.alpha for run in runs).tobytes() == whole.alpha.tobytes()
@@ -571,7 +573,7 @@ def test_raster_bands_carry_the_one_band_bits():
     behind = SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities,
                       splats.scales, splats.features, splats.parent)
     (empty,) = raster_bands(behind, cam)
-    assert empty.pix.size == 0 and not empty.alpha.any()
+    assert empty.slot.size == 0 and not empty.alpha.any()
 
 
 def test_csc_matvec_over_blocks_equals_bincount():
@@ -631,11 +633,12 @@ def test_value_grads_equal_bincount_over_slots(dense_output):
     chains = render_backward(out, grad_color, grad_feature)
     terms_per_slot = np.zeros(out.splats.count)
     terms_per_slot[out.projected.indices] = np.bincount(out.slot, minlength=out.projected.count)
+    pixels = np.repeat(out.seg_pix, np.diff(out.seg_start, append=out.slot.size))
     for grads, field, grad_img in zip(chains, ("colors", "features"), (grad_color, grad_feature)):
         flat = grad_img.reshape(-1, grad_img.shape[2])
         want, scale = np.zeros_like(getattr(grads, field)), np.zeros_like(getattr(grads, field))
         for ch in range(flat.shape[1]):
-            terms = out.alpha_i * out.trans * flat[out.pix, ch]
+            terms = out.alpha_i * out.trans * flat[pixels, ch]
             want[out.projected.indices, ch] = np.bincount(out.slot, weights=terms,
                                                           minlength=out.projected.count)
             scale[out.projected.indices, ch] = np.bincount(out.slot, weights=np.abs(terms),
@@ -664,7 +667,7 @@ def test_lanes_without_affinity_use_cpu_count(dense_output, monkeypatch):
     out, grad_color, grad_feature = dense_output
     monkeypatch.delattr(renderer.os, "sched_getaffinity")
     again = render(out.splats, out.camera)
-    for name in ("color", "feature", "alpha", "alpha_i", "trans", "pix", "slot"):
+    for name in ("color", "feature", "alpha", "alpha_i", "trans", "slot", "seg_start", "seg_pix"):
         assert getattr(again, name).tobytes() == getattr(out, name).tobytes(), name
     assert renderer._lanes([lambda: 1, lambda: 2]) == [1, 2]
 
@@ -709,7 +712,7 @@ def crowded_output():
     return out, rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
 
 
-RASTER_FIELDS = ("pix", "slot", "alpha_i", "trans", "clamped", "seg_start", "seg_pix", "alpha")
+RASTER_FIELDS = ("slot", "alpha_i", "trans", "seg_start", "seg_pix", "alpha")
 
 
 def one_row_view():
@@ -779,7 +782,7 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
         assert getattr(one_run, name).tobytes() == getattr(want, name).tobytes(), name
     rows_with_pairs = np.unique(want.seg_pix // cam.width).size
     assert (view == "one_row") == (rows_with_pairs == 1)
-    assert (view == "culled") == (want.pix.size == 0)
+    assert (view == "culled") == (want.slot.size == 0)
     for rows, cores in ((None, {0, 1}), (97, {0, 1}), (1, {0, 1}), (1, {0})):
         with monkeypatch.context() as patch:
             patch.setattr(renderer.os, "sched_getaffinity", lambda pid: cores, raising=False)
@@ -797,7 +800,7 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
         for name in RASTER_FIELDS:
             assert getattr(raster, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
     if view == "dense":
-        assert want.pix.size > 2 * renderer._SEGMENT_ROWS
+        assert want.slot.size > 2 * renderer._SEGMENT_ROWS
 
 
 def test_concurrent_renders_give_one_run_bits(monkeypatch):
@@ -833,6 +836,32 @@ def test_concurrent_renders_give_one_run_bits(monkeypatch):
     assert results == [True] * 12
 
 
+@pytest.mark.parametrize("view", ["dense", "crowded"])
+def test_pix_and_clamped_read_as_the_arrays_they_rebuild(view):
+    # The Raster stores neither; each read rebuilds them. ``pix`` is each
+    # segment's pixel repeated over its contributions, int32, in
+    # ``_build_contributions``' order, one per contribution, on the whole
+    # view and over raster_bands' runs; ``clamped`` marks the alphas that
+    # passed ALPHA_MAX before the clamp, as formed from that build's d2.
+    splats, cam = FORWARD_VIEWS[view]()
+    out = render(splats, cam)
+    q = out.slot.size
+    assert out.pix.dtype == np.int32 and out.pix.size == q
+    seg_len = np.diff(out.seg_start, append=q)
+    assert out.pix.tobytes() == np.repeat(out.seg_pix, seg_len).astype(np.int32).tobytes()
+    assert np.concatenate([run.pix for run in raster_bands(splats, cam)]).tobytes() == out.pix.tobytes()
+    proj = out.projected
+    pix, slot, d2 = _build_contributions(proj.u, proj.v, proj.radius_px, cam.width, cam.height)[:3]
+    assert out.pix.tobytes() == pix.astype(np.int32).tobytes()
+    assert out.slot.tobytes() == slot.astype(np.int32).tobytes()
+    two_sig2 = 2.0 * proj.sigma_px * proj.sigma_px
+    alpha = splats.opacities.take(proj.indices)[slot] * np.exp(-d2 / two_sig2[slot])
+    assert out.alpha_i.tobytes() == np.minimum(alpha, ALPHA_MAX).tobytes()
+    assert out.clamped.dtype == bool and out.clamped.size == q
+    assert np.array_equal(out.clamped, alpha > ALPHA_MAX)
+    assert out.clamped.any() and not out.clamped.all()
+
+
 BACKWARD_MODES = ("color", "independent", "joint")
 
 
@@ -856,7 +885,7 @@ def test_backward_runs_and_lanes_give_one_run_bits(monkeypatch, view, mode):
     # view as one run on one core
     splats, cam = FORWARD_VIEWS.get(view, pixel_view)()
     out = render(splats, cam)
-    assert view != "pixel" or (out.seg_start.size == 1 and out.pix.size >= 10)
+    assert view != "pixel" or (out.seg_start.size == 1 and out.slot.size >= 10)
     rng = np.random.default_rng(10)
     grad_color, grad_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
     with monkeypatch.context() as patch:
@@ -883,7 +912,7 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     h, w = out.camera.height, out.camera.width
     rows = np.unique(out.seg_pix // w)
-    seg_len = np.diff(out.seg_start, append=out.pix.size)
+    seg_len = np.diff(out.seg_start, append=out.slot.size)
     crowded = int(out.seg_pix[np.flatnonzero(seg_len >= 40)[0]] // w)
     cuts = {"first": [0, rows[0] + 1, h], "second": [0, rows[1] + 1, h],
             "crowded": [0, crowded, h], "last": [0, rows[-1], h], "end": [0, rows[-2], h],
@@ -892,7 +921,7 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
     force_groups(monkeypatch, [0, h])
     one_group = backward(out, grad_color, grad_feature, mode)
     force_groups(monkeypatch, cuts)
-    assert len(renderer._row_runs(np.append(out.seg_start, out.pix.size)[
+    assert len(renderer._row_runs(np.append(out.seg_start, out.slot.size)[
         np.searchsorted(out.seg_pix, np.arange(h + 1) * w)])) == len(cuts) - 1
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_group)
     assert one_group[0].centers.any()
@@ -982,9 +1011,9 @@ def test_backward_peak_within_stated_bound():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert out.pix.size >= 100_000
-    assert max(peaks) <= BACKWARD_BYTES_PER_CONTRIBUTION * out.pix.size, \
-        max(peaks) / out.pix.size
+    assert out.slot.size >= 100_000
+    assert max(peaks) <= BACKWARD_BYTES_PER_CONTRIBUTION * out.slot.size, \
+        max(peaks) / out.slot.size
 
 
 def test_train_step_peak_within_stated_bound():
@@ -996,7 +1025,7 @@ def test_train_step_peak_within_stated_bound():
     rng = np.random.default_rng(6)
     grad_color = rng.normal(size=out.color.shape)
     grad_feature = rng.normal(size=out.feature.shape)
-    contributions = out.pix.size
+    contributions = out.slot.size
     del out
     peaks = []
     for _ in range(3):
@@ -1033,6 +1062,41 @@ def test_backward_fully_clamped_splat_has_zero_geometry_grads():
             values = getattr(grads, field)
             assert not values[1].any(), field
             assert values[0].any() and values[2].any(), field
+
+
+def test_alpha_of_exactly_alpha_max_reads_as_clamped():
+    # A splat of opacity ALPHA_MAX centred on pixel (3, 3): d2 is 0 there,
+    # so its alpha is exactly 0.99 with no clamp applied. That contribution
+    # reads as clamped and gets no geometry gradient; around it, where
+    # alpha stays below the clamp, the gradients match finite differences.
+    cam = identity_camera(size=8, fx=20.0, offset=0.0)
+    x = (3 - cam.cx) * 2.0 / cam.fx
+    splats = make_splats([[x, x, 2.0]], colors=[[1.0, 0.6, 0.2]], opacities=[ALPHA_MAX],
+                         scales=[0.2], features=[[0.3, -1.0, 0.5, 2.0, -0.7, 0.1]])
+    out = render(splats, cam)
+    assert out.projected.u[0] == 3.0 and out.projected.v[0] == 3.0
+    assert out.slot.size == 64  # every pixel, one contribution each
+    centre = 3 * cam.width + 3
+    assert out.alpha_i[centre] == ALPHA_MAX and out.clamped[centre]
+    assert np.flatnonzero(out.clamped).tolist() == [centre]
+    rng = np.random.default_rng(12)
+    g_color, g_feat = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 6))
+    at_centre = np.zeros((8, 8, 1))
+    at_centre[3, 3] = 1.0
+    chains = render_backward(out, g_color * at_centre, g_feat * at_centre, feature_geometry=True)
+    for grads in chains:
+        for field in GEOMETRY_FIELDS:
+            assert not getattr(grads, field).any(), field
+    assert chains[0].colors.any() and chains[1].features.any()
+    g_color, g_feat = g_color * (1.0 - at_centre), g_feat * (1.0 - at_centre)
+    grads = add_grads(*render_backward(out, g_color, g_feat, feature_geometry=True))
+
+    def objective(s):
+        o = render(s, cam)
+        return (o.color * g_color).sum() + (o.feature * g_feat).sum()
+
+    assert all(getattr(grads, field).any() for field in GEOMETRY_FIELDS)
+    assert worst_fd_error(splats, objective, grads, GRAD_FIELDS) <= 1e-4
 
 
 def test_culled_splats_change_no_gradient():
