@@ -10,9 +10,11 @@ visible keep a zero vector and score -1.
 The id maps of independent views render on the renderer's lanes
 (``render_instance_id_maps``), at most ``renderer.LANES`` views at once.
 A view rasterizes and votes in the runs of whole pixel rows that the
-renderer cuts every view into (``renderer.raster_bands``), so a view in
-flight holds one run's raster and (pixel, instance) score table beside its
-(splat, row) span records, whatever the view's size. The maps come back in
+renderer cuts every view into (``renderer.raster_bands``). Each run is
+self-contained: its transmittances scan its own rows only, and a pixel's
+votes all fall in its run. So a view in flight holds one run's raster and
+(pixel, instance) score table beside its (splat, row) span records,
+whatever the view's size. The maps come back in
 view order, so the accumulation, and every artifact, is the same as a
 sequential run.
 """

@@ -1,5 +1,5 @@
-"""Brute-force references for the renderer's contribution builder, the
-sampler, k-means, the voxel adjacency, the component aggregation and the
+"""Brute-force references for the renderer's contribution builder and
+transmittances, the sampler, k-means, the voxel adjacency, the component aggregation and the
 analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
@@ -28,6 +28,18 @@ def contributions_oracle(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     pix = row * w + col
     seg_pix, seg_start = np.unique(pix, return_index=True)
     return pix, slot, d2[slot, row, col], seg_start, seg_pix
+
+
+def transmittance_oracle(alpha_i: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """Each contribution's transmittance T_i = prod_{j<i} (1 - alpha_j), as
+    ``renderer.rasterize`` defines it: the product of the alphas before it
+    in its pixel's segment, that segment scanned on its own."""
+    trans = np.empty_like(alpha_i)
+    bounds = np.append(seg_start, alpha_i.size).tolist()
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        trans[first] = 1.0
+        trans[first + 1:stop] = np.cumprod(1.0 - alpha_i[first:stop - 1])
+    return trans
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:

@@ -21,13 +21,15 @@ spans in (row, depth) order. The (pixel, depth) order it needs is the
 transpose of that spans x pixels matrix, which one stable counting pass
 (scipy's CSR-to-CSC conversion) builds in O(contributions + pixels); its
 column pointers are the per-pixel segments. It then yields alpha,
-transmittance and the alpha image. ``render`` adds the color and feature
-composite, each channel a sum of the weights alpha * T times the values;
-instance id maps need only the first step, which ``raster_bands`` also
-runs one run of rows after another with the same bits, so that a large
-view streams in bounded memory. The same row-span enumeration, fed point
-disks instead of splat cutoffs, gives the ground-truth point z-buffer
-(``zbuffer_owners``).
+transmittance and the alpha image. A pixel's transmittances are its own
+product of (1 - alpha), so their log scan restarts at every image row
+(``_row_scan``) and a run of whole rows reads nothing outside itself.
+``render`` adds the color and feature composite, each channel a sum of
+the weights alpha * T times the values; instance id maps need only the
+first step, which ``raster_bands`` also runs one run of rows after
+another with the same bits, so that a large view streams in bounded
+memory. The same row-span enumeration, fed point disks instead of splat
+cutoffs, gives the ground-truth point z-buffer (``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
 projected arrays; per-splat values are gathered, and per-splat sums
@@ -44,14 +46,14 @@ gathers and the votes repeat over the segment; and its alpha hit the
 clamp where it equals ``ALPHA_MAX``. ``rasterize`` allocates the
 Raster's arrays once and writes every step into them in place, with the
 same floating-point operations in the same order as one pass over the
-view; the logs and then the weights live in one whole-view scratch
-array, freed on return. Its peak is the Raster, that scratch, the span
-records and one run of rows in flight per lane, 38-48 bytes per
-contribution on the tests' views; ``RASTER_BYTES_PER_CONTRIBUTION`` is
-the stated bound (per-splat and per-pixel arrays aside), which the tests
-check. A view past ``CONTRIBUTION_BUDGET`` contributions, as exploding
-splat scales make, raises ContributionBudgetError (a NumericalError)
-before any per-contribution array exists.
+view; each lane's logs and then weights live in one scratch array of
+its longest run. Its peak is the Raster, the span records and one run of
+rows in flight per lane, 33-47 bytes per contribution on the tests'
+views; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat
+and per-pixel arrays aside), which the tests check. A view past
+``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales make,
+raises ContributionBudgetError (a NumericalError) before any
+per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -63,21 +65,21 @@ outputs and run them on the two threads of one persistent pool ("lanes",
 ``_lanes``), one task per phase and lane group of the view's cutting,
 which ``_row_runs`` makes for both passes and the id maps: ``LANES``
 groups of about equal contribution counts, each cut into runs of whole
-pixel rows. In ``rasterize`` and ``render`` a lane expands its runs' spans
-and computes their alphas, one prefix sum over the view joins the lanes,
-and each lane then finishes its runs' transmittances, weights and alpha
-pixels and, in ``render``, the 9 feature and color channels of each run
-while its contributions are in cache. ``render_backward`` rebuilds the
-groups from the Raster's segments and walks them in phases with a join
-between them, every chain of a group in one task, keeping only two
-whole-view buffers per geometry chain and rebuilding its other terms,
-the weights among them, per run. Both passes give the same bits on any
-cutting into runs and groups and on one lane or two. With both chains on
-geometry a call peaks at about 60 bytes per contribution above its
-RenderOutput, and a training step's render and backward together at
-about 84-87;
-``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
-are the stated bounds, which the tests check.
+pixel rows. In ``rasterize`` and ``render`` the forward is one phase: a
+lane takes its runs in turn, expands each run's spans, computes their
+alphas, transmittances, weights and alpha pixels and, in ``render``, the
+9 feature and color channels while the run's contributions are in
+cache. ``render_backward`` rebuilds the groups from the Raster's
+segments and walks them in two phases, every chain of a group in one
+task: the gathers, the scans by row and d_alpha, then the slot sums. It
+keeps only two whole-view buffers per geometry chain and rebuilds its
+other terms, the weights among them, per run. Both passes give the same
+bits on any cutting into runs and groups and on one lane or two. With
+both chains on geometry a call peaks at about 60 bytes per contribution
+above its RenderOutput, and a training step's render and backward
+together at about 83-86; ``BACKWARD_BYTES_PER_CONTRIBUTION`` and
+``STEP_BYTES_PER_CONTRIBUTION`` are the stated bounds, which the tests
+check.
 """
 from __future__ import annotations
 
@@ -99,7 +101,8 @@ NEAR_PLANE = 0.01
 ALPHA_MAX = 0.99
 CUTOFF_SIGMAS = 3.0
 # Memory bound of one rasterize call, in peak bytes per contribution:
-# 46.8-47.8 measured on the tests' 145k-contribution view, plus 4.
+# 46.8-47.8 measured on the tests' 145k-contribution view, plus 4; with
+# the scans by row, 41.3-47.0.
 RASTER_BYTES_PER_CONTRIBUTION = 52
 # Memory bound of one render_backward call above its RenderOutput, in peak
 # bytes per contribution, with both chains reaching geometry on two lanes.
@@ -107,7 +110,7 @@ BACKWARD_BYTES_PER_CONTRIBUTION = 72
 # Memory bound of one training step, a render and a joint-phase backward of
 # its output, in peak bytes per contribution: the kept Raster's 20 bytes,
 # the backward's bound above it, and 3 for the images and per-pixel arrays;
-# 83.7-87.4 measured on the tests' 432k-contribution view.
+# 82.5-86.3 measured on the tests' 432k-contribution view.
 STEP_BYTES_PER_CONTRIBUTION = 95
 # Contributions one view may make: 4 GiB over a training step's bound,
 # about 45.2M, 20x the ~2.2M a 128x128 view makes at init.
@@ -492,15 +495,16 @@ def _row_runs(before: np.ndarray) -> list:
 
 def _view_runs(splats: SplatSet, camera: Camera):
     """The set-up of a forward pass: the projected splats, their
-    ``_span_records`` (None when no contribution exists), the view's lane
-    groups of runs of rows (``_row_runs``; none without contributions) and
-    the per-slot factors of alpha, 2 sigma^2 and the opacity."""
+    ``_span_records`` (None when no contribution exists), the (h + 1,)
+    count of contributions before each row, the view's lane groups of runs
+    of rows (``_row_runs``; none without contributions) and the per-slot
+    factors of alpha, 2 sigma^2 and the opacity."""
     proj = project_splats(splats, camera)
     records = _span_records(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
-    groups = [] if records is None else _row_runs(
-        np.concatenate(([0], np.cumsum(records[3])))[records[1]])
+    before = None if records is None else np.concatenate(([0], np.cumsum(records[3])))[records[1]]
+    groups = [] if records is None else _row_runs(before)
     factors = (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
-    return proj, records, groups, factors
+    return proj, records, before, groups, factors
 
 
 def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Raster:
@@ -514,93 +518,83 @@ def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Ra
     )
 
 
-def _alphas(records: tuple, rows: slice, w: int, factors: tuple, ras: Raster, run: slice,
-            logs: np.ndarray):
-    """The first phase of the run of image ``rows``, whose contributions are
-    the entries ``run`` of ``ras``: their slot, their clamped alpha, and
-    log(1 - alpha) into ``logs``, the run's entries of a scratch array.
-    Returns the run's (seg_start, seg_pix), the starts counted from the
-    run's first entry."""
+def _row_scan(terms: np.ndarray, out: np.ndarray, bounds: np.ndarray) -> None:
+    """The inclusive prefix sums of a run's ``terms`` into ``out``, which
+    may be ``terms``, restarted at every image row: ``bounds`` are the
+    offsets of the run's rows in it, and its end. A pixel's entries lie in
+    its row, so the sums read nothing outside the run, and no cutting of
+    the rows into runs changes a bit of them."""
+    bounds = bounds.tolist()
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        if stop > first:
+            np.cumsum(terms[first:stop], out=out[first:stop])
+
+
+def _raster_run(records: tuple, rows: slice, before: np.ndarray, w: int, factors: tuple,
+                ras: Raster, run: slice, scratch: np.ndarray):
+    """Rasterize the run of image ``rows``, whose contributions are the
+    entries ``run`` of ``ras`` (``before`` counts the view's contributions
+    before each row): their slots, clamped alphas and transmittances, and
+    the run's alpha pixels. ``scratch``, a float array of the run's
+    length, comes back holding the weights alpha * T. Returns (seg_start,
+    seg_pix, weight), the starts counted from the run's first entry.
+
+    The exclusive per-pixel product of (1 - alpha) is the log cumsum by
+    rows less its value at the pixel's first entry, which becomes the
+    transmittance in place."""
     two_sig2, opacity = factors
-    alpha, d2 = ras.alpha_i[run], ras.trans[run]
+    alpha, trans = ras.alpha_i[run], ras.trans[run]
     # No array of the run's length is allocated here: d2 goes into the
     # transmittance's entries, which the scan overwrites, with alpha's
-    # entries as the scratch, and the int64 slots, for the takes, into the
-    # logs' entries until the logs are formed.
-    slot = logs.view(np.int64)
-    seg_start, seg_pix = _expand_spans(records, rows, w, slot, d2, alpha)
+    # entries as the scratch, and the int64 slots, for the takes, into
+    # ``scratch`` until the logs are formed there.
+    slot = scratch.view(np.int64)
+    seg_start, seg_pix = _expand_spans(records, rows, w, slot, trans, alpha)
     ras.slot[run] = slot
     # alpha = min(ALPHA_MAX, opacity * exp(-d2 / (2 sigma^2))); the per-splat
     # factors are formed before the gather, with the same bits, and gathered
     # into d2's entries once alpha no longer reads them.
-    np.negative(d2, out=alpha)
-    np.divide(alpha, two_sig2.take(slot, out=d2, mode="clip"), out=alpha)
+    np.negative(trans, out=alpha)
+    np.divide(alpha, two_sig2.take(slot, out=trans, mode="clip"), out=alpha)
     np.exp(alpha, out=alpha)
-    np.multiply(opacity.take(slot, out=d2, mode="clip"), alpha, out=alpha)
+    np.multiply(opacity.take(slot, out=trans, mode="clip"), alpha, out=alpha)
     # the clamp in one pass: NaN stays NaN and -0.0 stays -0.0, as under a
     # masked write
     np.minimum(alpha, ALPHA_MAX, out=alpha)
-    np.negative(alpha, out=logs)
+    logs = np.negative(alpha, out=scratch)
     np.log1p(logs, out=logs)
-    return seg_start, seg_pix
-
-
-def _weights(ras: Raster, run: slice, seg_start: np.ndarray, seg_pix: np.ndarray,
-             logs: np.ndarray) -> np.ndarray:
-    """The second phase of the entries ``run`` of ``ras``, once ``trans``
-    holds the inclusive prefix sum of the run's ``logs``: the
-    transmittance, the run's alpha pixels, and the weights alpha * T, which
-    come back in ``logs``' memory.
-
-    The exclusive per-pixel product of (1 - alpha) is the segmented log
-    cumsum, which becomes the transmittance in place. A pixel's entries
-    all lie in its run, so a run reads only its own entries."""
-    trans = ras.trans[run]
+    _row_scan(logs, trans, before[rows.start:rows.stop + 1] - before[rows.start])
     trans -= logs
     trans -= np.repeat(trans[seg_start], np.diff(seg_start, append=trans.size))
     np.exp(trans, out=trans)
-    weight = np.multiply(ras.alpha_i[run], trans, out=logs)
+    weight = np.multiply(alpha, trans, out=scratch)
     ras.alpha.reshape(-1)[seg_pix] = np.minimum(np.add.reduceat(weight, seg_start), 1.0)
-    return weight
+    return seg_start, seg_pix, weight
 
 
 def raster_bands(splats: SplatSet, camera: Camera):
     """``rasterize`` in the view's runs of whole pixel rows (``_row_runs``),
     one after another on the calling thread: one Raster per run, in row
     order, whose arrays hold that run's contributions (``seg_start`` counts
-    from the run's first) and whose alpha image is zero off the run. Every
-    contribution's alpha and transmittance, and every alpha pixel, carries
-    the bits of ``rasterize``: the prefix sum behind the transmittances
-    runs on from the runs before. A run holds about the Raster of its
-    contributions, so a large view streams in bounded memory.
+    from the run's first) and whose alpha image is zero off the run. A run
+    reads only its own contributions, so every alpha, transmittance and
+    alpha pixel carries the bits of ``rasterize``, and a run holds about
+    the Raster of its contributions: a large view streams in bounded
+    memory.
     """
-    proj, records, groups, factors = _view_runs(splats, camera)
+    proj, records, before, groups, factors = _view_runs(splats, camera)
     if not groups:
         yield _new_raster(0, proj, camera)
         return
-    # x + -0.0 is x, signed zeros too, so the first run's scan has
-    # np.cumsum's bits
-    carry = -0.0
     for rows, run in (run for group in groups for run in group):
         ras = _new_raster(run.stop - run.start, proj, camera)
-        entries = slice(0, ras.slot.size)
-        logs = np.empty(ras.slot.size)
-        seg_start, seg_pix = _alphas(records, rows, camera.width, factors, ras, entries, logs)
+        ras.seg_start, ras.seg_pix, _ = _raster_run(records, rows, before, camera.width, factors,
+                                                    ras, slice(0, ras.slot.size), np.empty(ras.slot.size))
         if rows.stop == camera.height:  # the last run frees the records
             del records
-        # The scan runs on from the runs before: their sum goes into the
-        # first term for the scan, and the term comes back afterwards.
-        first = logs[0]
-        logs[0] += carry
-        np.cumsum(logs, out=ras.trans)
-        logs[0] = first
-        carry = ras.trans[-1]
-        _weights(ras, entries, seg_start, seg_pix, logs)
-        del logs
-        ras.seg_start, ras.seg_pix = seg_start, seg_pix
         yield ras
         # the caller holds the run now; let it go before the next run grows
-        del ras, seg_start, seg_pix
+        del ras
 
 
 def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
@@ -608,46 +602,38 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     composite of each (n, C) per-splat array in ``values``.
 
     The view's lane groups of runs of rows (``_row_runs``) are one task
-    each. The tasks write their runs' slices of the whole-view arrays in
-    two phases with a join between them: ``_alphas``, then one
-    ``np.cumsum`` over the view, then ``_weights`` and the run's
-    composites, each channel a sum of weight * value over a pixel's
-    contributions in order. The logs and then the weights live in one
-    whole-view scratch array, freed on return. A pixel's entries lie in
-    one run, so any run or group cutting gives the same bits.
+    each. A task rasterizes each of its runs into the run's slices of the
+    whole-view arrays (``_raster_run``), in one scratch array of its
+    longest run, then composites the run while its entries are in cache,
+    each channel a sum of weight * value over a pixel's contributions in
+    order. A run reads only its own entries, so any run or group cutting
+    gives the same bits.
     """
-    proj, records, groups, factors = _view_runs(splats, camera)
+    proj, records, before, groups, factors = _view_runs(splats, camera)
     h, w = camera.height, camera.width
-    runs = [run for group in groups for run in group]
-    total = runs[-1][1].stop if runs else 0
-    ras = _new_raster(total, proj, camera)
-    logs = np.empty(total)
+    ras = _new_raster(groups[-1][-1][1].stop if groups else 0, proj, camera)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
     # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
     channels = [np.ascontiguousarray(value.take(proj.indices, axis=0).T) for value in values]
 
-    def first_phase(group):
-        return [_alphas(records, rows, w, factors, ras, run, logs[run]) for rows, run in group]
-
-    def second_phase(group, segments):
-        for (_, run), (seg_start, seg_pix) in zip(group, segments):
-            weight = _weights(ras, run, seg_start, seg_pix, logs[run])
+    def lane(group):
+        scratch = np.empty(max(run.stop - run.start for _, run in group))
+        segments = []
+        for rows, run in group:
+            seg_start, seg_pix, weight = _raster_run(records, rows, before, w, factors, ras, run,
+                                                     scratch[:run.stop - run.start])
             if images:
                 slot = ras.slot[run].astype(np.int64)
             for image, image_channels in zip(images, channels):
                 for ch, channel in enumerate(image_channels):
                     image[seg_pix, ch] = np.add.reduceat(weight * channel.take(slot), seg_start)
+            segments.append((seg_start + run.start, seg_pix))
+        return segments
 
-    group_segments = _lanes([partial(first_phase, group) for group in groups])
-    del records
-    np.cumsum(logs, out=ras.trans)
-    _lanes([partial(second_phase, *task) for task in zip(groups, group_segments)])
-    del logs
     # after the empty segment arrays, which keep the dtype of a view without runs
-    run_segments = [segments for part in group_segments for segments in part]
-    ras.seg_start = np.concatenate([ras.seg_start] + [seg_start + run.start for (_, run), (seg_start, _)
-                                                      in zip(runs, run_segments)])
-    ras.seg_pix = np.concatenate([ras.seg_pix] + [seg_pix for _, seg_pix in run_segments])
+    segments = [run for part in _lanes([partial(lane, group) for group in groups]) for run in part]
+    ras.seg_start = np.concatenate([ras.seg_start] + [seg_start for seg_start, _ in segments])
+    ras.seg_pix = np.concatenate([ras.seg_pix] + [seg_pix for _, seg_pix in segments])
     return ras, [image.reshape(h, w, -1) for image in images]
 
 
@@ -773,19 +759,20 @@ def render_backward(
     None comes back all zero; summing the two chains gives the gradient of
     the summed objective.
 
-    A geometry chain runs in four phases with a join between them: the
-    gathers of <grad, value>, one prefix sum over the view per chain,
-    d_alpha, and the slot sums of all chains in ``LANES`` groups beside the
-    value task (the direct weight * grad sums, one sparse product per run).
-    The gathers and d_alpha run one task per lane group of the forward's
-    cutting (``_row_runs``, rebuilt from the Raster's segments), each for
-    every geometry chain, so a run's slots, offsets and Gaussian terms are
-    built once for all of them. A chain keeps only its q and v over the
-    view; the gathers rebuild the weights alpha * T per row block, and the
-    last two phases rebuild the offsets, d2, 1 / sigma^2 and 1 - alpha they
-    read per run. Every per-splat sum adds its slot's terms in order, as a
-    bincount over slots does, so any cutting into runs and groups gives the
-    same bits; culled splats keep zeros. The call peaks within
+    A geometry chain runs in two phases with a join between them. The
+    first runs one task per lane group of the forward's cutting
+    (``_row_runs``, rebuilt from the Raster's segments), each for every
+    geometry chain: the gathers of <grad, value>, then, run by run, the
+    prefix sums by row (``_row_scan``) and d_alpha, so a run's slots,
+    offsets and Gaussian terms are built once for all chains. The second
+    runs the slot sums of all chains in ``LANES`` groups beside the value
+    task (the direct weight * grad sums, one sparse product per run). A
+    chain keeps only its q and v over the view; the gathers rebuild the
+    weights alpha * T per row block, and the later steps rebuild the
+    offsets, d2, 1 / sigma^2 and 1 - alpha they read per run. Every
+    per-splat sum adds its slot's terms in order, as a bincount over slots
+    does, so any cutting into runs and groups gives the same bits; culled
+    splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
 
     A contribution counts as clamped where its alpha equals ``ALPHA_MAX``
@@ -813,11 +800,13 @@ def render_backward(
 
     seg_start = output.seg_start
     alpha = output.alpha_i
-    # The forward's groups of runs, as (contributions, segments) slice pairs:
-    # the first segment of each row gives the contributions before it.
+    # The forward's groups of runs, as (contributions, segments, row offsets)
+    # triples: the first segment of each row gives the contributions before it.
     row_seg = np.searchsorted(output.seg_pix, np.arange(camera.height + 1) * camera.width)
-    groups = [[(entries, slice(row_seg[rows.start], row_seg[rows.stop])) for rows, entries in group]
-              for group in _row_runs(np.append(seg_start, len(slot))[row_seg])]
+    before = np.append(seg_start, len(slot))[row_seg]
+    groups = [[(entries, slice(row_seg[rows.start], row_seg[rows.stop]),
+                before[rows.start:rows.stop + 1] - entries.start) for rows, entries in group]
+              for group in _row_runs(before)]
     view_runs = [run for group in groups for run in group]
 
     def value_task():
@@ -832,8 +821,8 @@ def render_backward(
             [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
              for grad_img, _, value_grads, _, _ in chains], axis=1)
         sums = np.zeros((proj.count, grads.shape[1]))
-        weight = np.empty(max(run.stop - run.start for run, _ in view_runs))
-        for run, segs in view_runs:
+        weight = np.empty(max(run.stop - run.start for run, _, _ in view_runs))
+        for run, segs, _ in view_runs:
             csc_matvecs(proj.count, segs.stop - segs.start, grads.shape[1],
                         np.append(seg_start[segs] - run.start, run.stop - run.start).astype(slot.dtype),
                         slot[run], np.multiply(alpha[run], output.trans[run],
@@ -868,7 +857,7 @@ def render_backward(
         d2 += np.square(drow)
         return d2
 
-    def gather_task(group):
+    def geometry_task(group):
         # <image gradient, value> per contribution over the group's runs, in
         # blocks of whole pixel segments, a block from the segment of every
         # _GATHER_ROWS-th contribution of the group, so the (rows, dim)
@@ -890,26 +879,22 @@ def render_backward(
                 np.einsum("ij,ij->i", np.repeat(pixel_grad, seg_len[block_segs], axis=0),
                           slot_values.take(block_slot, axis=0), out=q[block])
                 np.multiply(weight, q[block], out=v[block])
-        starts = bounds[:-1] - rows.start
-        for v, chain_totals, chain_firsts in zip(vs, totals, firsts):
-            chain_totals[segs] = np.add.reduceat(v[rows], starts)
-            chain_firsts[segs] = v[rows][starts]
-
-    def alpha_task(group):
-        # d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i),
-        # the suffix from the view's inclusive cumsum of v = weight * q, in
-        # v's rows; d_alpha goes to q's. A run's segments start in the run,
-        # so their scanned starts are read before it changes. The run's
+        # Then, run by run, d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j
+        # T_j x_j / (1 - alpha_i): the suffix is each segment's total of v =
+        # weight * q less v's cumsum by rows (``_row_scan``) from the
+        # segment's first entry, in v's rows; d_alpha goes to q's. The run's
         # slots, 1 - alpha and Gaussian terms serve every chain.
-        for run, segs in group:
+        for run, segs, row_bounds in group:
             block_slot = slot[run].astype(np.int64)
+            starts = seg_start[segs] - run.start
             lens = seg_len[segs]
             one_minus_alpha = 1.0 - alpha[run]
-            for q, v, chain_totals, chain_firsts in zip(qs, vs, totals, firsts):
+            for q, v in zip(qs, vs):
                 suffix = v[run]
-                before = suffix[seg_start[segs] - run.start] - chain_firsts[segs]
-                suffix -= np.repeat(before, lens)
-                np.subtract(np.repeat(chain_totals[segs], lens), suffix, out=suffix)
+                totals, firsts = np.add.reduceat(suffix, starts), suffix[starts]
+                _row_scan(suffix, suffix, row_bounds)
+                suffix -= np.repeat(suffix[starts] - firsts, lens)
+                np.subtract(np.repeat(totals, lens), suffix, out=suffix)
                 suffix /= one_minus_alpha
                 d_alpha = np.multiply(q[run], output.trans[run], out=q[run])
                 d_alpha -= suffix
@@ -935,7 +920,7 @@ def render_backward(
         # each run rebuilds only the offsets its rows read, and adds its
         # terms into the slots in contribution order (``_add_at``).
         rows_read = {row for _, row in group}
-        for run, segs in view_runs:
+        for run, segs, _ in view_runs:
             block_slot = slot[run].astype(np.int64)
             dcol = offset(block_slot, segs, 0) if rows_read & {1, 3} else None
             drow = offset(block_slot, segs, 1) if rows_read & {2, 3} else None
@@ -951,15 +936,12 @@ def render_backward(
                     terms = vs[chain][run]
                 _add_at(slot_sums[chain][row], block_slot, terms)
 
-    # The four phases: gathers, scan, d_alpha, sums. Per chain: q (then
+    # The two phases: gathers and d_alpha, then sums. Per chain: q (then
     # d_alpha * alpha), v = weight * q (scanned in place, then the opacity
-    # terms), v's per-segment totals and first values, and the slot sums.
+    # terms), and the slot sums.
     qs, vs = ([np.empty(len(slot)) for _ in geometry_chains] for _ in range(2))
-    totals, firsts = ([np.empty(seg_start.size) for _ in geometry_chains] for _ in range(2))
     slot_sums = [np.zeros((4, proj.count)) for _ in geometry_chains]
-    _lanes([partial(gather_task, group) for group in groups])
-    _lanes([partial(np.cumsum, v, out=v) for v in vs])
-    _lanes([partial(alpha_task, group) for group in groups])
+    _lanes([partial(geometry_task, group) for group in groups])
     # The 4 slot sums of every geometry chain, in LANES contiguous groups:
     # one chain each in the joint step, two sums each for a lone chain.
     pairs = [(chain, row) for chain in range(len(geometry_chains)) for row in range(4)]
@@ -989,13 +971,15 @@ def write_raw_f32(path: str, image: np.ndarray) -> None:
 
 
 def read_raw_f32(path: str, height: int, width: int, channels: int = 0) -> np.ndarray:
+    """A ``write_raw_f32`` dump of a (height, width, channels) image, or of
+    an (height, width) plane without ``channels``; a file of any other
+    length, a truncated one among them, raises FormatError."""
     with open(path, "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f4").astype(np.float64)
-    if channels:
-        expected = channels * height * width
-        if flat.size != expected:
-            raise DataError(f"{path}: expected {expected} floats, found {flat.size}")
-        return flat.reshape(channels, height, width).transpose(1, 2, 0)
-    if flat.size != height * width:
-        raise DataError(f"{path}: expected {height * width} floats, found {flat.size}")
-    return flat.reshape(height, width)
+        data = fh.read()
+    shape = (channels, height, width) if channels else (height, width)
+    expected = int(np.prod(shape))
+    if len(data) != 4 * expected:
+        raise FormatError(f"{path}: expected {expected} floats ({4 * expected} bytes), "
+                          f"found {len(data)} bytes")
+    flat = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+    return flat.transpose(1, 2, 0) if channels else flat

@@ -1,7 +1,8 @@
 """Built-in invariant battery behind ``igsplat selftest``.
 
 A fast subset of the property checks the test suite runs in full: the
-renderer's contribution list against a dense scan, render and decode
+renderer's contribution list against a dense scan, its transmittances
+against a per-pixel product, render and decode
 gradient agreement with finite differences, the backward's runs of rows
 against the default runs, loss identities, sampler and clustering
 invariants, and voxel-adjacency and component-aggregation correctness on
@@ -28,10 +29,11 @@ from .oracles import (
     dfs_components,
     fps_oracle,
     lloyd_oracle,
+    transmittance_oracle,
     voxel_adjacency,
 )
 from . import renderer
-from .renderer import Camera, _build_contributions, render, render_backward
+from .renderer import Camera, _build_contributions, rasterize, render, render_backward
 from .scene_model import (
     HEAD_ORDER,
     ModelConfig,
@@ -53,6 +55,25 @@ def _check_contributions(rng) -> None:
     assert np.bincount(want[0]).max() >= 24, "view not crowded"
     for name, a, b in zip(("pix", "slot", "d2", "seg_start", "seg_pix"), got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{name} differs from dense scan"
+
+
+def _check_transmittance(rng) -> None:
+    # 1500 splats crowding a 48x48 view, so rows hold thousands of
+    # contributions: every transmittance within 5e-12 relative of its
+    # pixel's own product
+    n = 1500
+    centers = np.column_stack([rng.uniform(-0.9, 0.9, n), rng.uniform(-0.9, 0.9, n),
+                               rng.uniform(2.0, 3.0, n)])
+    splats = SplatSet(centers=centers, colors=rng.uniform(size=(n, 3)),
+                      opacities=rng.uniform(0.05, 0.995, n), scales=rng.uniform(0.05, 0.1, n),
+                      features=rng.normal(size=(n, 6)), parent=np.zeros(n, dtype=np.int64))
+    camera = Camera(fx=48.0, fy=48.0, cx=24.0, cy=24.0, width=48, height=48,
+                    rotation=np.eye(3), translation=np.zeros(3))
+    ras = rasterize(splats, camera)
+    want = transmittance_oracle(ras.alpha_i, ras.seg_start)
+    assert ras.slot.size >= 50_000, "view not crowded"
+    worst = float((np.abs(ras.trans - want) / want).max())
+    assert worst <= 5e-12, f"transmittance {worst:.2e} off the per-pixel product"
 
 
 def _check_fps(rng) -> None:
@@ -222,6 +243,7 @@ CHECKS = [
     ("backward_runs", _check_backward_runs),
     ("decode_gradients", _check_decode_gradients),
     ("rgb_loss", lambda rng: _check_rgb()),
+    ("transmittance_vs_oracle", _check_transmittance),
 ]
 
 

@@ -179,6 +179,20 @@ def test_missing_inputs_exit_3(tmp_path):
     assert main(["train", "--config", config_path]) == 3  # no scene yet
 
 
+@pytest.mark.parametrize("cut", [1, 4], ids=["truncated", "one_float_short"])
+def test_bad_view_image_exits_3(tmp_path, cut, capsys):
+    # a view image cut mid-float, or one whole float short, is a malformed
+    # artifact like a truncated binary file
+    config_path, out = write_config(tmp_path)
+    assert main(["generate", "--config", config_path]) == 0
+    path = Path(out, "scene", "views", "view_000.f32")
+    path.write_bytes(path.read_bytes()[:-cut])
+    capsys.readouterr()
+    assert main(["train", "--config", config_path]) == 3
+    assert "view_000.f32" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "train", "checkpoint.igck"))
+
+
 def test_gamma_sweep_is_monotone(tmp_path):
     config_path, out = write_config(tmp_path)
     run_pipeline(config_path, stages=("generate", "train"))

@@ -9,7 +9,12 @@ from scipy.sparse import csr_matrix
 
 from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
-from igsplat.oracles import central_differences, contributions_oracle, relative_errors
+from igsplat.oracles import (
+    central_differences,
+    contributions_oracle,
+    relative_errors,
+    transmittance_oracle,
+)
 from igsplat.renderer import (
     ALPHA_MAX,
     BACKWARD_BYTES_PER_CONTRIBUTION,
@@ -336,6 +341,17 @@ def test_rasterize_peak_within_stated_bound():
     assert peak <= RASTER_BYTES_PER_CONTRIBUTION * ras.slot.size, peak / ras.slot.size
 
 
+@pytest.mark.parametrize("n", [2000, 6000])
+def test_transmittance_matches_per_pixel_oracle(n):
+    # every transmittance within 5e-12 relative of its pixel's own product
+    # of (1 - alpha), on 145k and 432k contributions: the scans restart at
+    # every row, so a larger view adds no drift
+    ras = rasterize(*dense_view(n=n))
+    want = transmittance_oracle(ras.alpha_i, ras.seg_start)
+    assert want.min() > 0.0
+    assert (np.abs(ras.trans - want) <= 5e-12 * want).all(), (np.abs(ras.trans - want) / want).max()
+
+
 def test_exploding_scales_exceed_contribution_budget():
     # every splat covers the whole 128x128 image, 3000 x 16384 contributions:
     # the builder raises from its per-(splat, row) records, before any
@@ -547,9 +563,9 @@ def test_backward_row_blocks_match_one_block(monkeypatch):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (rows, field)
 
 
-def test_raster_bands_carry_the_one_band_bits():
+def test_raster_bands_give_the_one_band_bits():
     # runs of whole rows, down to one row each: concatenated, the runs are
-    # the one-run raster byte for byte, the transmittance scan included
+    # the one-run raster byte for byte, each run scanned on its own
     splats, cam = dense_view(n=500, size=48)
     whole = rasterize(splats, cam)
     rows_with_pairs = np.unique(whole.seg_pix // cam.width).size
@@ -769,7 +785,7 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
     # render on the lanes, at the default run size, in runs of about 97
     # contributions and of one row, on two lanes and on one, against the
     # view as one run on one lane; its Raster also against raster_bands'
-    # one run, whose scan runs on the calling thread
+    # one run, which runs on the calling thread
     splats, cam = FORWARD_VIEWS[view]()
     tasks = count_lane_tasks(monkeypatch)
     with monkeypatch.context() as patch:
@@ -791,10 +807,11 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
             tasks.clear()
             got = render(splats, cam)
             raster = rasterize(splats, cam)
-        # one task per phase and lane group, whatever the run size: none
-        # without contributions, one for a view of one row, else one per lane
+        # one task per lane group in the one phase of render and of
+        # rasterize, whatever the run size: none without contributions, one
+        # for a view of one row, else one per lane
         groups = {"culled": 0, "one_row": 1}.get(view, renderer.LANES)
-        assert tasks == [groups] * 4, (rows, tasks)
+        assert tasks == [groups] * 2, (rows, tasks)
         for name in RASTER_FIELDS + ("color", "feature"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
         for name in RASTER_FIELDS:
@@ -805,9 +822,9 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
 
 def test_concurrent_renders_give_one_run_bits(monkeypatch):
     # four callers at once, each rendering three times in runs of one row
-    # on the two lanes, with thread switches forced often: the phases join
-    # on each caller's thread, so every caller finishes with the bits of
-    # one run on one lane
+    # on the two lanes, with thread switches forced often: each caller's
+    # one phase joins on its own thread, so every caller finishes with the
+    # bits of one run on one lane
     splats, cam = crowded_view()
     with monkeypatch.context() as patch:
         patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
@@ -929,20 +946,20 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
 def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
-    # the backward walks the forward's lane groups: its gather and d_alpha
-    # phases run one task per group the forward ran, and one usable core
-    # gives the bits of two
+    # the backward walks the forward's lane groups: its first phase, the
+    # gathers and d_alpha, runs one task per group the forward ran, and one
+    # usable core gives the bits of two
     out, grad_color, grad_feature = crowded_output
     tasks = count_lane_tasks(monkeypatch)
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     render(out.splats, out.camera)
     groups = tasks[0]
-    assert tasks == [renderer.LANES] * 2
+    assert tasks == [renderer.LANES]
     tasks.clear()
     two_cores = backward(out, grad_color, grad_feature, mode)
-    # gathers, one scan per geometry chain, d_alpha, then the LANES groups
-    # of slot sums beside the value task
-    assert tasks == [groups, 2 if mode == "joint" else 1, groups, renderer.LANES + 1]
+    # the gathers and d_alpha of every geometry chain, then the LANES
+    # groups of slot sums beside the value task
+    assert tasks == [groups, renderer.LANES + 1]
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
 
