@@ -1,6 +1,6 @@
-"""Brute-force references for the renderer's contribution builder and
-transmittances, the sampler, k-means, the voxel adjacency, the component aggregation and the
-analytic gradients.
+"""Brute-force references for the renderer's contribution builder,
+transmittances and composite, the sampler, k-means, the voxel adjacency,
+the component aggregation and the analytic gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -40,6 +40,22 @@ def transmittance_oracle(alpha_i: np.ndarray, seg_start: np.ndarray) -> np.ndarr
         trans[first] = 1.0
         trans[first + 1:stop] = np.cumprod(1.0 - alpha_i[first:stop - 1])
     return trans
+
+
+def composite_oracle(ras, values: np.ndarray) -> np.ndarray:
+    """The (H, W, C) composite of the per-splat ``values`` over the Raster
+    ``ras``, as ``renderer.render`` defines it: each pixel's sum starts at
+    0.0 and adds weight * value, the weight alpha_i * trans, one
+    contribution after another in depth order; pixels without
+    contributions stay 0."""
+    h, w = ras.alpha.shape
+    image = np.zeros((h * w, values.shape[1]))
+    slot_values = values[ras.projected.indices]
+    bounds = np.append(ras.seg_start, ras.slot.size).tolist()
+    for pix, first, stop in zip(ras.seg_pix.tolist(), bounds[:-1], bounds[1:]):
+        for i in range(first, stop):
+            image[pix] += (ras.alpha_i[i] * ras.trans[i]) * slot_values[ras.slot[i]]
+    return image.reshape(h, w, -1)
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:

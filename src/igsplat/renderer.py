@@ -24,9 +24,9 @@ column pointers are the per-pixel segments. It then yields alpha,
 transmittance and the alpha image. A pixel's transmittances are its own
 product of (1 - alpha), so their log scan restarts at every image row
 (``_row_scan``) and a run of whole rows reads nothing outside itself.
-``render`` adds the color and feature composite, each channel a sum of
-the weights alpha * T times the values; instance id maps need only the
-first step, which ``raster_bands`` also runs one run of rows after
+``render`` adds the color and feature composite, one sparse product per
+run of the weights alpha * T and the values; instance id maps need only
+the first step, which ``raster_bands`` also runs one run of rows after
 another with the same bits, so that a large view streams in bounded
 memory. The same row-span enumeration, fed point disks instead of splat
 cutoffs, gives the ground-truth point z-buffer (``zbuffer_owners``).
@@ -39,11 +39,11 @@ same order as one over splat indices.
 
 The Raster keeps only what the backward cannot rebuild with the same
 bits: int32 slots, alpha and transmittance, 20 bytes per contribution.
-The weight alpha * T is one multiply, which the composite, the backward
-and the id maps' votes each redo per block with the same bits; a
-contribution's pixel is its pixel segment's, which the backward's
-gathers and the votes repeat over the segment; and its alpha hit the
-clamp where it equals ``ALPHA_MAX``. ``rasterize`` allocates the
+The weight alpha * T is one multiply, which the backward and the id
+maps' votes redo per block with the same bits; a contribution's pixel is
+its pixel segment's, which the backward's gathers and the votes repeat
+over the segment; and its alpha hit the clamp where it equals
+``ALPHA_MAX``. ``rasterize`` allocates the
 Raster's arrays once and writes every step into them in place, with the
 same floating-point operations in the same order as one pass over the
 view; each lane's logs and then weights live in one scratch array of
@@ -68,18 +68,17 @@ groups of about equal contribution counts, each cut into runs of whole
 pixel rows. In ``rasterize`` and ``render`` the forward is one phase: a
 lane takes its runs in turn, expands each run's spans, computes their
 alphas, transmittances, weights and alpha pixels and, in ``render``, the
-9 feature and color channels while the run's contributions are in
-cache. ``render_backward`` rebuilds the groups from the Raster's
-segments and walks them in two phases, every chain of a group in one
-task: the gathers, the scans by row and d_alpha, then the slot sums. It
-keeps only two whole-view buffers per geometry chain and rebuilds its
-other terms, the weights among them, per run. Both passes give the same
-bits on any cutting into runs and groups and on one lane or two. With
-both chains on geometry a call peaks at about 60 bytes per contribution
-above its RenderOutput, and a training step's render and backward
-together at about 83-86; ``BACKWARD_BYTES_PER_CONTRIBUTION`` and
-``STEP_BYTES_PER_CONTRIBUTION`` are the stated bounds, which the tests
-check.
+run's composite while it is in cache. ``render_backward`` rebuilds the
+groups from the Raster's segments and walks them in two phases, every
+chain of a group in one task: the gathers, the scans by row and d_alpha,
+then the slot sums. It keeps only two whole-view buffers per geometry
+chain and rebuilds its other terms, the weights among them, per run.
+Both passes give the same bits on any cutting into runs and groups and
+on one lane or two. With both chains on geometry a call peaks at about
+60 bytes per contribution above its RenderOutput, and a training step's
+render and backward together at about 83-86;
+``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
+are the stated bounds, which the tests check.
 """
 from __future__ import annotations
 
@@ -91,7 +90,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_tocsc
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvecs, csr_tocsc
 
 from .binio import read_json, write_atomic
 from .errors import ContributionBudgetError, DataError, FormatError
@@ -604,17 +603,20 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     The view's lane groups of runs of rows (``_row_runs``) are one task
     each. A task rasterizes each of its runs into the run's slices of the
     whole-view arrays (``_raster_run``), in one scratch array of its
-    longest run, then composites the run while its entries are in cache,
-    each channel a sum of weight * value over a pixel's contributions in
-    order. A run reads only its own entries, so any run or group cutting
-    gives the same bits.
+    longest run, then composites the run while its entries are in cache:
+    one ``csr_matvecs`` product of its segments x slots weights and the
+    (k, C) per-slot values, which adds each pixel's terms to 0.0 in depth
+    order (``oracles.composite_oracle``), the same bits where the build
+    does not fuse the multiply-add (x86-64). A run reads only its own
+    entries, so any run or group cutting gives the same bits.
     """
     proj, records, before, groups, factors = _view_runs(splats, camera)
     h, w = camera.height, camera.width
     ras = _new_raster(groups[-1][-1][1].stop if groups else 0, proj, camera)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
-    # 1-D takes from contiguous per-channel rows of the (C, k) per-slot transposes
-    channels = [np.ascontiguousarray(value.take(proj.indices, axis=0).T) for value in values]
+    # every array's per-slot values side by side, one C-contiguous (k, C) table
+    table = np.concatenate([value.take(proj.indices, axis=0) for value in values], axis=1) if values else None
+    cols = np.cumsum([0] + [image.shape[1] for image in images])
 
     def lane(group):
         scratch = np.empty(max(run.stop - run.start for _, run in group))
@@ -623,10 +625,12 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
             seg_start, seg_pix, weight = _raster_run(records, rows, before, w, factors, ras, run,
                                                      scratch[:run.stop - run.start])
             if images:
-                slot = ras.slot[run].astype(np.int64)
-            for image, image_channels in zip(images, channels):
-                for ch, channel in enumerate(image_channels):
-                    image[seg_pix, ch] = np.add.reduceat(weight * channel.take(slot), seg_start)
+                sums = np.zeros((seg_pix.size, table.shape[1]))
+                csr_matvecs(seg_pix.size, proj.count, table.shape[1],
+                            np.append(seg_start, run.stop - run.start).astype(ras.slot.dtype),
+                            ras.slot[run], weight, table.ravel(), sums.ravel())
+                for image, first, stop in zip(images, cols[:-1], cols[1:]):
+                    image[seg_pix] = sums[:, first:stop]
             segments.append((seg_start + run.start, seg_pix))
         return segments
 
@@ -729,12 +733,8 @@ def _add_at(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
 
 
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
-    """Rasterize color, feature, and alpha images with contributor retention.
-
-    One pass on the lanes (``_forward``): each lane rasterizes its runs of
-    rows and composites the 9 feature and color channels of each run while
-    its entries are in cache.
-    """
+    """Rasterize color, feature, and alpha images with contributor
+    retention, in one pass on the lanes (``_forward``)."""
     ras, (feature, color) = _forward(splats, camera, (splats.features, splats.colors))
     return RenderOutput(**vars(ras), color=color, feature=feature, splats=splats, camera=camera)
 

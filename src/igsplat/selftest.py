@@ -2,11 +2,11 @@
 
 A fast subset of the property checks the test suite runs in full: the
 renderer's contribution list against a dense scan, its transmittances
-against a per-pixel product, render and decode
-gradient agreement with finite differences, the backward's runs of rows
-against the default runs, loss identities, sampler and clustering
-invariants, and voxel-adjacency and component-aggregation correctness on
-random graphs.
+against a per-pixel product, its color and feature composite against a
+per-pixel sum in depth order, render and decode gradient agreement with
+finite differences, the backward's runs of rows against the default runs,
+loss identities, sampler and clustering invariants, and voxel-adjacency
+and component-aggregation correctness on random graphs.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .instantiation import (
 from .losses import loss_contrast_truncated, loss_rgb, loss_smooth, MaskView, NO_MASK
 from .oracles import (
     central_differences,
+    composite_oracle,
     contributions_oracle,
     dfs_components,
     fps_oracle,
@@ -74,6 +75,24 @@ def _check_transmittance(rng) -> None:
     assert ras.slot.size >= 50_000, "view not crowded"
     worst = float((np.abs(ras.trans - want) / want).max())
     assert worst <= 5e-12, f"transmittance {worst:.2e} off the per-pixel product"
+
+
+def _check_composite(rng) -> None:
+    # 300 splats crowding a 16x16 view: render's color and feature bits
+    # against a per-pixel sum of weight * value in depth order
+    n = 300
+    centers = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n),
+                               rng.uniform(2.0, 3.0, n)])
+    splats = SplatSet(centers=centers, colors=rng.uniform(size=(n, 3)),
+                      opacities=rng.uniform(0.05, 1.5, n), scales=rng.uniform(0.05, 0.2, n),
+                      features=rng.normal(size=(n, 6)), parent=np.zeros(n, dtype=np.int64))
+    camera = Camera(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16,
+                    rotation=np.eye(3), translation=np.zeros(3))
+    out = render(splats, camera)
+    assert np.diff(out.seg_start, append=out.slot.size).max() >= 40, "view not crowded"
+    for name, values in (("color", splats.colors), ("feature", splats.features)):
+        assert composite_oracle(out, values).tobytes() == getattr(out, name).tobytes(), \
+            f"{name} differs from the per-pixel composite"
 
 
 def _check_fps(rng) -> None:
@@ -244,6 +263,7 @@ CHECKS = [
     ("decode_gradients", _check_decode_gradients),
     ("rgb_loss", lambda rng: _check_rgb()),
     ("transmittance_vs_oracle", _check_transmittance),
+    ("composite_vs_oracle", _check_composite),
 ]
 
 

@@ -143,13 +143,31 @@ class TrainState:
 
 def adam_update(param: np.ndarray, grad: np.ndarray, slot: list, lr: float) -> None:
     """One adaptive-moment step, in place. ``slot`` is the mutable
-    [first moment, second moment, step count] buffer for this tensor."""
-    slot[0] = ADAM_BETA1 * slot[0] + (1.0 - ADAM_BETA1) * grad
-    slot[1] = ADAM_BETA2 * slot[1] + (1.0 - ADAM_BETA2) * grad * grad
+    [first moment, second moment, step count] buffer for this tensor.
+
+    The moments update in their arrays, m = b1 m + (1 - b1) g and
+    v = b2 v + (1 - b2) g g, and param -= lr m_hat / (sqrt(v_hat) + eps)
+    with m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t): the
+    element-wise operations of that formula written out, in its order,
+    so the same bits. A call allocates two arrays of the parameter's
+    size, the step's numerator and denominator.
+    """
+    m, v = slot[0], slot[1]
+    work = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += work
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=work)
+    work *= grad
+    v *= ADAM_BETA2
+    v += work
     slot[2] += 1
-    m_hat = slot[0] / (1.0 - ADAM_BETA1 ** slot[2])
-    v_hat = slot[1] / (1.0 - ADAM_BETA2 ** slot[2])
-    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.divide(v, 1.0 - ADAM_BETA2 ** slot[2], out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    step = np.divide(m, 1.0 - ADAM_BETA1 ** slot[2])
+    step *= lr
+    step /= work
+    param -= step
 
 
 def _slot(state: TrainState, name: str, shape) -> list:

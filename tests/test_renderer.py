@@ -11,6 +11,7 @@ from igsplat.errors import DataError, NumericalError
 from igsplat import renderer
 from igsplat.oracles import (
     central_differences,
+    composite_oracle,
     contributions_oracle,
     relative_errors,
     transmittance_oracle,
@@ -374,25 +375,21 @@ def test_exploding_scales_exceed_contribution_budget():
 
 def test_raster_keeps_20_bytes_per_contribution_and_rebuilds_the_composite():
     # The Raster keeps int32 slots, alpha and transmittance, nothing else
-    # per contribution; the weights alpha_i * trans it leaves out,
-    # composited per pixel segment in order, give render's color and
-    # feature bits.
-    splats, cam = dense_view()
-    out = render(splats, cam)
-    q = out.slot.size
-    kept = {name: value for name, value in vars(out).items()
-            if isinstance(value, np.ndarray) and value.shape == (q,)}
-    assert sorted(kept) == ["alpha_i", "slot", "trans"]
-    assert out.slot.dtype == np.int32
-    assert sum(value.nbytes for value in kept.values()) == 20 * q
-    weight = out.alpha_i * out.trans
-    for image, values in ((out.color, splats.colors), (out.feature, splats.features)):
-        slot_values = values[out.projected.indices]
-        want = np.zeros((cam.height * cam.width, values.shape[1]))
-        for ch in range(values.shape[1]):
-            want[out.seg_pix, ch] = np.add.reduceat(weight * slot_values[out.slot, ch],
-                                                    out.seg_start)
-        assert want.reshape(image.shape).tobytes() == image.tobytes()
+    # per contribution; the weights alpha_i * trans it leaves out, added
+    # times each value per pixel in depth order (composite_oracle), give
+    # render's color and feature bits, on a view of several runs per lane,
+    # a crowded view and a single pixel of dozens of contributions.
+    for view in (dense_view, crowded_view, pixel_view):
+        splats, cam = view()
+        out = render(splats, cam)
+        q = out.slot.size
+        kept = {name: value for name, value in vars(out).items()
+                if isinstance(value, np.ndarray) and value.shape == (q,)}
+        assert sorted(kept) == ["alpha_i", "slot", "trans"]
+        assert out.slot.dtype == np.int32
+        assert sum(value.nbytes for value in kept.values()) == 20 * q
+        for image, values in ((out.color, splats.colors), (out.feature, splats.features)):
+            assert composite_oracle(out, values).tobytes() == image.tobytes(), view.__name__
 
 
 def test_raster_arrays_share_no_memory():
