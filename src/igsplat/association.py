@@ -12,11 +12,12 @@ The id maps of independent views render on the renderer's lanes
 A view rasterizes and votes in the runs of whole pixel rows that the
 renderer cuts every view into (``renderer.raster_bands``). Each run is
 self-contained: its transmittances scan its own rows only, and a pixel's
-votes all fall in its run. So a view in flight holds one run's raster and
-(pixel, instance) score table beside its (splat, row) span records,
-whatever the view's size. The maps come back in
-view order, so the accumulation, and every artifact, is the same as a
-sequential run.
+votes all fall in its run. A run's votes weigh its contributions by the
+alpha * T that ``raster_bands`` formed beside its raster. So a view in
+flight holds one run's raster, weights and (pixel, instance) score table
+beside its (splat, row) span records, whatever the view's size. The maps
+come back in view order, so the accumulation, and every artifact, is the
+same as a sequential run.
 """
 from __future__ import annotations
 
@@ -88,8 +89,8 @@ def render_instance_id_map(
     The winner is the instance with the largest summed alpha * T contribution
     at that pixel; exact ties go to the lower instance id. Only the
     rasterize step runs, in the view's runs of whole rows (``raster_bands``),
-    whose raster and scores take about 45 bytes per contribution: a
-    pixel's contributions all fall in one run, so its sums are the whole
+    whose raster, weights and scores take about 45 bytes per contribution:
+    a pixel's contributions all fall in one run, so its sums are the whole
     view's, and no color or feature image is composited. Labels must be
     non-negative.
     """
@@ -101,20 +102,22 @@ def render_instance_id_map(
     h, w = camera.height, camera.width
     id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
     slot_labels = None
-    for ras in raster_bands(splats, camera):
+    for ras, weight in raster_bands(splats, camera):
         if ras.slot.size:
             if slot_labels is None:  # the view's runs share one projection
                 m = int(instance_labels.max()) + 1
                 slot_labels = instance_labels.take(ras.projected.indices)
-            _vote(id_map, ras, m, slot_labels)
-        del ras  # before the next run's raster grows
+            _vote(id_map, ras, weight, m, slot_labels)
+        del ras, weight  # before the next run's raster grows
     return id_map.reshape(h, w)
 
 
-def _vote(id_map: np.ndarray, ras: Raster, m: int, slot_labels: np.ndarray) -> None:
+def _vote(id_map: np.ndarray, ras: Raster, weight: np.ndarray, m: int,
+          slot_labels: np.ndarray) -> None:
     """Write the winners of the pixels from the first to the last of the
-    run ``ras`` into the flat ``id_map``, with ``m`` instances and the
-    instance label of each projected slot."""
+    run ``ras``, whose contributions weigh ``weight`` (alpha * T), into the
+    flat ``id_map``, with ``m`` instances and the instance label of each
+    projected slot."""
     first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
     # the (pixel, instance) key, counted from the run's first pixel, in
     # int64, where (pixels x instances) cannot overflow: each segment's
@@ -123,7 +126,7 @@ def _vote(id_map: np.ndarray, ras: Raster, m: int, slot_labels: np.ndarray) -> N
     key += slot_labels.take(ras.slot.astype(np.int64))
     # each pixel's alpha * T per instance, added in contribution order
     scores = np.zeros((stop - first) * m)
-    _add_at(scores, key, np.multiply(ras.alpha_i, ras.trans))
+    _add_at(scores, key, weight)
     winners = np.argmax(scores.reshape(stop - first, m), axis=1)
     visible = ras.alpha.reshape(-1)[first:stop] >= MIN_VISIBLE_ALPHA
     id_map[first:stop][visible] = winners[visible].astype(np.uint32)

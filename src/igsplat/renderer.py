@@ -27,9 +27,10 @@ product of (1 - alpha), so their log scan restarts at every image row
 ``render`` adds the color and feature composite, one sparse product per
 run of the weights alpha * T and the values; instance id maps need only
 the first step, which ``raster_bands`` also runs one run of rows after
-another with the same bits, so that a large view streams in bounded
-memory. The same row-span enumeration, fed point disks instead of splat
-cutoffs, gives the ground-truth point z-buffer (``zbuffer_owners``).
+another with the same bits, handing each run's weights to the votes, so
+that a large view streams in bounded memory. The same row-span
+enumeration, fed point disks instead of splat cutoffs, gives the
+ground-truth point z-buffer (``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
 projected arrays; per-splat values are gathered, and per-splat sums
@@ -39,21 +40,20 @@ same order as one over splat indices.
 
 The Raster keeps only what the backward cannot rebuild with the same
 bits: int32 slots, alpha and transmittance, 20 bytes per contribution.
-The weight alpha * T is one multiply, which the backward and the id
-maps' votes redo per block with the same bits; a contribution's pixel is
-its pixel segment's, which the backward's gathers and the votes repeat
-over the segment; and its alpha hit the clamp where it equals
-``ALPHA_MAX``. ``rasterize`` allocates the
-Raster's arrays once and writes every step into them in place, with the
-same floating-point operations in the same order as one pass over the
-view; each lane's logs and then weights live in one scratch array of
-its longest run. Its peak is the Raster, the span records and one run of
-rows in flight per lane, 33-47 bytes per contribution on the tests'
-views; ``RASTER_BYTES_PER_CONTRIBUTION`` is the stated bound (per-splat
-and per-pixel arrays aside), which the tests check. A view past
-``CONTRIBUTION_BUDGET`` contributions, as exploding splat scales make,
-raises ContributionBudgetError (a NumericalError) before any
-per-contribution array exists.
+The weight alpha * T is one multiply, which the backward redoes per run
+with the same bits; a contribution's pixel is its pixel segment's, which
+the backward's gathers and the votes repeat over the segment; and its
+alpha hit the clamp where it equals ``ALPHA_MAX``. ``rasterize``
+allocates the Raster's arrays once and writes every step into them in
+place, with the same floating-point operations in the same order as one
+pass over the view; each lane's logs and then weights live in one
+scratch array of its longest run. Its peak is the Raster, the span
+records and one run of rows in flight per lane, 33-47 bytes per
+contribution on the tests' views; ``RASTER_BYTES_PER_CONTRIBUTION`` is
+the stated bound (per-splat and per-pixel arrays aside), which the tests
+check. A view past ``CONTRIBUTION_BUDGET`` contributions, as exploding
+splat scales make, raises ContributionBudgetError (a NumericalError)
+before any per-contribution array exists.
 
 The backward pass, ``render_backward``, takes the color and the feature
 image gradients together and returns one gradient set per chain, since the
@@ -70,13 +70,13 @@ lane takes its runs in turn, expands each run's spans, computes their
 alphas, transmittances, weights and alpha pixels and, in ``render``, the
 run's composite while it is in cache. ``render_backward`` rebuilds the
 groups from the Raster's segments and walks them in two phases, every
-chain of a group in one task: the gathers, the scans by row and d_alpha,
-then the slot sums. It keeps only two whole-view buffers per geometry
-chain and rebuilds its other terms, the weights among them, per run.
-Both passes give the same bits on any cutting into runs and groups and
-on one lane or two. With both chains on geometry a call peaks at about
-60 bytes per contribution above its RenderOutput, and a training step's
-render and backward together at about 83-86;
+chain of a group in one task: run by run, the gathers, the scans by row
+and d_alpha, then the slot sums. It keeps only two whole-view buffers per
+geometry chain and rebuilds its other terms, the weights among them, per
+run. Both passes give the same bits on any cutting into runs and groups
+and on one lane or two. With both chains on geometry a call peaks at
+about 60 bytes per contribution above its RenderOutput, and a training
+step's render and backward together at about 83-86;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
 are the stated bounds, which the tests check.
 """
@@ -114,9 +114,6 @@ STEP_BYTES_PER_CONTRIBUTION = 95
 # Contributions one view may make: 4 GiB over a training step's bound,
 # about 45.2M, 20x the ~2.2M a 128x128 view makes at init.
 CONTRIBUTION_BUDGET = (4 << 30) // STEP_BYTES_PER_CONTRIBUTION
-# Contributions per block of the backward's gathers, which start at whole
-# pixel segments; a block of that many is 1.5 MB.
-_GATHER_ROWS = 1 << 14
 # Contributions per run of whole pixel rows (``_row_runs``), which the
 # forward, the backward and the id maps walk; 512 KB per float array.
 _SEGMENT_ROWS = 1 << 16
@@ -140,6 +137,9 @@ class Camera:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *self.rotation.flat,
+                            *self.translation]).all():
+            raise DataError("camera intrinsics, rotation and translation must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise DataError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
@@ -158,9 +158,13 @@ class Camera:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Camera":
-        fx, fy, cx, cy = (float(d[name]) for name in _CAMERA_SCALARS[:4])
+        """TypeError unless the sizes are JSON integers and the other scalars
+        and the entries of R and t JSON numbers; true and false are neither."""
+        numbers = [d[name] for name in _CAMERA_SCALARS[:4]] + [*d["R"], *d["t"]]
+        if {type(d["width"]), type(d["height"])} != {int} or not {type(v) for v in numbers} <= {int, float}:
+            raise TypeError("sizes must be JSON integers, the other fields JSON numbers")
         # __post_init__ makes R and t float64 arrays of their shapes
-        return cls(fx, fy, cx, cy, int(d["width"]), int(d["height"]), d["R"], d["t"])
+        return cls(*(float(d[name]) for name in _CAMERA_SCALARS[:4]), d["width"], d["height"], d["R"], d["t"])
 
 
 def save_camera(path: str, camera: Camera) -> None:
@@ -250,10 +254,10 @@ class Raster:
     ``projected.indices[slot]``. The Raster keeps only the slot, alpha and
     transmittance, 20 bytes per contribution; what else a reader needs is
     rebuilt with the same bits. The weight alpha_i * trans is one multiply
-    per block; a contribution's pixel is its segment's (``pix``); and its
+    per run; a contribution's pixel is its segment's (``pix``); and its
     alpha hit the clamp where it equals ``ALPHA_MAX`` (``clamped``).
     ``slot`` is int32 while the projected splats fit it; readers widen a
-    block of it to int64 before a ``take``, which runs several times
+    run of it to int64 before a ``take``, which runs several times
     faster.
     """
 
@@ -573,27 +577,26 @@ def _raster_run(records: tuple, rows: slice, before: np.ndarray, w: int, factors
 
 def raster_bands(splats: SplatSet, camera: Camera):
     """``rasterize`` in the view's runs of whole pixel rows (``_row_runs``),
-    one after another on the calling thread: one Raster per run, in row
-    order, whose arrays hold that run's contributions (``seg_start`` counts
-    from the run's first) and whose alpha image is zero off the run. A run
-    reads only its own contributions, so every alpha, transmittance and
-    alpha pixel carries the bits of ``rasterize``, and a run holds about
-    the Raster of its contributions: a large view streams in bounded
-    memory.
+    one after another on the calling thread: per run, in row order, a
+    Raster of its contributions (``seg_start`` counts from the run's first;
+    the alpha image is zero off the run) and their weights alpha * T. A run
+    reads only its own contributions, so all of these carry the bits of
+    ``rasterize``, and a run holds about the Raster and weights of its
+    contributions: a large view streams in bounded memory.
     """
     proj, records, before, groups, factors = _view_runs(splats, camera)
     if not groups:
-        yield _new_raster(0, proj, camera)
+        yield _new_raster(0, proj, camera), np.zeros(0)
         return
     for rows, run in (run for group in groups for run in group):
         ras = _new_raster(run.stop - run.start, proj, camera)
-        ras.seg_start, ras.seg_pix, _ = _raster_run(records, rows, before, camera.width, factors,
-                                                    ras, slice(0, ras.slot.size), np.empty(ras.slot.size))
+        ras.seg_start, ras.seg_pix, weight = _raster_run(records, rows, before, camera.width, factors, ras,
+                                                         slice(0, ras.slot.size), np.empty(ras.slot.size))
         if rows.stop == camera.height:  # the last run frees the records
             del records
-        yield ras
+        yield ras, weight
         # the caller holds the run now; let it go before the next run grows
-        del ras
+        del ras, weight
 
 
 def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
@@ -762,14 +765,14 @@ def render_backward(
     A geometry chain runs in two phases with a join between them. The
     first runs one task per lane group of the forward's cutting
     (``_row_runs``, rebuilt from the Raster's segments), each for every
-    geometry chain: the gathers of <grad, value>, then, run by run, the
-    prefix sums by row (``_row_scan``) and d_alpha, so a run's slots,
-    offsets and Gaussian terms are built once for all chains. The second
-    runs the slot sums of all chains in ``LANES`` groups beside the value
-    task (the direct weight * grad sums, one sparse product per run). A
-    chain keeps only its q and v over the view; the gathers rebuild the
-    weights alpha * T per row block, and the later steps rebuild the
-    offsets, d2, 1 / sigma^2 and 1 - alpha they read per run. Every
+    geometry chain, and walks the group's runs: a run's gathers of <grad,
+    value>, one channel at a time, then its prefix sums by row
+    (``_row_scan``) and d_alpha, so a run's slots, offsets and Gaussian
+    terms are built once for all chains. The second runs the slot sums of
+    all chains in ``LANES`` groups beside the value task (the direct
+    weight * grad sums, one sparse product per run). A chain keeps only
+    its q and v over the view; every other term, the weights, offsets, d2,
+    1 / sigma^2 and 1 - alpha among them, is rebuilt per run. Every
     per-splat sum adds its slot's terms in order, as a bincount over slots
     does, so any cutting into runs and groups gives the same bits; culled
     splats keep zeros. The call peaks within
@@ -833,61 +836,57 @@ def render_backward(
             value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
             first += value_grads.shape[1]
 
-    # (flat image gradient, per-slot values, gradients) of each geometry chain
-    geometry_chains = [(grad_img.reshape(-1, values.shape[1]), values.take(proj.indices, axis=0), grads)
+    # (flat image gradient, (C, k) per-slot values, gradients) of each geometry chain
+    geometry_chains = [(grad_img.reshape(-1, values.shape[1]), values.T.take(proj.indices, axis=1), grads)
                        for grad_img, values, _, grads, geometry in chains if geometry]
     if not geometry_chains:
         value_task()
         return color_grads, feature_grads
 
     # Contributions of one pixel are contiguous, so a run of whole pixel
-    # segments expands its per-pixel rows by repeat instead of a gather.
-    # Takes gather by int64 indices, widened per block from the stored int32.
+    # segments repeats its per-pixel rows over them instead of a gather.
+    # Takes gather by int64 indices, widened per run from the stored int32.
     seg_len = np.diff(seg_start, append=len(slot))
     slot_inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
 
-    def offset(block_slot, segs, axis):
+    def offset(run_slot, segs, axis):
         # each contribution's pixel column (axis 0) or row (axis 1) minus its splat centre's
         pixel = output.seg_pix[segs]
         pixel = pixel % camera.width if axis == 0 else pixel // camera.width
-        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(block_slot))
+        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(run_slot))
 
     def squared_distance(dcol, drow, out=None):
         d2 = np.square(dcol, out=out)
         d2 += np.square(drow)
         return d2
 
+    def gather(flat_grad, value_rows, run_slot, segs, out):
+        # <image gradient, value> per contribution into ``out``, one channel
+        # at a time: the even channels' products added left to right, then
+        # the odd ones', then the two sums, as a two-lane dot product adds
+        pixel_grad, lens = flat_grad.take(output.seg_pix[segs], axis=0), seg_len[segs]
+        sums = (out, np.zeros(out.size))
+        for c in range(len(value_rows)):
+            term = np.repeat(pixel_grad[:, c], lens)
+            np.multiply(term, value_rows[c].take(run_slot), out=sums[c] if c < 2 else term)
+            if c >= 2:
+                np.add(sums[c % 2], term, out=sums[c % 2])
+        out += sums[1]
+
     def geometry_task(group):
-        # <image gradient, value> per contribution over the group's runs, in
-        # blocks of whole pixel segments, a block from the segment of every
-        # _GATHER_ROWS-th contribution of the group, so the (rows, dim)
-        # operands stay small; each row's sum is the same einsum. A block
-        # gathers the image gradient once per pixel and repeats it over the
-        # pixel's contributions. v = weight * q, the weight rebuilt per block.
-        rows = slice(group[0][0].start, group[-1][0].stop)
-        segs = slice(group[0][1].start, group[-1][1].stop)
-        bounds = np.append(seg_start[segs], rows.stop)
-        cuts = np.searchsorted(bounds[:-1], np.arange(rows.start, rows.stop, _GATHER_ROWS), side="right")
-        cuts = np.append(np.unique(cuts - 1), bounds.size - 1)
-        for first, stop in zip(cuts[:-1], cuts[1:]):
-            block = slice(bounds[first], bounds[stop])
-            block_segs = slice(segs.start + first, segs.start + stop)
-            block_slot = slot[block].astype(np.int64)
-            weight = np.multiply(alpha[block], output.trans[block])
-            for (flat_grad, slot_values, _), q, v in zip(geometry_chains, qs, vs):
-                pixel_grad = flat_grad.take(output.seg_pix[block_segs], axis=0)
-                np.einsum("ij,ij->i", np.repeat(pixel_grad, seg_len[block_segs], axis=0),
-                          slot_values.take(block_slot, axis=0), out=q[block])
-                np.multiply(weight, q[block], out=v[block])
-        # Then, run by run, d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j
-        # T_j x_j / (1 - alpha_i): the suffix is each segment's total of v =
-        # weight * q less v's cumsum by rows (``_row_scan``) from the
-        # segment's first entry, in v's rows; d_alpha goes to q's. The run's
-        # slots, 1 - alpha and Gaussian terms serve every chain.
+        # Run by run: q = <image gradient, value> (``gather``), v = weight * q,
+        # and d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 -
+        # alpha_i): the suffix is each segment's total of v less v's cumsum by
+        # rows (``_row_scan``) from the segment's first entry, in v's rows;
+        # d_alpha goes to q's. The run's slots, 1 - alpha and Gaussians serve all chains.
         for run, segs, row_bounds in group:
-            block_slot = slot[run].astype(np.int64)
+            run_slot = slot[run].astype(np.int64)
             starts = seg_start[segs] - run.start
             lens = seg_len[segs]
+            for (flat_grad, value_rows, _), q, v in zip(geometry_chains, qs, vs):
+                gather(flat_grad, value_rows, run_slot, segs, q[run])
+                np.multiply(alpha[run], output.trans[run], out=v[run])
+                v[run] *= q[run]
             one_minus_alpha = 1.0 - alpha[run]
             for q, v in zip(qs, vs):
                 suffix = v[run]
@@ -905,10 +904,10 @@ def render_backward(
             # rows, whose suffix is spent; then per chain, the first last, the
             # opacity terms, the Gaussian times d_alpha, in v's rows, and
             # d_alpha * alpha, which the offset terms share.
-            gaussian = squared_distance(offset(block_slot, segs, 0), offset(block_slot, segs, 1),
+            gaussian = squared_distance(offset(run_slot, segs, 0), offset(run_slot, segs, 1),
                                         out=vs[0][run])
             np.negative(gaussian, out=gaussian)
-            gaussian *= slot_inv_sig2.take(block_slot)
+            gaussian *= slot_inv_sig2.take(run_slot)
             gaussian /= 2.0
             np.exp(gaussian, out=gaussian)
             for q, v in zip(qs[::-1], vs[::-1]):
@@ -921,20 +920,20 @@ def render_backward(
         # terms into the slots in contribution order (``_add_at``).
         rows_read = {row for _, row in group}
         for run, segs, _ in view_runs:
-            block_slot = slot[run].astype(np.int64)
-            dcol = offset(block_slot, segs, 0) if rows_read & {1, 3} else None
-            drow = offset(block_slot, segs, 1) if rows_read & {2, 3} else None
+            run_slot = slot[run].astype(np.int64)
+            dcol = offset(run_slot, segs, 0) if rows_read & {1, 3} else None
+            drow = offset(run_slot, segs, 1) if rows_read & {2, 3} else None
             offsets = (dcol, drow, squared_distance(dcol, drow) if 3 in rows_read else None)
-            inv_sig2 = slot_inv_sig2.take(block_slot) if rows_read - {0} else None
+            inv_sig2 = slot_inv_sig2.take(run_slot) if rows_read - {0} else None
             for chain, row in group:
                 if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
                     terms = np.multiply(qs[chain][run], offsets[row - 1])
                     terms *= inv_sig2
                     if row == 3:  # the sigma sum has one more factor, 1 / sigma
-                        terms /= proj.sigma_px.take(block_slot)
+                        terms /= proj.sigma_px.take(run_slot)
                 else:
                     terms = vs[chain][run]
-                _add_at(slot_sums[chain][row], block_slot, terms)
+                _add_at(slot_sums[chain][row], run_slot, terms)
 
     # The two phases: gathers and d_alpha, then sums. Per chain: q (then
     # d_alpha * alpha), v = weight * q (scanned in place, then the opacity

@@ -1,13 +1,24 @@
 """Test-only views of the library's types: a decoder whose heads all output
-zero, one pixel's contributor list, and the sum of two gradient sets."""
+zero, one pixel's contributor list, the sum of two gradient sets, a digest
+of a model's float64 parameters and the digests of a directory's files."""
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import fields
 
 import numpy as np
 
 from igsplat.renderer import Raster, SplatGrads
-from igsplat.scene_model import HEAD_ORDER, HEAD_OUTPUT_DIMS, HIDDEN_WIDTH, DecoderParams, HeadParams
+from igsplat.scene_model import (
+    HEAD_ORDER,
+    HEAD_OUTPUT_DIMS,
+    HIDDEN_WIDTH,
+    AnchorSet,
+    DecoderParams,
+    HeadParams,
+    parameters,
+)
 
 
 def zero_decoder(embedding_dim: int, offset_range: float, base_scale: float) -> DecoderParams:
@@ -37,3 +48,23 @@ def contributors(raster: Raster, row: int, col: int) -> list:
 
 def add_grads(a: SplatGrads, b: SplatGrads) -> SplatGrads:
     return SplatGrads(**{f.name: getattr(a, f.name) + getattr(b, f.name) for f in fields(a)})
+
+
+def parameter_digest(anchors: AnchorSet, decoder: DecoderParams) -> str:
+    """sha256 of the float64 bytes of every trained tensor, in name order:
+    unlike the float32 checkpoint, it sees every bit of the parameters."""
+    digest = hashlib.sha256()
+    for name, tensor in sorted(parameters(anchors, decoder).items()):
+        digest.update(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def hash_tree(root: str) -> dict:
+    """sha256 of every file under ``root``, by its path relative to it."""
+    digests = {}
+    for base, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests

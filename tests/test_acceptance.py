@@ -5,7 +5,6 @@ Criteria 6-10 share the session-scoped ``bench`` fixture (8-object scene,
 trainings; the property criteria run on fresh random instances every time.
 """
 import dataclasses
-import hashlib
 import json
 import os
 import time
@@ -13,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import BENCH_INSTANTIATE, BENCH_NUM_CLASSES, bench_config_json
-from helpers import add_grads
+from helpers import add_grads, hash_tree
 from igsplat.association import associate_embeddings, render_instance_id_maps, semantic_assign
 from igsplat.cli import main as cli_main
 from igsplat.evaluation import instance_metrics, semantic_metrics
@@ -373,16 +372,6 @@ def test_criterion_10_open_vocabulary_path(bench):
 
 
 # --- criterion 11: bitwise determinism of the pipeline ----------------------
-
-
-def hash_tree(root):
-    digests = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(base, name)
-            rel = os.path.relpath(path, root)
-            digests[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    return digests
 
 
 def test_criterion_11_pipeline_determinism(tmp_path):

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import shutil
@@ -10,6 +9,8 @@ import pytest
 from igsplat import association, instantiation, renderer
 from igsplat.cli import main
 from igsplat.scene_model import load_checkpoint, save_checkpoint
+
+from helpers import hash_tree
 
 SMALL_CONFIG = {
     "scene": {
@@ -479,16 +480,6 @@ def test_train_past_contribution_budget_dumps_and_exits_4(tmp_path, monkeypatch,
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
-
-
-def hash_tree(root):
-    digest = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(base, name)
-            rel = os.path.relpath(path, root)
-            digest[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    return digest
 
 
 def test_pipeline_bitwise_reproducible(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import platform
 import sys
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from igsplat.errors import DataError, NumericalError
+from igsplat.errors import DataError, FormatError, NumericalError
 from igsplat import renderer
 from igsplat.oracles import (
     central_differences,
@@ -540,26 +541,6 @@ def test_fused_backward_chains_equal_single_chain_calls():
             assert getattr(feature_grads, field).any() == feature_geometry
 
 
-def test_backward_row_blocks_match_one_block(monkeypatch):
-    # the gathers' blocks of whole pixel segments, forced to one block per
-    # lane group and to a block from every 97th contribution's segment,
-    # which do not align with the runs
-    splats, cam = dense_view()
-    out = render(splats, cam)
-    assert out.slot.size > 2 * renderer._GATHER_ROWS
-    rng = np.random.default_rng(5)
-    grad_color = rng.normal(size=out.color.shape)
-    grad_feature = rng.normal(size=out.feature.shape)
-    blocked = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-    for rows in (out.slot.size, 97):
-        with monkeypatch.context() as patch:
-            patch.setattr(renderer, "_GATHER_ROWS", rows)
-            whole = render_backward(out, grad_color, grad_feature, feature_geometry=True)
-        for got, want in zip(blocked, whole):
-            for field in GRAD_FIELDS:
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (rows, field)
-
-
 def test_raster_bands_give_the_one_band_bits():
     # runs of whole rows, down to one row each: concatenated, the runs are
     # the one-run raster byte for byte, each run scanned on its own
@@ -569,7 +550,7 @@ def test_raster_bands_give_the_one_band_bits():
     for contributions in (1, 997, whole.slot.size // 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(renderer, "_SEGMENT_ROWS", contributions)
-            runs = list(raster_bands(splats, cam))
+            runs, weights = zip(*raster_bands(splats, cam))
         assert len(runs) > 1
         assert contributions > 1 or len(runs) == rows_with_pairs
         for field in ("slot", "alpha_i", "trans", "seg_pix"):
@@ -580,13 +561,16 @@ def test_raster_bands_give_the_one_band_bits():
         starts = np.concatenate([run.seg_start + first for run, first in zip(runs, firsts)])
         assert starts.tobytes() == whole.seg_start.tobytes()
         assert sum(run.alpha for run in runs).tobytes() == whole.alpha.tobytes()
+        # each run's weights are its alpha * T
+        for run, weight in zip(runs, weights):
+            assert weight.tobytes() == np.multiply(run.alpha_i, run.trans).tobytes()
         # a run holds whole rows
         assert all(run.seg_pix[0] // cam.width > prev.seg_pix[-1] // cam.width
                    for prev, run in zip(runs, runs[1:]))
     behind = SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities,
                       splats.scales, splats.features, splats.parent)
-    (empty,) = raster_bands(behind, cam)
-    assert empty.slot.size == 0 and not empty.alpha.any()
+    ((empty, weight),) = raster_bands(behind, cam)
+    assert empty.slot.size == 0 and weight.size == 0 and not empty.alpha.any()
 
 
 def test_csc_matvec_over_blocks_equals_bincount():
@@ -789,7 +773,7 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
         patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
         force_groups(patch, [0, cam.height])
         want = render(splats, cam)
-        (one_run,) = raster_bands(splats, cam)
+        ((one_run, _),) = raster_bands(splats, cam)
     for name in RASTER_FIELDS:
         assert getattr(one_run, name).dtype == getattr(want, name).dtype, name
         assert getattr(one_run, name).tobytes() == getattr(want, name).tobytes(), name
@@ -863,7 +847,7 @@ def test_pix_and_clamped_read_as_the_arrays_they_rebuild(view):
     assert out.pix.dtype == np.int32 and out.pix.size == q
     seg_len = np.diff(out.seg_start, append=q)
     assert out.pix.tobytes() == np.repeat(out.seg_pix, seg_len).astype(np.int32).tobytes()
-    assert np.concatenate([run.pix for run in raster_bands(splats, cam)]).tobytes() == out.pix.tobytes()
+    assert np.concatenate([run.pix for run, _ in raster_bands(splats, cam)]).tobytes() == out.pix.tobytes()
     proj = out.projected
     pix, slot, d2 = _build_contributions(proj.u, proj.v, proj.radius_px, cam.width, cam.height)[:3]
     assert out.pix.tobytes() == pix.astype(np.int32).tobytes()
@@ -1156,6 +1140,41 @@ def test_camera_validation():
     with pytest.raises(DataError, match="orthonormal"):
         Camera(fx=1, fy=1, cx=0, cy=0, width=4, height=4,
                rotation=bad_rot, translation=np.zeros(3))
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_CAMERAS = {
+    # case: (field, value, error): non-finite values are bad data (exit 2);
+    # a size that is not a JSON integer, or a number that is not a JSON
+    # number, is a malformed file (exit 3)
+    "fx_nan": ("fx", NAN, DataError),
+    "fy_inf": ("fy", INF, DataError),
+    "cx_minus_inf": ("cx", -INF, DataError),
+    "cy_nan": ("cy", NAN, DataError),
+    "R_nan": ("R", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, NAN], DataError),
+    "t_inf": ("t", [0.0, INF, 2.0], DataError),
+    "fx_string": ("fx", "20", FormatError),
+    "cy_bool": ("cy", False, FormatError),
+    "t_string": ("t", [0.0, "0", 2.0], FormatError),
+    "width_float": ("width", 8.7, FormatError),
+    "width_string": ("width", "8", FormatError),
+    "height_true": ("height", True, FormatError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CAMERAS))
+def test_bad_camera_file_raises_its_error(tmp_path, case):
+    field, value, error = BAD_CAMERAS[case]
+    path = str(tmp_path / "cam.json")
+    save_camera(path, identity_camera())
+    load_camera(path)
+    with open(path) as fh:
+        fields = json.load(fh)
+    fields[field] = value
+    with open(path, "w") as fh:
+        json.dump(fields, fh)
+    with pytest.raises(error):
+        load_camera(path)
 
 
 def test_camera_json_roundtrip(tmp_path):
