@@ -1,6 +1,7 @@
 """Brute-force references for the renderer's contribution builder,
-transmittances and composite, the sampler, k-means, the voxel adjacency,
-the component aggregation and the analytic gradients.
+transmittances, composite and per-splat gradient sums, the sampler,
+k-means, the voxel adjacency, the component aggregation and the analytic
+gradients.
 
 Shared by ``igsplat selftest`` and the test suite; each recomputes its
 answer in full instead of incrementally, so it checks the fast path
@@ -12,6 +13,7 @@ import numpy as np
 
 from .errors import UsageError
 from .instantiation import FEATURE_DIM, KMEANS_MAX_ITERS, KMEANS_TOL, ClusterState
+from .renderer import _row_runs
 
 
 def contributions_oracle(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
@@ -56,6 +58,25 @@ def composite_oracle(ras, values: np.ndarray) -> np.ndarray:
         for i in range(first, stop):
             image[pix] += (ras.alpha_i[i] * ras.trans[i]) * slot_values[ras.slot[i]]
     return image.reshape(h, w, -1)
+
+
+def group_slot_sums_oracle(ras, terms: np.ndarray) -> np.ndarray:
+    """The (k,) per-slot sums of the per-contribution ``terms`` over the
+    Raster ``ras``, as ``renderer.render_backward`` adds them: each lane
+    group of ``renderer._row_runs``' cutting sums its terms per slot in
+    contribution order, as a bincount does, and the groups' sums are then
+    added in row order, the first group's first."""
+    h, w = ras.alpha.shape
+    seg_len = np.diff(ras.seg_start, append=ras.slot.size)
+    before = np.concatenate(([0], np.cumsum(np.bincount(ras.seg_pix // w, weights=seg_len,
+                                                        minlength=h)))).astype(np.int64)
+    k = ras.projected.count
+    total = np.zeros(k)
+    for number, group in enumerate(_row_runs(before)):
+        entries = slice(group[0][1].start, group[-1][1].stop)
+        sums = np.bincount(ras.slot[entries], weights=terms[entries], minlength=k)
+        total = sums if number == 0 else total + sums
+    return total
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:

@@ -62,21 +62,22 @@ always reaches geometry (opacities, scales, centers); the feature chain
 reaches it only when asked (the joint phase) and otherwise stops at the
 features. Both passes split their work into tasks that write disjoint
 outputs and run them on the two threads of one persistent pool ("lanes",
-``_lanes``), one task per phase and lane group of the view's cutting,
-which ``_row_runs`` makes for both passes and the id maps: ``LANES``
-groups of about equal contribution counts, each cut into runs of whole
-pixel rows. In ``rasterize`` and ``render`` the forward is one phase: a
-lane takes its runs in turn, expands each run's spans, computes their
+``_lanes``), one task per lane group of the view's cutting, which
+``_row_runs`` makes for both passes and the id maps: ``LANES`` groups of
+about equal contribution counts, each cut into runs of whole pixel rows.
+Each pass is one phase: a lane takes its group's runs in turn. In
+``rasterize`` and ``render`` it expands each run's spans, computes their
 alphas, transmittances, weights and alpha pixels and, in ``render``, the
 run's composite while it is in cache. ``render_backward`` rebuilds the
-groups from the Raster's segments and walks them in two phases, every
-chain of a group in one task: run by run, the gathers, the scans by row
-and d_alpha, then the slot sums. It keeps only two whole-view buffers per
-geometry chain and rebuilds its other terms, the weights among them, per
-run. Both passes give the same bits on any cutting into runs and groups
-and on one lane or two. With both chains on geometry a call peaks at
-about 60 bytes per contribution above its RenderOutput, and a training
-step's render and backward together at about 83-86;
+groups from the Raster's segments and, run by run, forms every chain's
+direct sums, gathers, scans by row, d_alpha and Gaussian terms, adding
+them into its group's own per-slot partials, so no term spans the view.
+Each per-splat sum adds its group's terms in contribution order, then the
+groups in row order. The forward gives the same bits on any cutting into
+runs and groups, the backward on any cutting of its groups into runs,
+both on one lane or two. With both chains on geometry a call peaks at
+about 50 bytes per contribution above its RenderOutput, and a training
+step's render and backward together at about 73-75;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
 are the stated bounds, which the tests check.
 """
@@ -104,12 +105,14 @@ CUTOFF_SIGMAS = 3.0
 # the scans by row, 41.3-47.0.
 RASTER_BYTES_PER_CONTRIBUTION = 52
 # Memory bound of one render_backward call above its RenderOutput, in peak
-# bytes per contribution, with both chains reaching geometry on two lanes.
-BACKWARD_BYTES_PER_CONTRIBUTION = 72
+# bytes per contribution, with both chains reaching geometry on two lanes:
+# 48.2-51.0 measured on the tests' 432k-contribution view, plus 10.
+BACKWARD_BYTES_PER_CONTRIBUTION = 61
 # Memory bound of one training step, a render and a joint-phase backward of
 # its output, in peak bytes per contribution: the kept Raster's 20 bytes,
-# the backward's bound above it, and 3 for the images and per-pixel arrays;
-# 82.5-86.3 measured on the tests' 432k-contribution view.
+# the backward's former bound of 72 above it, and 3 for the images and
+# per-pixel arrays; 72.7-75.4 measured on the tests' 432k-contribution
+# view. CONTRIBUTION_BUDGET, a documented exit path, derives from it.
 STEP_BYTES_PER_CONTRIBUTION = 95
 # Contributions one view may make: 4 GiB over a training step's bound,
 # about 45.2M, 20x the ~2.2M a 128x128 view makes at init.
@@ -762,20 +765,21 @@ def render_backward(
     None comes back all zero; summing the two chains gives the gradient of
     the summed objective.
 
-    A geometry chain runs in two phases with a join between them. The
-    first runs one task per lane group of the forward's cutting
-    (``_row_runs``, rebuilt from the Raster's segments), each for every
-    geometry chain, and walks the group's runs: a run's gathers of <grad,
-    value>, one channel at a time, then its prefix sums by row
-    (``_row_scan``) and d_alpha, so a run's slots, offsets and Gaussian
-    terms are built once for all chains. The second runs the slot sums of
-    all chains in ``LANES`` groups beside the value task (the direct
-    weight * grad sums, one sparse product per run). A chain keeps only
-    its q and v over the view; every other term, the weights, offsets, d2,
-    1 / sigma^2 and 1 - alpha among them, is rebuilt per run. Every
-    per-splat sum adds its slot's terms in order, as a bincount over slots
-    does, so any cutting into runs and groups gives the same bits; culled
-    splats keep zeros. The call peaks within
+    The call is one phase: one task per lane group of the forward's
+    cutting (``_row_runs``, rebuilt from the Raster's segments), each for
+    every chain, which walks the group's runs. Per run it forms the weights
+    alpha * T once, adds every chain's direct weight * grad sums into its
+    group's (k, channels) partial, and per geometry chain gathers q =
+    <grad, value> one channel at a time, forms v = weight * q, its prefix
+    sums by row (``_row_scan``) and d_alpha; then, once for all chains, the
+    offsets, d2, 1 / sigma^2 and the Gaussian, and adds each chain's
+    opacity, u, v and sigma terms into its group's (4 * chains, k) partial.
+    No term spans the view: each is rebuilt per run. Each per-splat sum
+    adds its group's terms in contribution order, as a bincount over slots
+    does, then the groups in row order (``oracles.group_slot_sums_oracle``),
+    so any cutting of the groups into runs gives the same bits, and a
+    splat whose contributions lie in one group the bits of one group;
+    culled splats keep zeros. The call peaks within
     ``BACKWARD_BYTES_PER_CONTRIBUTION`` bytes per contribution.
 
     A contribution counts as clamped where its alpha equals ``ALPHA_MAX``
@@ -789,8 +793,7 @@ def render_backward(
     camera = output.camera
     proj = output.projected
     color_grads, feature_grads = SplatGrads.zeros(splats.count), SplatGrads.zeros(splats.count)
-    # (image gradient, per-splat values, their gradient, chain, reaches geometry);
-    # the wider feature chain first, as its tasks take longest
+    # (image gradient, per-splat values, their gradient, chain, reaches geometry)
     chains = []
     if grad_feature is not None:
         chains.append((grad_feature, splats.features, feature_grads.features, feature_grads,
@@ -801,162 +804,132 @@ def render_backward(
     if not chains or slot.size == 0:
         return color_grads, feature_grads
 
-    seg_start = output.seg_start
-    alpha = output.alpha_i
+    seg_start, seg_pix = output.seg_start, output.seg_pix
+    seg_len = np.diff(seg_start, append=slot.size)
+    alpha, trans = output.alpha_i, output.trans
     # The forward's groups of runs, as (contributions, segments, row offsets)
     # triples: the first segment of each row gives the contributions before it.
-    row_seg = np.searchsorted(output.seg_pix, np.arange(camera.height + 1) * camera.width)
-    before = np.append(seg_start, len(slot))[row_seg]
+    row_seg = np.searchsorted(seg_pix, np.arange(camera.height + 1) * camera.width)
+    before = np.append(seg_start, slot.size)[row_seg]
     groups = [[(entries, slice(row_seg[rows.start], row_seg[rows.stop]),
                 before[rows.start:rows.stop + 1] - entries.start) for rows, entries in group]
               for group in _row_runs(before)]
-    view_runs = [run for group in groups for run in group]
+    # Every chain's image gradient side by side, (pixels, channels), and per
+    # geometry chain its first channel, its (C, k) per-slot values and its
+    # gradients.
+    image_grads = np.concatenate([grad_img.reshape(-1, values.shape[1])
+                                  for grad_img, values, _, _, _ in chains], axis=1)
+    cols = np.cumsum([0] + [values.shape[1] for _, values, _, _, _ in chains])
+    geometry = [(first, values.T.take(proj.indices, axis=1), chain_grads)
+                for first, (_, values, _, chain_grads, reaches) in zip(cols, chains) if reaches]
+    inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
 
-    def value_task():
-        # The direct weight * grad sums of every chain's channels are one
-        # sparse product per run: the slots x pixels matrix of the run's
-        # weights alpha * T, whose columns hold each pixel's contributions
-        # in order, times the image gradients at those pixels side by side.
-        # csc_matvecs adds each slot's products in contribution order, run
-        # after run, as a bincount over the slots would: the same bits
-        # where the build does not fuse the multiply-add (x86-64).
-        grads = np.concatenate(
-            [grad_img.reshape(-1, value_grads.shape[1]).take(output.seg_pix, axis=0)
-             for grad_img, _, value_grads, _, _ in chains], axis=1)
-        sums = np.zeros((proj.count, grads.shape[1]))
-        weight = np.empty(max(run.stop - run.start for run, _, _ in view_runs))
-        for run, segs, _ in view_runs:
-            csc_matvecs(proj.count, segs.stop - segs.start, grads.shape[1],
-                        np.append(seg_start[segs] - run.start, run.stop - run.start).astype(slot.dtype),
-                        slot[run], np.multiply(alpha[run], output.trans[run],
-                                               out=weight[:run.stop - run.start]),
-                        grads[segs].ravel(), sums.ravel())
-        first = 0
-        for _, _, value_grads, _, _ in chains:
-            value_grads[proj.indices] = sums[:, first:first + value_grads.shape[1]]
-            first += value_grads.shape[1]
-
-    # (flat image gradient, (C, k) per-slot values, gradients) of each geometry chain
-    geometry_chains = [(grad_img.reshape(-1, values.shape[1]), values.T.take(proj.indices, axis=1), grads)
-                       for grad_img, values, _, grads, geometry in chains if geometry]
-    if not geometry_chains:
-        value_task()
-        return color_grads, feature_grads
-
-    # Contributions of one pixel are contiguous, so a run of whole pixel
-    # segments repeats its per-pixel rows over them instead of a gather.
-    # Takes gather by int64 indices, widened per run from the stored int32.
-    seg_len = np.diff(seg_start, append=len(slot))
-    slot_inv_sig2 = 1.0 / (proj.sigma_px * proj.sigma_px)
-
-    def offset(run_slot, segs, axis):
-        # each contribution's pixel column (axis 0) or row (axis 1) minus its splat centre's
-        pixel = output.seg_pix[segs]
-        pixel = pixel % camera.width if axis == 0 else pixel // camera.width
-        return np.subtract(np.repeat(pixel, seg_len[segs]), (proj.u, proj.v)[axis].take(run_slot))
-
-    def squared_distance(dcol, drow, out=None):
-        d2 = np.square(dcol, out=out)
-        d2 += np.square(drow)
-        return d2
-
-    def gather(flat_grad, value_rows, run_slot, segs, out):
-        # <image gradient, value> per contribution into ``out``, one channel
-        # at a time: the even channels' products added left to right, then
-        # the odd ones', then the two sums, as a two-lane dot product adds
-        pixel_grad, lens = flat_grad.take(output.seg_pix[segs], axis=0), seg_len[segs]
-        sums = (out, np.zeros(out.size))
-        for c in range(len(value_rows)):
-            term = np.repeat(pixel_grad[:, c], lens)
-            np.multiply(term, value_rows[c].take(run_slot), out=sums[c] if c < 2 else term)
-            if c >= 2:
-                np.add(sums[c % 2], term, out=sums[c % 2])
-        out += sums[1]
-
-    def geometry_task(group):
-        # Run by run: q = <image gradient, value> (``gather``), v = weight * q,
-        # and d(pixel)/d(alpha_i) = T_i x_i - sum_{j>i} alpha_j T_j x_j / (1 -
-        # alpha_i): the suffix is each segment's total of v less v's cumsum by
-        # rows (``_row_scan``) from the segment's first entry, in v's rows;
-        # d_alpha goes to q's. The run's slots, 1 - alpha and Gaussians serve all chains.
+    def task(group):
+        # The group's own partials: the (k, channels) direct weight * grad
+        # sums, and per geometry chain the opacity, u, v and sigma sums, one
+        # contiguous (4 * chains, k) array.
+        value_sums = np.zeros((proj.count, image_grads.shape[1]))
+        geometry_sums = np.zeros((len(geometry), 4, proj.count))
+        longest = max(run.stop - run.start for run, _, _ in group)
+        weight_rows, v_rows = np.empty(longest), np.empty(longest)
+        q_rows = [np.empty(longest) for _ in geometry]
         for run, segs, row_bounds in group:
+            n = run.stop - run.start
+            run_alpha, run_trans = alpha[run], trans[run]
+            starts, lens = seg_start[segs] - run.start, seg_len[segs]
+            weight, v = np.multiply(run_alpha, run_trans, out=weight_rows[:n]), v_rows[:n]
+            # The direct sums of every chain's channels are one sparse
+            # product: the slots x pixels matrix of the run's weights, whose
+            # columns hold each pixel's contributions in order, times the
+            # pixels' image gradients, read with the stored slots' dtype.
+            # csc_matvecs adds each slot's products in contribution order,
+            # run after run, as a bincount over the slots would: the same
+            # bits where the build does not fuse the multiply-add (x86-64).
+            pixel_grad = image_grads.take(seg_pix[segs], axis=0)
+            csc_matvecs(proj.count, starts.size, image_grads.shape[1],
+                        np.append(starts, n).astype(slot.dtype), slot[run], weight, pixel_grad.ravel(),
+                        value_sums.ravel())
+            if not geometry:
+                continue
+            # Takes gather several times faster by int64 slots.
             run_slot = slot[run].astype(np.int64)
-            starts = seg_start[segs] - run.start
-            lens = seg_len[segs]
-            for (flat_grad, value_rows, _), q, v in zip(geometry_chains, qs, vs):
-                gather(flat_grad, value_rows, run_slot, segs, q[run])
-                np.multiply(alpha[run], output.trans[run], out=v[run])
-                v[run] *= q[run]
-            one_minus_alpha = 1.0 - alpha[run]
-            for q, v in zip(qs, vs):
-                suffix = v[run]
-                totals, firsts = np.add.reduceat(suffix, starts), suffix[starts]
-                _row_scan(suffix, suffix, row_bounds)
-                suffix -= np.repeat(suffix[starts] - firsts, lens)
-                np.subtract(np.repeat(totals, lens), suffix, out=suffix)
-                suffix /= one_minus_alpha
-                d_alpha = np.multiply(q[run], output.trans[run], out=q[run])
-                d_alpha -= suffix
+            # Per geometry chain: q = <image gradient, value>, one channel at
+            # a time, the even channels' products added left to right into
+            # q, the odd ones' into v, then the two sums, as a two-lane dot
+            # product adds; v = weight * q; and d(pixel)/d(alpha_i) = T_i x_i
+            # - sum_{j>i} alpha_j T_j x_j / (1 - alpha_i): the suffix is each
+            # segment's total of v less v's cumsum by rows (``_row_scan``)
+            # from the segment's first entry. d_alpha goes to q's rows.
+            one_minus_alpha = 1.0 - run_alpha
+            clamped = run_alpha >= ALPHA_MAX
+            d_alphas = []
+            for (first, values, _), rows in zip(geometry, q_rows):
+                q = rows[:n]
+                for c in range(values.shape[0]):
+                    term = np.repeat(pixel_grad[:, first + c], lens)
+                    np.multiply(term, values[c].take(run_slot), out=(q, v)[c] if c < 2 else term)
+                    if c >= 2:
+                        np.add((q, v)[c % 2], term, out=(q, v)[c % 2])
+                q += v
+                np.multiply(weight, q, out=v)
+                totals, firsts = np.add.reduceat(v, starts), v[starts]
+                _row_scan(v, v, row_bounds)
+                v -= np.repeat(v[starts] - firsts, lens)
+                np.subtract(np.repeat(totals, lens), v, out=v)
+                v /= one_minus_alpha
+                d_alpha = np.multiply(q, run_trans, out=q)
+                d_alpha -= v
                 # Clamped alphas are constant in the parameters; with d_alpha
                 # zeroed there, every geometry term below is zero there too.
-                d_alpha[alpha[run] >= ALPHA_MAX] = 0.0
-            # The Gaussians exp(-d2 / (2 sigma^2)), in the first chain's v
-            # rows, whose suffix is spent; then per chain, the first last, the
-            # opacity terms, the Gaussian times d_alpha, in v's rows, and
-            # d_alpha * alpha, which the offset terms share.
-            gaussian = squared_distance(offset(run_slot, segs, 0), offset(run_slot, segs, 1),
-                                        out=vs[0][run])
-            np.negative(gaussian, out=gaussian)
-            gaussian *= slot_inv_sig2.take(run_slot)
+                d_alpha[clamped] = 0.0
+                d_alphas.append(d_alpha)
+            # Once for all chains: each contribution's pixel column and row
+            # minus its splat centre's, d2, 1 / sigma^2 and the Gaussian
+            # exp(-d2 / (2 sigma^2)). Then per chain, into its rows in
+            # contribution order (``_add_at``): the opacity terms, the
+            # Gaussian times d_alpha, and d_alpha * alpha * (offset, offset,
+            # d2) / sigma^2, the sigma terms once more over sigma.
+            pixel = seg_pix[segs]
+            dcol = np.subtract(np.repeat(pixel % camera.width, lens), proj.u.take(run_slot))
+            drow = np.subtract(np.repeat(pixel // camera.width, lens), proj.v.take(run_slot))
+            d2 = np.square(dcol)
+            d2 += np.square(drow)
+            inv = inv_sig2.take(run_slot)
+            gaussian = np.negative(d2)
+            gaussian *= inv
             gaussian /= 2.0
             np.exp(gaussian, out=gaussian)
-            for q, v in zip(qs[::-1], vs[::-1]):
-                np.multiply(gaussian, q[run], out=v[run])
-                np.multiply(q[run], alpha[run], out=q[run])
+            sigma = proj.sigma_px.take(run_slot)
+            for chain_sums, d_alpha in zip(geometry_sums, d_alphas):
+                _add_at(chain_sums[0], run_slot, np.multiply(gaussian, d_alpha, out=v))
+                d_alpha *= run_alpha
+                for sums, offset in zip(chain_sums[1:], (dcol, drow, d2)):
+                    terms = np.multiply(d_alpha, offset, out=v)
+                    terms *= inv
+                    if offset is d2:
+                        terms /= sigma
+                    _add_at(sums, run_slot, terms)
+        return value_sums, geometry_sums
 
-    def sums_task(group):
-        # The opacity, u, v and sigma sums (rows 0-3) of (chain, row) pairs;
-        # each run rebuilds only the offsets its rows read, and adds its
-        # terms into the slots in contribution order (``_add_at``).
-        rows_read = {row for _, row in group}
-        for run, segs, _ in view_runs:
-            run_slot = slot[run].astype(np.int64)
-            dcol = offset(run_slot, segs, 0) if rows_read & {1, 3} else None
-            drow = offset(run_slot, segs, 1) if rows_read & {2, 3} else None
-            offsets = (dcol, drow, squared_distance(dcol, drow) if 3 in rows_read else None)
-            inv_sig2 = slot_inv_sig2.take(run_slot) if rows_read - {0} else None
-            for chain, row in group:
-                if row:  # u, v and sigma: d_alpha * alpha * offset / sigma^2
-                    terms = np.multiply(qs[chain][run], offsets[row - 1])
-                    terms *= inv_sig2
-                    if row == 3:  # the sigma sum has one more factor, 1 / sigma
-                        terms /= proj.sigma_px.take(run_slot)
-                else:
-                    terms = vs[chain][run]
-                _add_at(slot_sums[chain][row], run_slot, terms)
-
-    # The two phases: gathers and d_alpha, then sums. Per chain: q (then
-    # d_alpha * alpha), v = weight * q (scanned in place, then the opacity
-    # terms), and the slot sums.
-    qs, vs = ([np.empty(len(slot)) for _ in geometry_chains] for _ in range(2))
-    slot_sums = [np.zeros((4, proj.count)) for _ in geometry_chains]
-    _lanes([partial(geometry_task, group) for group in groups])
-    # The 4 slot sums of every geometry chain, in LANES contiguous groups:
-    # one chain each in the joint step, two sums each for a lone chain.
-    pairs = [(chain, row) for chain in range(len(geometry_chains)) for row in range(4)]
-    _lanes([partial(sums_task, pairs[i * len(pairs) // LANES:(i + 1) * len(pairs) // LANES])
-            for i in range(LANES)] + [value_task])
+    # One task per lane group; the groups' partials are then added in row order.
+    parts = _lanes([partial(task, group) for group in groups])
+    value_sums, geometry_sums = parts[0]
+    for value_part, geometry_part in parts[1:]:
+        value_sums += value_part
+        geometry_sums += geometry_part
+    for first, stop, (_, _, value_grads, _, _) in zip(cols[:-1], cols[1:], chains):
+        value_grads[proj.indices] = value_sums[:, first:stop]
 
     x, y, z = proj.cam_points[:, 0], proj.cam_points[:, 1], proj.cam_points[:, 2]
     fx, fy = camera.fx, camera.fy
     scale_kept = splats.scales[proj.indices]
-    for (_, _, grads), (opacity_s, du_s, dv_s, dsig_s) in zip(geometry_chains, slot_sums):
-        grads.opacities[proj.indices] = opacity_s
+    for (_, _, chain_grads), (opacity_s, du_s, dv_s, dsig_s) in zip(geometry, geometry_sums):
+        chain_grads.opacities[proj.indices] = opacity_s
         dx = du_s * fx / z
         dy = dv_s * fy / z
         dz = -(du_s * fx * x + dv_s * fy * y + dsig_s * scale_kept * fx) / (z * z)
-        grads.scales[proj.indices] = dsig_s * fx / z
-        grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
+        chain_grads.scales[proj.indices] = dsig_s * fx / z
+        chain_grads.centers[proj.indices] = np.stack([dx, dy, dz], axis=1) @ camera.rotation
     return color_grads, feature_grads
 
 

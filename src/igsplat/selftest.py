@@ -5,11 +5,13 @@ renderer's contribution list against a dense scan, its transmittances
 against a per-pixel product, its color and feature composite against a
 per-pixel sum in depth order, render and decode gradient agreement with
 finite differences, the backward's runs of rows against the default runs,
+its per-splat value sums against per-group sums in contribution order,
 loss identities, sampler and clustering invariants, and voxel-adjacency
 and component-aggregation correctness on random graphs.
 """
 from __future__ import annotations
 
+import platform
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from .oracles import (
     contributions_oracle,
     dfs_components,
     fps_oracle,
+    group_slot_sums_oracle,
     lloyd_oracle,
     transmittance_oracle,
     voxel_adjacency,
@@ -206,11 +209,8 @@ def _check_decode_gradients(rng) -> None:
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"{name} grad {an} vs fd {fd}"
 
 
-def _check_backward_runs(rng) -> None:
-    # 60 splats crowding a 12x10 view; the backward in runs of one row, and
-    # in runs of a size that starts one at the row of its most crowded
-    # pixel off the lane groups' first rows, must give the bytes of the
-    # default runs, on every mode
+def _crowded_output(rng):
+    # 60 splats crowding a 12x10 view: pixels of two dozen contributors
     n = 60
     centers = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
                                rng.uniform(0.0, 1.0, n)])
@@ -220,8 +220,18 @@ def _check_backward_runs(rng) -> None:
     camera = Camera(fx=12.0, fy=12.0, cx=5.5, cy=4.5, width=12, height=10,
                     rotation=np.eye(3), translation=np.array([0.0, 0.0, 2.0]))
     out = render(splats, camera)
+    assert np.diff(out.seg_start, append=out.slot.size).max() >= 24, "view not crowded"
+    return out
+
+
+def _check_backward_runs(rng) -> None:
+    # the crowded view's backward in runs of one row, and in runs of a size
+    # that starts one at the row of its most crowded pixel off the lane
+    # groups' first rows, must give the bytes of the default runs, on every
+    # mode
+    out = _crowded_output(rng)
+    splats, camera = out.splats, out.camera
     seg_len = np.diff(out.seg_start, append=out.slot.size)
-    assert seg_len.max() >= 24, "view not crowded"
     # the contributions before each row, and the run size that counts from
     # the first row of the crowded row's group to that row
     seg_row = out.seg_pix // camera.width
@@ -245,6 +255,34 @@ def _check_backward_runs(rng) -> None:
                         f"{name} differs between the default runs and {split_by}"
 
 
+def _check_backward_groups(rng) -> None:
+    # the crowded view's direct weight * grad sums against each lane
+    # group's sums in contribution order, added in row order: the same
+    # bytes where the build does not fuse the multiply-add (x86-64), else
+    # within the recursive-summation bound 2 (n + 1) eps sum |terms|
+    out = _crowded_output(rng)
+    grad_color, grad_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
+    chains = render_backward(out, grad_color, grad_feature)
+    pixels = np.repeat(out.seg_pix, np.diff(out.seg_start, append=out.slot.size))
+    before = np.append(out.seg_start, out.slot.size)[
+        np.searchsorted(out.seg_pix, np.arange(out.camera.height + 1) * out.camera.width)]
+    groups = [set(out.slot[group[0][1].start:group[-1][1].stop].tolist())
+              for group in renderer._row_runs(before)]
+    assert len(groups) == renderer.LANES and set.intersection(*groups), "no splat straddles the groups"
+    terms_per_slot = np.bincount(out.slot, minlength=out.projected.count)
+    for grads, field, grad_img in zip(chains, ("colors", "features"), (grad_color, grad_feature)):
+        flat = grad_img.reshape(-1, grad_img.shape[2])
+        got = getattr(grads, field)[out.projected.indices]
+        for ch in range(flat.shape[1]):
+            terms = out.alpha_i * out.trans * flat[pixels, ch]
+            want = group_slot_sums_oracle(out, terms)
+            if platform.machine() in ("x86_64", "AMD64"):
+                assert got[:, ch].tobytes() == want.tobytes(), f"{field} differ from the group sums"
+            scale = np.bincount(out.slot, weights=np.abs(terms), minlength=out.projected.count)
+            bound = 2 * (terms_per_slot + 1) * np.finfo(float).eps * scale
+            assert (np.abs(got[:, ch] - want) <= bound).all(), f"{field} beyond the summation bound"
+
+
 def _check_rgb() -> None:
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(6, 6, 3))
@@ -264,6 +302,7 @@ CHECKS = [
     ("rgb_loss", lambda rng: _check_rgb()),
     ("transmittance_vs_oracle", _check_transmittance),
     ("composite_vs_oracle", _check_composite),
+    ("backward_groups_vs_oracle", _check_backward_groups),
 ]
 
 

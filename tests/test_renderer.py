@@ -14,6 +14,7 @@ from igsplat.oracles import (
     central_differences,
     composite_oracle,
     contributions_oracle,
+    group_slot_sums_oracle,
     relative_errors,
     transmittance_oracle,
 )
@@ -596,6 +597,21 @@ def test_csc_matvec_over_blocks_equals_bincount():
     assert want[3] == 0.0 and not np.signbit(want[3]) and want[49] == 0.0
 
 
+def straddling_splats(out):
+    """(n,) bool: the splats whose contributions lie in more than one lane
+    group of the view's cutting (``_row_runs``)."""
+    before = np.append(out.seg_start, out.slot.size)[
+        np.searchsorted(out.seg_pix, np.arange(out.camera.height + 1) * out.camera.width)]
+    starts = [group[0][1].start for group in renderer._row_runs(before)]
+    group = np.searchsorted(starts, np.arange(out.slot.size), side="right") - 1
+    first, last = np.full(out.projected.count, len(starts)), np.full(out.projected.count, -1)
+    np.minimum.at(first, out.slot, group)
+    np.maximum.at(last, out.slot, group)
+    straddles = np.zeros(out.splats.count, dtype=bool)
+    straddles[out.projected.indices] = first < last
+    return straddles
+
+
 def assert_same_grads(got, want):
     for field in GRAD_FIELDS:
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -621,12 +637,14 @@ def test_lanes_keep_each_chain_bits(dense_output, feature_geometry):
 
 
 def test_value_grads_equal_bincount_over_slots(dense_output):
-    # The direct weight * grad sums add each slot's contributions in
-    # contribution order, as a per-channel bincount does: the same bits on
+    # The direct weight * grad sums add each lane group's terms per slot in
+    # contribution order, as a per-channel bincount does, then the groups
+    # in row order (``oracles.group_slot_sums_oracle``): the same bits on
     # x86-64, whose scipy builds do not fuse the multiply-add. Where a build
     # fuses it, each product skips one rounding, so the sums stay within
     # the recursive-summation bound 2 (n + 1) eps sum |terms| of n terms.
     out, grad_color, grad_feature = dense_output
+    assert straddling_splats(out).any()
     chains = render_backward(out, grad_color, grad_feature)
     terms_per_slot = np.zeros(out.splats.count)
     terms_per_slot[out.projected.indices] = np.bincount(out.slot, minlength=out.projected.count)
@@ -636,8 +654,7 @@ def test_value_grads_equal_bincount_over_slots(dense_output):
         want, scale = np.zeros_like(getattr(grads, field)), np.zeros_like(getattr(grads, field))
         for ch in range(flat.shape[1]):
             terms = out.alpha_i * out.trans * flat[pixels, ch]
-            want[out.projected.indices, ch] = np.bincount(out.slot, weights=terms,
-                                                          minlength=out.projected.count)
+            want[out.projected.indices, ch] = group_slot_sums_oracle(out, terms)
             scale[out.projected.indices, ch] = np.bincount(out.slot, weights=np.abs(terms),
                                                            minlength=out.projected.count)
         got = getattr(grads, field)
@@ -869,10 +886,19 @@ def backward(out, grad_color, grad_feature, mode):
     return render_backward(out, grad_color, grad_feature, feature_geometry=mode == "joint")
 
 
-def assert_same_bytes(got_chains, want_chains):
+def assert_same_bytes(got_chains, want_chains, straddles=None):
+    """Every gradient field byte for byte; with ``straddles``, an (n,) bool,
+    only off those splats, whose sums add the lane groups' partials and so
+    stay within 1e-14 of the field's largest entry."""
     for got, want in zip(got_chains, want_chains):
         for field in GRAD_FIELDS:
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            got_field, want_field = getattr(got, field), getattr(want, field)
+            if straddles is None:
+                assert got_field.tobytes() == want_field.tobytes(), field
+                continue
+            assert got_field[~straddles].tobytes() == want_field[~straddles].tobytes(), field
+            bound = 1e-14 * np.abs(want_field).max()
+            assert (np.abs(got_field - want_field)[straddles] <= bound).all(), field
 
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
@@ -880,7 +906,8 @@ def assert_same_bytes(got_chains, want_chains):
 def test_backward_runs_and_lanes_give_one_run_bits(monkeypatch, view, mode):
     # the backward in runs of one row, of about 97 contributions, of the
     # default size and of whole groups, on one core and on two, against the
-    # view as one run on one core
+    # default LANES groups at the default run size on one core: each group
+    # sums its runs in contribution order, so the runs move no bit
     splats, cam = FORWARD_VIEWS.get(view, pixel_view)()
     out = render(splats, cam)
     assert view != "pixel" or (out.seg_start.size == 1 and out.slot.size >= 10)
@@ -888,7 +915,6 @@ def test_backward_runs_and_lanes_give_one_run_bits(monkeypatch, view, mode):
     grad_color, grad_feature = rng.normal(size=out.color.shape), rng.normal(size=out.feature.shape)
     with monkeypatch.context() as patch:
         patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
-        force_groups(patch, [0, cam.height])
         want = backward(out, grad_color, grad_feature, mode)
     assert want[0].centers.any() == (view != "culled")
     for rows in (1, 97, renderer._SEGMENT_ROWS, 1 << 40):
@@ -905,7 +931,9 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
     # lane groups forced where ``_row_runs`` does not cut, against one
     # group: a first group of the first one or two rows with contributions,
     # a second group from the row of a pixel of >= 40 contributors, a last
-    # group of the last one or two rows, and five groups on two lanes
+    # group of the last one or two rows, and five groups on two lanes. A
+    # splat whose contributions all lie in one group keeps the one-group
+    # bytes; the sums of one that straddles add the groups' partials.
     out, grad_color, grad_feature = crowded_output
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     h, w = out.camera.height, out.camera.width
@@ -921,15 +949,16 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
     force_groups(monkeypatch, cuts)
     assert len(renderer._row_runs(np.append(out.seg_start, out.slot.size)[
         np.searchsorted(out.seg_pix, np.arange(h + 1) * w)])) == len(cuts) - 1
-    assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_group)
+    straddles = straddling_splats(out)
+    assert straddles.any() and not straddles.all()
+    assert_same_bytes(backward(out, grad_color, grad_feature, mode), one_group, straddles)
     assert one_group[0].centers.any()
 
 
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
 def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
-    # the backward walks the forward's lane groups: its first phase, the
-    # gathers and d_alpha, runs one task per group the forward ran, and one
-    # usable core gives the bits of two
+    # the backward walks the forward's lane groups in one phase, one task
+    # per group the forward ran, and one usable core gives the bits of two
     out, grad_color, grad_feature = crowded_output
     tasks = count_lane_tasks(monkeypatch)
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -938,9 +967,7 @@ def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
     assert tasks == [renderer.LANES]
     tasks.clear()
     two_cores = backward(out, grad_color, grad_feature, mode)
-    # the gathers and d_alpha of every geometry chain, then the LANES
-    # groups of slot sums beside the value task
-    assert tasks == [groups, renderer.LANES + 1]
+    assert tasks == [groups]
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
     assert_same_bytes(backward(out, grad_color, grad_feature, mode), two_cores)
 
@@ -948,12 +975,13 @@ def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
 def test_concurrent_callers_in_bands_give_one_band_bits(crowded_output, monkeypatch):
     # four callers at once, each running three backwards in runs of one row
     # on the two lanes, with thread switches forced often: no task waits on
-    # another, so every caller finishes, each with the bits of one run
+    # another, so every caller finishes, each with the bits of the default
+    # groups and runs on one core
     out, grad_color, grad_feature = crowded_output
-    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with monkeypatch.context() as patch:
-        force_groups(patch, [0, out.camera.height])
+        patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
         one_run = {mode: backward(out, grad_color, grad_feature, mode) for mode in BACKWARD_MODES}
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(renderer, "_SEGMENT_ROWS", 1)
     results = []
 
