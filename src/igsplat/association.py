@@ -15,7 +15,8 @@ self-contained: its transmittances scan its own rows only, and a pixel's
 votes all fall in its run. A run's votes weigh its contributions by the
 alpha * T that ``raster_bands`` formed beside its raster. So a view in
 flight holds one run's raster, weights and (pixel, instance) score table
-beside its (splat, row) span records, whatever the view's size. The maps
+beside the (splat, row) span records of one of the view's row ranges,
+whatever the view's size. The maps
 come back in view order, so the accumulation, and every artifact, is the
 same as a sequential run.
 """

@@ -17,10 +17,12 @@ backward results are reproducible bit for bit.
 
 The forward pass is two steps. ``rasterize`` enumerates the (splat, pixel)
 contributions one row span per (splat, row) of the cutoff disk, with the
-spans in (row, depth) order. The (pixel, depth) order it needs is the
-transpose of that spans x pixels matrix, which one stable counting pass
-(scipy's CSR-to-CSC conversion) builds in O(contributions + pixels); its
-column pointers are the per-pixel segments. It then yields alpha,
+spans in (row, depth) order; a span record is formed from its splat and
+row alone, so a range of rows has the whole image's records of those
+rows. The (pixel, depth) order it needs is the transpose of that spans x
+pixels matrix, which one stable counting pass (scipy's CSR-to-CSC
+conversion) builds in O(contributions + pixels); its column pointers are
+the per-pixel segments. It then yields alpha,
 transmittance and the alpha image. A pixel's transmittances are its own
 product of (1 - alpha), so their log scan restarts at every image row
 (``_row_scan``) and a run of whole rows reads nothing outside itself.
@@ -65,17 +67,25 @@ outputs and run them on the two threads of one persistent pool ("lanes",
 ``_lanes``), one task per lane group of the view's cutting, which
 ``_row_runs`` makes for both passes and the id maps: ``LANES`` groups of
 about equal contribution counts, each cut into runs of whole pixel rows.
-Each pass is one phase: a lane takes its group's runs in turn. In
-``rasterize`` and ``render`` it expands each run's spans, computes their
-alphas, transmittances, weights and alpha pixels and, in ``render``, the
-run's composite while it is in cache. ``render_backward`` rebuilds the
+The forward is two phases. In the first, each of ``LANES`` row ranges of
+about equal estimated counts (``_record_rows``) is one task, which builds
+the range's span records. After the join the view's counts before each
+row give the budget check, the Raster and the groups, whose runs are
+also cut where the ranges meet. In the second, a lane takes its group's
+runs in turn: in ``rasterize`` and ``render`` it expands each run's
+spans, computes their alphas, transmittances, weights and alpha pixels
+and, in ``render``, the run's composite while it is in cache. The id maps
+(``raster_bands``) build one range's records at a time, on the calling
+thread, and free them after its last run. The backward is one phase,
+which takes its group's runs in turn: ``render_backward`` rebuilds the
 groups from the Raster's segments and, run by run, forms every chain's
 direct sums, gathers, scans by row, d_alpha and Gaussian terms, adding
 them into its group's own per-slot partials, so no term spans the view.
 Each per-splat sum adds its group's terms in contribution order, then the
 groups in row order. The forward gives the same bits on any cutting into
-runs and groups, the backward on any cutting of its groups into runs,
-both on one lane or two. With both chains on geometry a call peaks at
+row ranges, runs and groups, the backward on any cutting of its groups
+into runs, both on one lane or two. With both chains on geometry a call
+peaks at
 about 50 bytes per contribution above its RenderOutput, and a training
 step's render and backward together at about 73-75;
 ``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
@@ -86,6 +96,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -329,33 +340,91 @@ def _transpose(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, column
     return out_data, out_indices, out_indptr
 
 
-def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
-    """The row spans of the (disk, pixel) pairs inside disks of centre
-    (u, v) and radius r on a w x h image, the arrays indexed by slot in
-    depth order: one record per (disk, row) of the disk's image-clipped box,
-    in (row, depth order).
+def _boxes(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
+    """The image-clipped boxes of disks of centre (u, v) and radius r on a
+    w x h image: (x0, x1, y0, y1), each box's first and last column and
+    row as floats. Clipped in float before any int cast, so an infinite
+    radius spans the image and a NaN radius gives a box no comparison
+    finds non-empty."""
+    return (np.maximum(np.ceil(u - r), 0.0), np.minimum(np.floor(u + r), w - 1.0),
+            np.maximum(np.ceil(v - r), 0.0), np.minimum(np.floor(v + r), h - 1.0))
+
+
+def _group_bounds(before: np.ndarray) -> np.ndarray:
+    """The ``LANES`` + 1 row bounds of ``LANES`` groups of rows of about
+    equal counts, from ``before``, the (h + 1,) count before each row: a
+    group starts at the row boundary nearest its share of the total."""
+    shares = int(before[-1]) * np.arange(LANES) // LANES
+    return np.append(np.searchsorted(before[:-1] + before[1:], 2 * shares, side="right"),
+                     before.size - 1)
+
+
+def _record_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int) -> list:
+    """The row ranges whose ``_span_records`` the forward builds one lane
+    task each, as slices: the non-empty ``_group_bounds`` of a per-row
+    estimate that counts each disk's clipped box width on each row of its
+    box, at least its kept columns there. A view whose estimate passes
+    ``CONTRIBUTION_BUDGET`` is one range: ``raster_bands`` builds one range
+    after another, and so checks the whole view's count before it
+    rasterizes a run, and a view within the estimate is within the budget.
+    """
+    x0, x1, y0, y1 = _boxes(u, v, r, w, h)
+    box = np.flatnonzero((x1 >= x0) & (y1 >= y0))  # NaN compares False
+    width = x1[box] - x0[box] + 1.0
+    # each box's width from its first row on, less from the row past its last
+    steps = np.bincount(y0[box].astype(np.int64), weights=width, minlength=h + 1)
+    steps -= np.bincount(y1[box].astype(np.int64) + 1, weights=width, minlength=h + 1)
+    # integers far below 2^53, so the float sums are exact
+    before = np.concatenate(([0], np.cumsum(np.cumsum(steps[:h])))).astype(np.int64)
+    if before[-1] > CONTRIBUTION_BUDGET:
+        return [slice(0, h)]
+    bounds = _group_bounds(before).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int, rows: slice):
+    """The row spans of the (disk, pixel) pairs on the image ``rows`` inside
+    disks of centre (u, v) and radius r on a w x h image, the arrays
+    indexed by slot in depth order: one record per (disk, row) of the
+    disk's image-clipped box within ``rows``, in (row, depth order).
 
     Returns (rec_slot, row_ptr, lo, counts, u_rec, dv2): each record's
-    slot, the (h + 1,) record offsets of the rows, and per record its first
-    kept column (float), kept column count, centre column and dv*dv.
-    None when no pair exists. Raises ContributionBudgetError past
-    ``CONTRIBUTION_BUDGET`` pairs, before any per-pair array exists.
+    slot, the (h + 1,) record offsets of the image rows (rows outside
+    ``rows`` hold none), and per record its first kept column (float),
+    kept column count, centre column and dv*dv. None when no pair exists.
+    Every record is formed from its own disk and row alone, so the records
+    of any row range are byte for byte the whole image's records of those
+    rows; the caller checks the budget on their counts
+    (``_counts_before``).
 
     The expansion runs over row spans, not bounding boxes: one record per
-    (splat, row) of the splat's image-clipped box carries dv*dv and the
-    columns within the half-chord sqrt(r*r - dv*dv) of the centre, widened
-    by one column (plus 2^-24 r for the rounding of r*r - dv*dv at huge
-    radii). Box and span are clipped in float before the int cast, so an
-    infinite radius spans whole rows and a NaN radius spans none. Each span
-    is then shrunk, end by end, to the columns that pass the exact test
-    du*du + dv*dv <= r*r: under round-to-nearest the rounded test is
-    monotone in |col - u|, so those columns are one interval. The kept
-    pairs and the bits of d2 equal those of a scan over the whole box.
+    (splat, row) of the splat's image-clipped box carries dv*dv and a first
+    span, the columns within s + m of the centre, s = sqrt(r*r - dv*dv) as
+    computed and m = r 2^-24 + 2^-40, a margin below one column for radii
+    below 2^23 px. The span holds every column the rounded test du*du +
+    dv*dv <= r*r keeps. Take eps = 2^-53 and rr, dv2 the computed r*r and
+    dv*dv, which test and span share. The test's two roundings each scale
+    a value by a factor within 1 +- eps, so a kept column's computed du =
+    col - u has du*du <= max(rr - dv2, 0) + 2.01 eps rr. So |du| exceeds
+    the exact root of max(rr - dv2, 0) by at most sqrt(2.01 eps) r (1 +
+    eps) < 2^-25.99 r; that root exceeds s by at most 2.01 eps s, and the
+    exact |col - u| exceeds |du| by at most eps |du|. With s <= r (1 + 2
+    eps), |col - u| < s + 2^-25.98 r, which s + m, rounded, still exceeds
+    by over half its r 2^-24. Rounding is monotone and a column is an exact
+    float, so u -+ (s + m), rounded, still lies beyond every kept column.
+    The 2^-40 term covers the absolute error, below 2^-537, of a subnormal
+    square, where the relative bounds fail. An infinite rr spans the whole
+    box. Box and span are clipped in float before the int cast, so an
+    infinite radius spans whole rows and a NaN radius spans none. Each
+    span is then shrunk, end by end, to the columns that pass the exact
+    test (``_shrink_ends``), which moves almost no end: under
+    round-to-nearest the rounded test is monotone in |col - u|, so those
+    columns are one interval. The kept pairs and the bits of d2 equal
+    those of a scan over the whole box.
     """
-    x0 = np.maximum(np.ceil(u - r), 0.0)
-    x1 = np.minimum(np.floor(u + r), w - 1.0)
-    y0 = np.maximum(np.ceil(v - r), 0.0)
-    y1 = np.minimum(np.floor(v + r), h - 1.0)
+    x0, x1, y0, y1 = _boxes(u, v, r, w, h)
+    y0 = np.maximum(y0, float(rows.start))
+    y1 = np.minimum(y1, rows.stop - 1.0)
     slots = np.flatnonzero((x1 >= x0) & (y1 >= y0))  # NaN compares False
     if slots.size == 0:
         return None
@@ -364,23 +433,36 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
     first_row = y0[slots].astype(np.int64)
     heights = y1[slots].astype(np.int64) - first_row + 1
     ends = np.cumsum(heights)
-    rows = np.arange(ends[-1], dtype=np.int64) + np.repeat(first_row - (ends - heights), heights)
-    rec_slot, _, row_ptr = _transpose(np.repeat(slots, heights), rows,
+    rec_rows = np.arange(ends[-1], dtype=np.int64) + np.repeat(first_row - (ends - heights), heights)
+    rec_slot, _, row_ptr = _transpose(np.repeat(slots, heights), rec_rows,
                                       np.concatenate(([0], ends)), h)
-    row = np.repeat(np.arange(h, dtype=np.int64), np.diff(row_ptr))
-    del first_row, heights, ends, rows
-    dv = row - v[rec_slot]
-    del row
-    dv2 = dv * dv
-    r_rec = r[rec_slot]
+    del first_row, heights, ends, rec_rows
+    # Takes gather several times faster than fancy indexing by int64 slots.
+    # dv = row - v, the int row converted to float exactly.
+    dv2 = np.repeat(np.arange(h, dtype=np.float64), np.diff(row_ptr))
+    dv2 -= v.take(rec_slot)
+    dv2 *= dv2
+    r_rec = r.take(rec_slot)
     rr = r_rec * r_rec
-    half = np.sqrt(np.maximum(rr - dv2, 0.0)) + (1.0 + r_rec * 2.0**-24)
-    u_rec = u[rec_slot]
-    lo = np.maximum(np.ceil(u_rec - half), x0[rec_slot])
-    hi = np.minimum(np.floor(u_rec + half), x1[rec_slot])
-    del dv, r_rec, half
-    # Each end moves inward while its column fails the test, at most the
-    # widening; a span with no kept column ends with lo > hi.
+    half = np.maximum(rr - dv2, 0.0)
+    np.sqrt(half, out=half)
+    half += (r * 2.0**-24 + 2.0**-40).take(rec_slot)
+    u_rec = u.take(rec_slot)
+    lo = np.maximum(np.ceil(u_rec - half), x0.take(rec_slot))
+    hi = np.minimum(np.floor(u_rec + half), x1.take(rec_slot))
+    del r_rec, half
+    _shrink_ends(lo, hi, u_rec, dv2, rr)
+    counts = np.where(hi >= lo, hi - lo + 1.0, 0.0).astype(np.int64)
+    if not counts.any():
+        return None
+    return rec_slot, row_ptr, lo, counts, u_rec, dv2
+
+
+def _shrink_ends(lo: np.ndarray, hi: np.ndarray, u_rec: np.ndarray, dv2: np.ndarray,
+                 rr: np.ndarray) -> None:
+    """Move each span's ends [lo, hi] inward, in place, while the end's
+    column fails the test du*du + dv2 <= rr, at most the first span's
+    margin; a span with no kept column ends with lo > hi."""
     for end, step in ((lo, 1.0), (hi, -1.0)):
         du = end - u_rec
         at = np.flatnonzero(~(du * du + dv2 <= rr) & (hi >= lo))
@@ -389,17 +471,25 @@ def _span_records(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int):
             at = at[hi[at] >= lo[at]]
             du = end[at] - u_rec[at]
             at = at[~(du * du + dv2[at] <= rr[at])]
-    counts = np.where(hi >= lo, hi - lo + 1.0, 0.0).astype(np.int64)
-    total = int(counts.sum())
+
+
+def _counts_before(record_sets: list, w: int, h: int) -> np.ndarray:
+    """The (h + 1,) count of contributions before each row over the
+    ``_span_records`` of ``record_sets`` (None for a set without any).
+    Raises ContributionBudgetError past ``CONTRIBUTION_BUDGET``
+    contributions, before any per-contribution array exists."""
+    before = np.zeros(h + 1, dtype=np.int64)
+    for records in record_sets:
+        if records is not None:
+            before += np.concatenate(([0], np.cumsum(records[3])))[records[1]]
+    total = int(before[-1])
     if total > CONTRIBUTION_BUDGET:
         raise ContributionBudgetError(
             f"a {w}x{h} view makes {total} contributions, over the budget of "
             f"{CONTRIBUTION_BUDGET}; the splat scales may have exploded",
             total, CONTRIBUTION_BUDGET,
         )
-    if total == 0:
-        return None
-    return rec_slot, row_ptr, lo, counts, u_rec, dv2
+    return before
 
 
 def _expand_spans(records: tuple, rows: slice, w: int, slot: np.ndarray, d2: np.ndarray,
@@ -467,50 +557,45 @@ def _build_contributions(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h:
     (``_expand_spans``), the int64 pixels repeated from the segments, or
     None when no pair exists.
     """
-    records = _span_records(u, v, r, w, h)
-    if records is None:
+    records = _span_records(u, v, r, w, h, slice(0, h))
+    total = int(_counts_before([records], w, h)[-1])
+    if total == 0:
         return None
-    total = int(records[3].sum())
     slot, d2 = np.empty(total, dtype=np.int64), np.empty(total)
     seg_start, seg_pix = _expand_spans(records, slice(0, h), w, slot, d2, np.empty(total))
     return np.repeat(seg_pix, np.diff(seg_start, append=total)), slot, d2, seg_start, seg_pix
 
 
-def _row_runs(before: np.ndarray) -> list:
+def _row_runs(before: np.ndarray, cuts=()) -> list:
     """How every pass cuts a view, from ``before``, the (h + 1,) count of
     contributions before each row: ``LANES`` groups of rows of about equal
-    contribution counts, each cut into runs of whole rows of about
-    ``_SEGMENT_ROWS`` contributions that start at rows with contributions.
-    Returns the non-empty groups in row order, as lists of (rows, entries)
-    slice pairs; ``entries`` number the view's contributions."""
-    # A group starts at the row boundary nearest its share of the view, a
-    # run at the row of every _SEGMENT_ROWS-th contribution of its group.
-    shares = int(before[-1]) * np.arange(LANES) // LANES
-    bounds = np.append(np.searchsorted(before[:-1] + before[1:], 2 * shares, side="right"),
-                       before.size - 1)
+    contribution counts (``_group_bounds``), each cut into runs of whole
+    rows of about ``_SEGMENT_ROWS`` contributions that start at rows with
+    contributions and at the rows ``cuts``. Returns the non-empty groups
+    in row order, as lists of their non-empty (rows, entries) slice pairs;
+    ``entries`` number the view's contributions."""
+    # A run starts at the row of every _SEGMENT_ROWS-th contribution of its
+    # group and at each cut within the group.
+    bounds = _group_bounds(before)
+    cuts = np.asarray(cuts, dtype=np.int64)
     groups = []
     for first, stop in zip(bounds[:-1], bounds[1:]):
         if before[stop] > before[first]:
             rows = np.searchsorted(before, np.arange(before[first], before[stop], _SEGMENT_ROWS),
                                    side="right") - 1
-            cuts = np.append(np.unique(rows), stop)
-            groups.append([(slice(int(a), int(b)), slice(int(before[a]), int(before[b])))
-                           for a, b in zip(cuts[:-1], cuts[1:])])
+            edges = np.append(np.union1d(rows, cuts[(cuts > rows[0]) & (cuts < stop)]), stop).tolist()
+            groups.append([(slice(a, b), slice(int(before[a]), int(before[b])))
+                           for a, b in zip(edges[:-1], edges[1:]) if before[b] > before[a]])
     return groups
 
 
 def _view_runs(splats: SplatSet, camera: Camera):
-    """The set-up of a forward pass: the projected splats, their
-    ``_span_records`` (None when no contribution exists), the (h + 1,)
-    count of contributions before each row, the view's lane groups of runs
-    of rows (``_row_runs``; none without contributions) and the per-slot
-    factors of alpha, 2 sigma^2 and the opacity."""
+    """The set-up of a forward pass: the projected splats, the row ranges
+    of their ``_span_records`` (``_record_rows``) and the per-slot factors
+    of alpha, 2 sigma^2 and the opacity."""
     proj = project_splats(splats, camera)
-    records = _span_records(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
-    before = None if records is None else np.concatenate(([0], np.cumsum(records[3])))[records[1]]
-    groups = [] if records is None else _row_runs(before)
-    factors = (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
-    return proj, records, before, groups, factors
+    ranges = _record_rows(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
+    return proj, ranges, (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
 
 
 def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Raster:
@@ -579,46 +664,66 @@ def _raster_run(records: tuple, rows: slice, before: np.ndarray, w: int, factors
 
 
 def raster_bands(splats: SplatSet, camera: Camera):
-    """``rasterize`` in the view's runs of whole pixel rows (``_row_runs``),
-    one after another on the calling thread: per run, in row order, a
-    Raster of its contributions (``seg_start`` counts from the run's first;
-    the alpha image is zero off the run) and their weights alpha * T. A run
-    reads only its own contributions, so all of these carry the bits of
-    ``rasterize``, and a run holds about the Raster and weights of its
-    contributions: a large view streams in bounded memory.
+    """``rasterize`` in runs of whole pixel rows, one after another on the
+    calling thread: per run, in row order, a Raster of its contributions
+    (``seg_start`` counts from the run's first; the alpha image is zero off
+    the run) and their weights alpha * T. The span records of one row
+    range (``_record_rows``) at a time are built when the walk reaches the
+    range and freed after its last run, whose runs are ``_row_runs`` of
+    the range's contributions. A run reads only its own contributions, so
+    all of these carry the bits of ``rasterize``, and a run holds about
+    the Raster and weights of its contributions beside its range's
+    records: a large view streams in bounded memory.
     """
-    proj, records, before, groups, factors = _view_runs(splats, camera)
-    if not groups:
+    proj, ranges, factors = _view_runs(splats, camera)
+    w, h = camera.width, camera.height
+    empty = True
+    for part in ranges:
+        records = _span_records(proj.u, proj.v, proj.radius_px, w, h, part)
+        # a view that could pass the budget is one range, so this checks its
+        # whole count before any run is rasterized
+        before = _counts_before([records], w, h)
+        for rows, run in (run for group in _row_runs(before) for run in group):
+            ras = _new_raster(run.stop - run.start, proj, camera)
+            ras.seg_start, ras.seg_pix, weight = _raster_run(records, rows, before, w, factors, ras,
+                                                             slice(0, ras.slot.size), np.empty(ras.slot.size))
+            empty = False
+            yield ras, weight
+            # the caller holds the run now; let it go before the next run grows
+            del ras, weight
+        del records
+    if empty:
         yield _new_raster(0, proj, camera), np.zeros(0)
-        return
-    for rows, run in (run for group in groups for run in group):
-        ras = _new_raster(run.stop - run.start, proj, camera)
-        ras.seg_start, ras.seg_pix, weight = _raster_run(records, rows, before, camera.width, factors, ras,
-                                                         slice(0, ras.slot.size), np.empty(ras.slot.size))
-        if rows.stop == camera.height:  # the last run frees the records
-            del records
-        yield ras, weight
-        # the caller holds the run now; let it go before the next run grows
-        del ras, weight
 
 
 def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
     """The whole view's Raster, built on the lanes, and the (H, W, C)
     composite of each (n, C) per-splat array in ``values``.
 
-    The view's lane groups of runs of rows (``_row_runs``) are one task
-    each. A task rasterizes each of its runs into the run's slices of the
-    whole-view arrays (``_raster_run``), in one scratch array of its
-    longest run, then composites the run while its entries are in cache:
-    one ``csr_matvecs`` product of its segments x slots weights and the
-    (k, C) per-slot values, which adds each pixel's terms to 0.0 in depth
-    order (``oracles.composite_oracle``), the same bits where the build
-    does not fuse the multiply-add (x86-64). A run reads only its own
-    entries, so any run or group cutting gives the same bits.
+    The pass is two lane phases. First each row range of ``_record_rows``
+    is one task, which builds the range's ``_span_records``. After the
+    join the view's counts before each row give the budget check and the
+    Raster's size, and the view's lane groups of runs of rows
+    (``_row_runs``, the runs also cut where the ranges meet, so that each
+    run reads one range's records) are one task each. A task rasterizes
+    each of its runs into the run's slices of the whole-view arrays
+    (``_raster_run``), in one scratch array of its longest run, then
+    composites the run while its entries are in cache: one ``csr_matvecs``
+    product of its segments x slots weights and the (k, C) per-slot
+    values, which adds each pixel's terms to 0.0 in depth order
+    (``oracles.composite_oracle``), the same bits where the build does not
+    fuse the multiply-add (x86-64). Records are the same on any row range
+    and a run reads only its own entries, so any range, run or group
+    cutting gives the same bits.
     """
-    proj, records, before, groups, factors = _view_runs(splats, camera)
+    proj, ranges, factors = _view_runs(splats, camera)
     h, w = camera.height, camera.width
-    ras = _new_raster(groups[-1][-1][1].stop if groups else 0, proj, camera)
+    record_sets = _lanes([partial(_span_records, proj.u, proj.v, proj.radius_px, w, h, rows)
+                          for rows in ranges])
+    before = _counts_before(record_sets, w, h)
+    starts = [rows.start for rows in ranges]
+    groups = _row_runs(before, starts)
+    ras = _new_raster(int(before[-1]), proj, camera)
     images = [np.zeros((h * w, value.shape[1])) for value in values]
     # every array's per-slot values side by side, one C-contiguous (k, C) table
     table = np.concatenate([value.take(proj.indices, axis=0) for value in values], axis=1) if values else None
@@ -628,6 +733,7 @@ def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
         scratch = np.empty(max(run.stop - run.start for _, run in group))
         segments = []
         for rows, run in group:
+            records = record_sets[bisect_right(starts, rows.start) - 1]
             seg_start, seg_pix, weight = _raster_run(records, rows, before, w, factors, ras, run,
                                                      scratch[:run.stop - run.start])
             if images:

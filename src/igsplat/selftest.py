@@ -6,6 +6,7 @@ against a per-pixel product, its color and feature composite against a
 per-pixel sum in depth order, render and decode gradient agreement with
 finite differences, the backward's runs of rows against the default runs,
 its per-splat value sums against per-group sums in contribution order,
+the span records of the forward's two row ranges against those of one,
 loss identities, sampler and clustering invariants, and voxel-adjacency
 and component-aggregation correctness on random graphs.
 """
@@ -283,6 +284,25 @@ def _check_backward_groups(rng) -> None:
             assert (np.abs(got[:, ch] - want) <= bound).all(), f"{field} beyond the summation bound"
 
 
+def _check_records_in_ranges(rng) -> None:
+    # the crowded view's span records built in its two row ranges, as the
+    # forward's first phase builds them, against those built over the
+    # whole image: each range's records are the whole image's of its rows,
+    # in order, and the ranges' row offsets add up to the whole image's
+    out = _crowded_output(rng)
+    proj, camera = out.projected, out.camera
+    args = (proj.u, proj.v, proj.radius_px, camera.width, camera.height)
+    ranges = renderer._record_rows(*args)
+    assert len(ranges) == renderer.LANES, "view not cut into two row ranges"
+    whole = renderer._span_records(*args, slice(0, camera.height))
+    parts = [renderer._span_records(*args, rows) for rows in ranges]
+    names = ("rec_slot", "row_ptr", "lo", "counts", "u_rec", "dv2")
+    for name, one, *split in zip(names, whole, *parts):
+        got = sum(split) if name == "row_ptr" else np.concatenate(split)
+        assert got.dtype == one.dtype and got.tobytes() == one.tobytes(), \
+            f"{name} differs between two row ranges and one"
+
+
 def _check_rgb() -> None:
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(6, 6, 3))
@@ -303,6 +323,7 @@ CHECKS = [
     ("transmittance_vs_oracle", _check_transmittance),
     ("composite_vs_oracle", _check_composite),
     ("backward_groups_vs_oracle", _check_backward_groups),
+    ("records_two_ranges_vs_one", _check_records_in_ranges),
 ]
 
 

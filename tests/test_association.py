@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,35 @@ def test_id_map_runs_match_one_run(monkeypatch):
         for camera, want in zip(cameras, wants):
             got = render_instance_id_map(splats, labels, camera)
             assert got.tobytes() == want.tobytes(), band
+
+
+def test_id_map_holds_one_row_range_of_span_records(monkeypatch):
+    # A view of over 100k contributions in runs of at most 4096, so that
+    # its span records set the id map's peak. Built one row range at a
+    # time, the records hold the peak to at most 0.65 of what it is with
+    # the whole image's records at once (0.58 measured), with the same map.
+    rng = np.random.default_rng(21)
+    n = 2000
+    centers = np.column_stack([rng.uniform(-0.9, 0.9, n), rng.uniform(-0.9, 0.9, n),
+                               rng.uniform(2.0, 3.0, n)])
+    splats = make_splats(centers, rng.uniform(0.05, 0.995, n), rng.uniform(0.02, 0.04, n))
+    cam = Camera(fx=128.0, fy=128.0, cx=64.0, cy=64.0, width=128, height=128,
+                 rotation=np.eye(3), translation=np.zeros(3))
+    labels = np.arange(n) % 7
+    monkeypatch.setattr(renderer, "_SEGMENT_ROWS", 4096)
+    peaks, maps = [], []
+    for record_rows in (renderer._record_rows, lambda u, v, r, w, h: [slice(0, h)]):
+        monkeypatch.setattr(renderer, "_record_rows", record_rows)
+        render_instance_id_map(splats, labels, cam)
+        tracemalloc.start()
+        try:
+            maps.append(render_instance_id_map(splats, labels, cam))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert render(splats, cam).slot.size >= 100_000
+    assert maps[0].tobytes() == maps[1].tobytes()
+    assert peaks[0] <= 0.65 * peaks[1], peaks
 
 
 def test_id_map_pool_raises_label_count_mismatch():

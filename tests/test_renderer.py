@@ -263,6 +263,18 @@ def test_contributions_match_brute_force(width, height):
     assert (proj.radius_px < 1.0).sum() >= 5
 
 
+def disks(u, v, r):
+    """The disks of centre (u, v) and radius r as projected splats, in
+    index order."""
+    return ProjectedSplats(indices=np.arange(u.size), u=u, v=v, radius_px=r, sigma_px=r / 3,
+                           cam_points=np.zeros((u.size, 3)))
+
+
+def pixel_camera(width, height):
+    return Camera(fx=1, fy=1, cx=0, cy=0, width=width, height=height,
+                  rotation=np.eye(3), translation=np.zeros(3))
+
+
 def test_contributions_on_near_tangent_rows():
     # Rows that graze the cutoff circle, where the rounded d2 <= r*r test
     # keeps columns just past the computed half-chord sqrt(r*r - dv*dv):
@@ -273,13 +285,111 @@ def test_contributions_on_near_tangent_rows():
     u = np.array([20.3, 5.0, 27.493060241626015])
     v = np.array([-big, 40 + big, -(1000.0 - 0.3)])
     r = np.array([big, big, 1000.0])
-    proj = ProjectedSplats(
-        indices=np.arange(3), u=u, v=v, radius_px=r,
-        sigma_px=r / 3, cam_points=np.zeros((3, 3)),
-    )
-    cam = Camera(fx=1, fy=1, cx=0, cy=0, width=41, height=41,
-                 rotation=np.eye(3), translation=np.zeros(3))
-    assert_same_contributions(proj, cam)
+    assert_same_contributions(disks(u, v, r), pixel_camera(41, 41))
+
+
+def records_on_rows(whole, rows):
+    """The whole image's ``_span_records`` on the image ``rows``: its
+    records of those rows, their row offsets counted from the first of
+    them and constant outside, or None without a kept pair."""
+    rec_slot, row_ptr, lo, counts, u_rec, dv2 = whole
+    first, stop = row_ptr[rows.start], row_ptr[rows.stop]
+    if not counts[first:stop].any():
+        return None
+    ptr = np.clip(row_ptr - first, 0, stop - first).astype(row_ptr.dtype)
+    return rec_slot[first:stop], ptr, lo[first:stop], counts[first:stop], u_rec[first:stop], dv2[first:stop]
+
+
+@pytest.mark.parametrize("width,height", [(13, 9), (9, 1)])
+def test_span_records_of_any_row_range_are_the_whole_images(width, height):
+    # every row range between cuts at 0, 1, h // 2, h - 1 and h, the empty
+    # ones among them, against the whole image's records of its rows, byte
+    # for byte: disks partly and fully off the image, two of infinite
+    # radius, one of NaN radius and one of zero radius on a pixel centre
+    rng = np.random.default_rng(width * 100 + height)
+    n = 60
+    u, v = rng.uniform(-4, width + 4, n), rng.uniform(-4, height + 4, n)
+    r = 10.0 ** rng.uniform(-1.5, 0.9, n)
+    r[:3] = [np.inf, np.nan, np.inf]
+    u[3], v[3], r[3] = 4.0, 0.0, 0.0
+    whole = renderer._span_records(u, v, r, width, height, slice(0, height))
+    assert whole[3][whole[0] == 3].sum() == 1 and not (whole[0] == 1).any()
+    assert (whole[3][whole[0] == 0] == width).all()
+    cuts = sorted({0, 1, height // 2, height - 1, height})
+    ranges = [slice(a, b) for a in cuts for b in cuts if a <= b]
+    assert sum(rows.start == rows.stop for rows in ranges) == len(cuts)
+    for rows in ranges:
+        got = renderer._span_records(u, v, r, width, height, rows)
+        want = records_on_rows(whole, rows)
+        assert (got is None) == (want is None) == (rows.start == rows.stop), rows
+        for a, b in zip(got or (), want or ()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), rows
+
+
+def shrink_moves(monkeypatch) -> list:
+    """The number of span ends each ``_shrink_ends`` call moves from here
+    on."""
+    moves = []
+    shrink = renderer._shrink_ends
+
+    def counting(lo, hi, *args):
+        first = np.concatenate((lo, hi))
+        shrink(lo, hi, *args)
+        moves.append(int((np.concatenate((lo, hi)) != first).sum()))
+
+    monkeypatch.setattr(renderer, "_shrink_ends", counting)
+    return moves
+
+
+def test_tight_first_span_keeps_the_oracles_pairs(monkeypatch):
+    # Adversarial disks on a 16x12 image, against the dense scan. Each of
+    # the first passes through a pixel centre (c, y), its radius that
+    # distance moved by -3..3 ulps, so that its chord on row y ends within
+    # a few ulps of column c and the rounded test there goes either way:
+    # radii from 2^-20 to 2^40 px, the centres as far. The next have
+    # centres out to 2^20 px and radii from 2^-20 to 2^40 px. The last, of
+    # radius 2^-599 px, keeps column 0 only as its squares underflow to 0.
+    rng = np.random.default_rng(34)
+    w, h = 16, 12
+    u, v, r = [], [], []
+    for exponent in range(-20, 41, 3):
+        for _ in range(4):
+            c, y = rng.integers(0, w), rng.integers(0, h)
+            angle = rng.uniform(0, 2 * np.pi)
+            cu = c + 2.0**exponent * np.cos(angle)
+            cv = y + 2.0**exponent * np.sin(angle)
+            through = np.hypot(c - cu, y - cv)
+            for ulps in range(-3, 4):
+                u.append(cu)
+                v.append(cv)
+                r.append(through + ulps * np.spacing(through))
+    far = 2.0 ** rng.uniform(-1, 20, 200)
+    u = np.concatenate([u, far * rng.choice([-1, 1], 200) + rng.uniform(0, w, 200)])
+    v = np.concatenate([v, rng.uniform(-2.0**20, 2.0**20, 200)])
+    r = np.concatenate([r, 2.0 ** rng.uniform(-20, 40, 200)])
+    u, v, r = np.append(u, -(2.0**-600)), np.append(v, 0.0), np.append(r, 2.0**-599)
+    moves = shrink_moves(monkeypatch)
+    assert_same_contributions(disks(u, v, r), pixel_camera(w, h))
+    assert len(moves) == 1
+
+    # the loop's case: a disk of radius about 2^20 px, centred 1500 rows
+    # above row 5, ends its chord on row 5 0.01 px before column 9, and its
+    # box reaches column 10. Its first span's margin is about 2^-4 px, so
+    # the first span holds column 9, which fails the test, and the loop
+    # moves the end.
+    cu, cv = -(2.0**20) + 0.25, 5.0 - 1500.0
+    moves.clear()
+    assert_same_contributions(disks(np.array([cu]), np.array([cv]), np.array([np.hypot(8.99 - cu, 1500.0)])),
+                              pixel_camera(w, h))
+    assert moves[0] > 0
+
+
+def test_first_span_is_tight_on_the_dense_view(monkeypatch):
+    # the first spans of the dense view's two row ranges need no end moved
+    splats, cam = dense_view()
+    moves = shrink_moves(monkeypatch)
+    ras = rasterize(splats, cam)
+    assert ras.slot.size >= 100_000 and moves == [0] * renderer.LANES
 
 
 def test_contributions_keep_depth_order_in_crowded_pixels():
@@ -763,11 +873,14 @@ FORWARD_VIEWS = {
 def force_groups(monkeypatch, cuts):
     """Cut every view into lane groups of the rows between consecutive
     ``cuts`` that hold contributions, each group one run of its rows, in
-    place of ``_row_runs``' cutting."""
-    def row_runs(before):
+    place of ``_row_runs``' cutting, and its span records into one row
+    range per group, in place of ``_record_rows``'."""
+    def row_runs(before, starts=()):
         return [[(slice(a, b), slice(int(before[a]), int(before[b])))]
                 for a, b in zip(cuts[:-1], cuts[1:]) if before[b] > before[a]]
     monkeypatch.setattr(renderer, "_row_runs", row_runs)
+    monkeypatch.setattr(renderer, "_record_rows", lambda u, v, r, w, h: [
+        slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 def count_lane_tasks(monkeypatch) -> list:
@@ -805,11 +918,12 @@ def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
             tasks.clear()
             got = render(splats, cam)
             raster = rasterize(splats, cam)
-        # one task per lane group in the one phase of render and of
-        # rasterize, whatever the run size: none without contributions, one
-        # for a view of one row, else one per lane
+        # render and rasterize each run two phases, whatever the run size:
+        # one task per row range of span records, then one per lane group;
+        # none without contributions, one for a view of one row, else one
+        # per lane
         groups = {"culled": 0, "one_row": 1}.get(view, renderer.LANES)
-        assert tasks == [groups] * 2, (rows, tasks)
+        assert tasks == [groups, groups] * 2, (rows, tasks)
         for name in RASTER_FIELDS + ("color", "feature"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (rows, name)
         for name in RASTER_FIELDS:
@@ -958,13 +1072,15 @@ def test_two_bands_give_one_band_bits(crowded_output, monkeypatch, where, mode):
 @pytest.mark.parametrize("mode", BACKWARD_MODES)
 def test_one_usable_core_gives_the_band_bits(crowded_output, monkeypatch, mode):
     # the backward walks the forward's lane groups in one phase, one task
-    # per group the forward ran, and one usable core gives the bits of two
+    # per group the forward's second phase ran (its first builds the span
+    # records, one task per row range), and one usable core gives the bits
+    # of two
     out, grad_color, grad_feature = crowded_output
     tasks = count_lane_tasks(monkeypatch)
     monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     render(out.splats, out.camera)
-    groups = tasks[0]
-    assert tasks == [renderer.LANES]
+    groups = tasks[1]
+    assert tasks == [renderer.LANES, renderer.LANES]
     tasks.clear()
     two_cores = backward(out, grad_color, grad_feature, mode)
     assert tasks == [groups]
