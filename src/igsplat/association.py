@@ -9,16 +9,15 @@ visible keep a zero vector and score -1.
 
 The id maps of independent views render on the renderer's lanes
 (``render_instance_id_maps``), at most ``renderer.LANES`` views at once.
-A view rasterizes and votes in the runs of whole pixel rows that the
-renderer cuts every view into (``renderer.raster_bands``). Each run is
+A view votes in the runs of whole pixel rows that the renderer's one
+forward walk (``renderer._forward``) cuts every view into, weighing each
+run's contributions by the alpha * T the walk formed. Each run is
 self-contained: its transmittances scan its own rows only, and a pixel's
-votes all fall in its run. A run's votes weigh its contributions by the
-alpha * T that ``raster_bands`` formed beside its raster. So a view in
-flight holds one run's raster, weights and (pixel, instance) score table
-beside the (splat, row) span records of one of the view's row ranges,
-whatever the view's size. The maps
-come back in view order, so the accumulation, and every artifact, is the
-same as a sequential run.
+votes all fall in its run. The walk writes each run into its lane's own
+arrays, so a view in flight holds its (splat, row) span records and one
+run's arrays, weights and (pixel, instance) score table per lane,
+whatever the view's size. The maps come back in view order, so the
+accumulation, and every artifact, is the same as a sequential run.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import numpy as np
 from .binio import pack_f32, pack_u32, read_file, write_atomic
 from .errors import DataError, UsageError
 from .losses import MaskView
-from .renderer import Camera, Raster, _add_at, _lanes, raster_bands
+from .renderer import Camera, _add_at, _forward, _lanes
 from .scene_model import SplatSet
 
 NO_INSTANCE = np.uint32(0xFFFFFFFF)
@@ -88,49 +87,46 @@ def render_instance_id_map(
     alpha stays below the visibility floor.
 
     The winner is the instance with the largest summed alpha * T contribution
-    at that pixel; exact ties go to the lower instance id. Only the
-    rasterize step runs, in the view's runs of whole rows (``raster_bands``),
-    whose raster, weights and scores take about 45 bytes per contribution:
-    a pixel's contributions all fall in one run, so its sums are the whole
-    view's, and no color or feature image is composited. Labels must be
-    non-negative.
+    at that pixel; exact ties go to the lower instance id
+    (``oracles.id_map_oracle``). Only the rasterize step runs, in the
+    view's runs of whole rows, each voted on by ``_vote`` while it is in
+    cache: a pixel's contributions all fall in one run, so its sums are
+    the whole view's, and no color or feature image is composited. Labels
+    must be non-negative.
     """
     instance_labels = np.asarray(instance_labels, dtype=np.int64)
     if instance_labels.shape[0] != splats.count:
         raise UsageError("one instance label per splat required")
     if (instance_labels < 0).any():
         raise UsageError("instance labels must be non-negative")
-    h, w = camera.height, camera.width
-    id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
-    slot_labels = None
-    for ras, weight in raster_bands(splats, camera):
-        if ras.slot.size:
-            if slot_labels is None:  # the view's runs share one projection
-                m = int(instance_labels.max()) + 1
-                slot_labels = instance_labels.take(ras.projected.indices)
-            _vote(id_map, ras, weight, m, slot_labels)
-        del ras, weight  # before the next run's raster grows
-    return id_map.reshape(h, w)
+    id_map = np.full(camera.height * camera.width, NO_INSTANCE, dtype=np.uint32)
+    m = int(instance_labels.max(initial=-1)) + 1
+
+    def votes(proj):  # with the instance label of each projected slot
+        return partial(_vote, id_map, m, instance_labels.take(proj.indices))
+
+    alpha = _forward(splats, camera, votes, keep=False).alpha
+    id_map[~(alpha.reshape(-1) >= MIN_VISIBLE_ALPHA)] = NO_INSTANCE  # a NaN alpha too
+    return id_map.reshape(alpha.shape)
 
 
-def _vote(id_map: np.ndarray, ras: Raster, weight: np.ndarray, m: int,
-          slot_labels: np.ndarray) -> None:
-    """Write the winners of the pixels from the first to the last of the
-    run ``ras``, whose contributions weigh ``weight`` (alpha * T), into the
-    flat ``id_map``, with ``m`` instances and the instance label of each
-    projected slot."""
-    first, stop = ras.seg_pix[0], ras.seg_pix[-1] + 1
+def _vote(id_map: np.ndarray, m: int, slot_labels: np.ndarray, slot: np.ndarray, alpha_i: np.ndarray,
+          trans: np.ndarray, seg_start: np.ndarray, seg_pix: np.ndarray, weight: np.ndarray) -> None:
+    """Write the winners of the pixels from the first to the last of a run
+    into the flat ``id_map``, before the visibility floor, with ``m``
+    instances and the instance label of each projected slot: the run's
+    contributions, of ``slot`` and ``weight`` (alpha * T), in the segments
+    of ``seg_start`` and ``seg_pix``."""
+    first, stop = seg_pix[0], seg_pix[-1] + 1
     # the (pixel, instance) key, counted from the run's first pixel, in
     # int64, where (pixels x instances) cannot overflow: each segment's
     # pixel part repeated over its contributions
-    key = np.repeat((ras.seg_pix - first) * m, np.diff(ras.seg_start, append=ras.slot.size))
-    key += slot_labels.take(ras.slot.astype(np.int64))
+    key = np.repeat((seg_pix - first) * m, np.diff(seg_start, append=slot.size))
+    key += slot_labels.take(slot.astype(np.int64))
     # each pixel's alpha * T per instance, added in contribution order
     scores = np.zeros((stop - first) * m)
     _add_at(scores, key, weight)
-    winners = np.argmax(scores.reshape(stop - first, m), axis=1)
-    visible = ras.alpha.reshape(-1)[first:stop] >= MIN_VISIBLE_ALPHA
-    id_map[first:stop][visible] = winners[visible].astype(np.uint32)
+    id_map[first:stop] = np.argmax(scores.reshape(stop - first, m), axis=1)
 
 
 def render_instance_id_maps(
@@ -141,8 +137,8 @@ def render_instance_id_maps(
     The views run on the renderer's lanes (``renderer._lanes``), at most
     ``renderer.LANES`` at once and never more than the usable cores or the
     views; NumPy releases the interpreter lock in the kernels that dominate
-    a view. A view in flight holds one run of rows at a time, whatever its
-    size. An exception in any view is raised here.
+    a view. A view in flight holds its span records and one run of rows at
+    a time, whatever its size. An exception in any view is raised here.
     """
     return _lanes([partial(render_instance_id_map, splats, instance_labels, camera)
                    for camera in cameras])

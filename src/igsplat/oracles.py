@@ -1,5 +1,6 @@
 """Brute-force references for the renderer's contribution builder,
-transmittances, composite and per-splat gradient sums, the sampler,
+transmittances, composite and per-splat gradient sums, the instance id
+maps, the sampler,
 k-means, the voxel adjacency, the component aggregation and the analytic
 gradients.
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .association import MIN_VISIBLE_ALPHA, NO_INSTANCE
 from .errors import UsageError
 from .instantiation import FEATURE_DIM, KMEANS_MAX_ITERS, KMEANS_TOL, ClusterState
 from .renderer import _row_runs
@@ -77,6 +79,29 @@ def group_slot_sums_oracle(ras, terms: np.ndarray) -> np.ndarray:
         sums = np.bincount(ras.slot[entries], weights=terms[entries], minlength=k)
         total = sums if number == 0 else total + sums
     return total
+
+
+def id_map_oracle(ras, labels: np.ndarray) -> np.ndarray:
+    """The (H, W) uint32 instance id map of the per-splat instance
+    ``labels`` over the Raster ``ras``, as
+    ``association.render_instance_id_map`` defines it: a pixel whose alpha
+    reaches ``MIN_VISIBLE_ALPHA`` goes to the instance of the largest sum
+    of alpha_i * trans, each sum starting at 0.0 and adding one
+    contribution after another in depth order, ties going to the lower id;
+    every other pixel gets ``NO_INSTANCE``."""
+    h, w = ras.alpha.shape
+    id_map = np.full(h * w, NO_INSTANCE, dtype=np.uint32)
+    splat = ras.projected.indices[ras.slot]
+    bounds = np.append(ras.seg_start, ras.slot.size).tolist()
+    for pix, first, stop in zip(ras.seg_pix.tolist(), bounds[:-1], bounds[1:]):
+        if ras.alpha.flat[pix] >= MIN_VISIBLE_ALPHA:
+            scores = {}
+            for i in range(first, stop):
+                instance = int(labels[splat[i]])
+                scores[instance] = scores.get(instance, 0.0) + ras.alpha_i[i] * ras.trans[i]
+            best = max(scores.values())
+            id_map[pix] = min(instance for instance, score in scores.items() if score == best)
+    return id_map.reshape(h, w)
 
 
 def fps_oracle(points: np.ndarray, s: int, start: int) -> np.ndarray:

@@ -27,12 +27,11 @@ transmittance and the alpha image. A pixel's transmittances are its own
 product of (1 - alpha), so their log scan restarts at every image row
 (``_row_scan``) and a run of whole rows reads nothing outside itself.
 ``render`` adds the color and feature composite, one sparse product per
-run of the weights alpha * T and the values; instance id maps need only
-the first step, which ``raster_bands`` also runs one run of rows after
-another with the same bits, handing each run's weights to the votes, so
-that a large view streams in bounded memory. The same row-span
-enumeration, fed point disks instead of splat cutoffs, gives the
-ground-truth point z-buffer (``zbuffer_owners``).
+run of the weights alpha * T and the values, and the instance id maps
+vote on the same runs' weights: all of them walk one forward
+(``_forward``), which hands each run to a visitor while it is in cache.
+The same row-span enumeration, fed point disks instead of splat cutoffs,
+gives the ground-truth point z-buffer (``zbuffer_owners``).
 
 A contribution names its splat only by its slot in the depth-sorted
 projected arrays; per-splat values are gathered, and per-splat sums
@@ -72,24 +71,24 @@ about equal estimated counts (``_record_rows``) is one task, which builds
 the range's span records. After the join the view's counts before each
 row give the budget check, the Raster and the groups, whose runs are
 also cut where the ranges meet. In the second, a lane takes its group's
-runs in turn: in ``rasterize`` and ``render`` it expands each run's
-spans, computes their alphas, transmittances, weights and alpha pixels
-and, in ``render``, the run's composite while it is in cache. The id maps
-(``raster_bands``) build one range's records at a time, on the calling
-thread, and free them after its last run. The backward is one phase,
-which takes its group's runs in turn: ``render_backward`` rebuilds the
-groups from the Raster's segments and, run by run, forms every chain's
-direct sums, gathers, scans by row, d_alpha and Gaussian terms, adding
-them into its group's own per-slot partials, so no term spans the view.
-Each per-splat sum adds its group's terms in contribution order, then the
-groups in row order. The forward gives the same bits on any cutting into
-row ranges, runs and groups, the backward on any cutting of its groups
-into runs, both on one lane or two. With both chains on geometry a call
-peaks at
-about 50 bytes per contribution above its RenderOutput, and a training
-step's render and backward together at about 73-75;
-``BACKWARD_BYTES_PER_CONTRIBUTION`` and ``STEP_BYTES_PER_CONTRIBUTION``
-are the stated bounds, which the tests check.
+runs in turn: it expands each run's spans, computes their alphas,
+transmittances, weights and alpha pixels, and visits the run: ``render``
+composites it, the id maps vote on it. ``render`` and ``rasterize``
+write the runs into the view's Raster, which the backward reads, the id
+maps into each lane's own arrays of its longest run. The backward is one
+phase, which takes its group's runs in turn: ``render_backward``
+rebuilds the groups from the Raster's segments and, run by run, forms
+every chain's direct sums, gathers, scans by row, d_alpha and Gaussian
+terms, adding them into its group's own per-slot partials, so no term
+spans the view. Each per-splat sum adds its group's terms in
+contribution order, then the groups in row order. The forward gives the
+same bits on any cutting into row ranges, runs and groups, the backward
+on any cutting of its groups into runs, both on one lane or two. With
+both chains on geometry a call peaks at about 50 bytes per contribution
+above its RenderOutput, and a training step's render and backward
+together at about 73-75; ``BACKWARD_BYTES_PER_CONTRIBUTION`` and
+``STEP_BYTES_PER_CONTRIBUTION`` are the stated bounds, which the tests
+check.
 """
 from __future__ import annotations
 
@@ -363,10 +362,7 @@ def _record_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int) ->
     """The row ranges whose ``_span_records`` the forward builds one lane
     task each, as slices: the non-empty ``_group_bounds`` of a per-row
     estimate that counts each disk's clipped box width on each row of its
-    box, at least its kept columns there. A view whose estimate passes
-    ``CONTRIBUTION_BUDGET`` is one range: ``raster_bands`` builds one range
-    after another, and so checks the whole view's count before it
-    rasterizes a run, and a view within the estimate is within the budget.
+    box, at least its kept columns there.
     """
     x0, x1, y0, y1 = _boxes(u, v, r, w, h)
     box = np.flatnonzero((x1 >= x0) & (y1 >= y0))  # NaN compares False
@@ -376,8 +372,6 @@ def _record_rows(u: np.ndarray, v: np.ndarray, r: np.ndarray, w: int, h: int) ->
     steps -= np.bincount(y1[box].astype(np.int64) + 1, weights=width, minlength=h + 1)
     # integers far below 2^53, so the float sums are exact
     before = np.concatenate(([0], np.cumsum(np.cumsum(steps[:h])))).astype(np.int64)
-    if before[-1] > CONTRIBUTION_BUDGET:
-        return [slice(0, h)]
     bounds = _group_bounds(before).tolist()
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
@@ -589,26 +583,6 @@ def _row_runs(before: np.ndarray, cuts=()) -> list:
     return groups
 
 
-def _view_runs(splats: SplatSet, camera: Camera):
-    """The set-up of a forward pass: the projected splats, the row ranges
-    of their ``_span_records`` (``_record_rows``) and the per-slot factors
-    of alpha, 2 sigma^2 and the opacity."""
-    proj = project_splats(splats, camera)
-    ranges = _record_rows(proj.u, proj.v, proj.radius_px, camera.width, camera.height)
-    return proj, ranges, (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
-
-
-def _new_raster(contributions: int, proj: ProjectedSplats, camera: Camera) -> Raster:
-    """A Raster of ``contributions`` unset contributions, no segments and a
-    zero alpha image."""
-    return Raster(
-        slot=np.empty(contributions, dtype=_index_dtype(proj.count)),
-        alpha_i=np.empty(contributions), trans=np.empty(contributions),
-        seg_start=np.zeros(0, dtype=np.int64), seg_pix=np.zeros(0, dtype=np.int64),
-        alpha=np.zeros((camera.height, camera.width)), projected=proj,
-    )
-
-
 def _row_scan(terms: np.ndarray, out: np.ndarray, bounds: np.ndarray) -> None:
     """The inclusive prefix sums of a run's ``terms`` into ``out``, which
     may be ``terms``, restarted at every image row: ``bounds`` are the
@@ -663,99 +637,70 @@ def _raster_run(records: tuple, rows: slice, before: np.ndarray, w: int, factors
     return seg_start, seg_pix, weight
 
 
-def raster_bands(splats: SplatSet, camera: Camera):
-    """``rasterize`` in runs of whole pixel rows, one after another on the
-    calling thread: per run, in row order, a Raster of its contributions
-    (``seg_start`` counts from the run's first; the alpha image is zero off
-    the run) and their weights alpha * T. The span records of one row
-    range (``_record_rows``) at a time are built when the walk reaches the
-    range and freed after its last run, whose runs are ``_row_runs`` of
-    the range's contributions. A run reads only its own contributions, so
-    all of these carry the bits of ``rasterize``, and a run holds about
-    the Raster and weights of its contributions beside its range's
-    records: a large view streams in bounded memory.
-    """
-    proj, ranges, factors = _view_runs(splats, camera)
-    w, h = camera.width, camera.height
-    empty = True
-    for part in ranges:
-        records = _span_records(proj.u, proj.v, proj.radius_px, w, h, part)
-        # a view that could pass the budget is one range, so this checks its
-        # whole count before any run is rasterized
-        before = _counts_before([records], w, h)
-        for rows, run in (run for group in _row_runs(before) for run in group):
-            ras = _new_raster(run.stop - run.start, proj, camera)
-            ras.seg_start, ras.seg_pix, weight = _raster_run(records, rows, before, w, factors, ras,
-                                                             slice(0, ras.slot.size), np.empty(ras.slot.size))
-            empty = False
-            yield ras, weight
-            # the caller holds the run now; let it go before the next run grows
-            del ras, weight
-        del records
-    if empty:
-        yield _new_raster(0, proj, camera), np.zeros(0)
+def _forward(splats: SplatSet, camera: Camera, visitor, keep: bool = True) -> Raster:
+    """The view's Raster, built on the lanes, handing each run to a visitor.
 
-
-def _forward(splats: SplatSet, camera: Camera, values: tuple = ()):
-    """The whole view's Raster, built on the lanes, and the (H, W, C)
-    composite of each (n, C) per-splat array in ``values``.
+    ``visitor(proj)``, called once with the view's projected splats, gives
+    the per-run callable, which a lane calls on each run it rasterizes
+    while the run is in cache, with the run's slots, alphas,
+    transmittances, segment starts (counted from the run's first entry),
+    segment pixels and weights alpha * T. With ``keep`` a lane writes its
+    runs into the view's Raster, which the backward reads; without it into
+    its own arrays, sized to its longest run and reused from run to run,
+    and the Raster comes back holding the alpha image alone.
 
     The pass is two lane phases. First each row range of ``_record_rows``
     is one task, which builds the range's ``_span_records``. After the
-    join the view's counts before each row give the budget check and the
-    Raster's size, and the view's lane groups of runs of rows
-    (``_row_runs``, the runs also cut where the ranges meet, so that each
-    run reads one range's records) are one task each. A task rasterizes
-    each of its runs into the run's slices of the whole-view arrays
-    (``_raster_run``), in one scratch array of its longest run, then
-    composites the run while its entries are in cache: one ``csr_matvecs``
-    product of its segments x slots weights and the (k, C) per-slot
-    values, which adds each pixel's terms to 0.0 in depth order
-    (``oracles.composite_oracle``), the same bits where the build does not
-    fuse the multiply-add (x86-64). Records are the same on any row range
+    join the view's counts before each row give the budget check, before
+    any per-contribution array exists, and the view's lane groups of runs
+    of rows (``_row_runs``, the runs also cut where the ranges meet, so
+    that each run reads one range's records) are one task each. A task
+    rasterizes each of its runs (``_raster_run``), in one scratch array of
+    its longest run, and visits it. Records are the same on any row range
     and a run reads only its own entries, so any range, run or group
     cutting gives the same bits.
     """
-    proj, ranges, factors = _view_runs(splats, camera)
+    proj = project_splats(splats, camera)
     h, w = camera.height, camera.width
+    ranges = _record_rows(proj.u, proj.v, proj.radius_px, w, h)
+    factors = (2.0 * proj.sigma_px * proj.sigma_px, splats.opacities.take(proj.indices))
     record_sets = _lanes([partial(_span_records, proj.u, proj.v, proj.radius_px, w, h, rows)
                           for rows in ranges])
     before = _counts_before(record_sets, w, h)
     starts = [rows.start for rows in ranges]
     groups = _row_runs(before, starts)
-    ras = _new_raster(int(before[-1]), proj, camera)
-    images = [np.zeros((h * w, value.shape[1])) for value in values]
-    # every array's per-slot values side by side, one C-contiguous (k, C) table
-    table = np.concatenate([value.take(proj.indices, axis=0) for value in values], axis=1) if values else None
-    cols = np.cumsum([0] + [image.shape[1] for image in images])
+    q = int(before[-1]) if keep else 0
+    ras = Raster(slot=np.empty(q, dtype=_index_dtype(proj.count)), alpha_i=np.empty(q), trans=np.empty(q),
+                 seg_start=np.zeros(0, dtype=np.int64), seg_pix=np.zeros(0, dtype=np.int64),
+                 alpha=np.zeros((h, w)), projected=proj)
+    visit = visitor(proj)
 
     def lane(group):
-        scratch = np.empty(max(run.stop - run.start for _, run in group))
+        longest = max(run.stop - run.start for _, run in group)
+        scratch = np.empty(longest)
+        out = ras if keep else Raster(np.empty(longest, dtype=ras.slot.dtype), np.empty(longest),
+                                      np.empty(longest), ras.seg_start, ras.seg_pix, ras.alpha, proj)
         segments = []
         for rows, run in group:
             records = record_sets[bisect_right(starts, rows.start) - 1]
-            seg_start, seg_pix, weight = _raster_run(records, rows, before, w, factors, ras, run,
+            entries = run if keep else slice(0, run.stop - run.start)
+            seg_start, seg_pix, weight = _raster_run(records, rows, before, w, factors, out, entries,
                                                      scratch[:run.stop - run.start])
-            if images:
-                sums = np.zeros((seg_pix.size, table.shape[1]))
-                csr_matvecs(seg_pix.size, proj.count, table.shape[1],
-                            np.append(seg_start, run.stop - run.start).astype(ras.slot.dtype),
-                            ras.slot[run], weight, table.ravel(), sums.ravel())
-                for image, first, stop in zip(images, cols[:-1], cols[1:]):
-                    image[seg_pix] = sums[:, first:stop]
-            segments.append((seg_start + run.start, seg_pix))
+            visit(out.slot[entries], out.alpha_i[entries], out.trans[entries], seg_start, seg_pix, weight)
+            if keep:
+                segments.append((seg_start + run.start, seg_pix))
         return segments
 
     # after the empty segment arrays, which keep the dtype of a view without runs
     segments = [run for part in _lanes([partial(lane, group) for group in groups]) for run in part]
     ras.seg_start = np.concatenate([ras.seg_start] + [seg_start for seg_start, _ in segments])
     ras.seg_pix = np.concatenate([ras.seg_pix] + [seg_pix for _, seg_pix in segments])
-    return ras, [image.reshape(h, w, -1) for image in images]
+    return ras
 
 
 def rasterize(splats: SplatSet, camera: Camera) -> Raster:
     """Contributions, their alphas and transmittances, and the alpha image."""
-    return _forward(splats, camera)[0]
+    return _forward(splats, camera, lambda proj: lambda *run: None)
 
 
 def zbuffer_owners(points: np.ndarray, radii: np.ndarray, camera: Camera) -> np.ndarray:
@@ -824,7 +769,9 @@ def _lanes(tasks: list) -> list:
     whatever the lane count. An exception in a task is raised here once
     every task has finished. With one lane, and inside a task already on a
     lane, the tasks run inline, in order; so the renderer never holds more
-    than ``LANES`` threads. The renderer's tasks call no public function of
+    than ``LANES`` threads: an id map's view is one task
+    (``association.render_instance_id_maps``), whose ``_forward`` runs its
+    own tasks inline. The renderer's tasks call no public function of
     the package, so a tracer that wraps those keeps its spans nested.
     """
     if min(_usable_cores(), len(tasks)) <= 1 or getattr(_in_lane, "active", False):
@@ -846,9 +793,32 @@ def _add_at(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
 
 def render(splats: SplatSet, camera: Camera) -> RenderOutput:
     """Rasterize color, feature, and alpha images with contributor
-    retention, in one pass on the lanes (``_forward``)."""
-    ras, (feature, color) = _forward(splats, camera, (splats.features, splats.colors))
-    return RenderOutput(**vars(ras), color=color, feature=feature, splats=splats, camera=camera)
+    retention, in one pass on the lanes (``_forward``).
+
+    Each run is composited while its entries are in cache: one
+    ``csr_matvecs`` product of its segments x slots weights and the (k, 9)
+    per-slot features and colours, which adds each pixel's terms to 0.0 in
+    depth order (``oracles.composite_oracle``), the same bits where the
+    build does not fuse the multiply-add (x86-64)."""
+    pixels, channels = camera.height * camera.width, splats.features.shape[1]
+    feature, color = np.zeros((pixels, channels)), np.zeros((pixels, splats.colors.shape[1]))
+
+    def composite(proj):
+        # the per-slot features and colours side by side, one C-contiguous table
+        table = np.concatenate([splats.features.take(proj.indices, axis=0),
+                                splats.colors.take(proj.indices, axis=0)], axis=1)
+
+        def visit(slot, alpha_i, trans, seg_start, seg_pix, weight):
+            sums = np.zeros((seg_pix.size, table.shape[1]))
+            csr_matvecs(seg_pix.size, proj.count, table.shape[1],
+                        np.append(seg_start, slot.size).astype(slot.dtype), slot, weight, table.ravel(),
+                        sums.ravel())
+            feature[seg_pix], color[seg_pix] = sums[:, :channels], sums[:, channels:]
+        return visit
+
+    ras = _forward(splats, camera, composite)
+    return RenderOutput(**vars(ras), color=color.reshape(ras.alpha.shape + (-1,)),
+                        feature=feature.reshape(ras.alpha.shape + (-1,)), splats=splats, camera=camera)
 
 
 def render_backward(

@@ -7,6 +7,7 @@ per-pixel sum in depth order, render and decode gradient agreement with
 finite differences, the backward's runs of rows against the default runs,
 its per-splat value sums against per-group sums in contribution order,
 the span records of the forward's two row ranges against those of one,
+the instance id map in runs of a few rows against per-pixel votes,
 loss identities, sampler and clustering invariants, and voxel-adjacency
 and component-aggregation correctness on random graphs.
 """
@@ -17,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 
+from .association import NO_INSTANCE, render_instance_id_map
 from .instantiation import (
     aggregate_components,
     build_cluster_space,
@@ -33,6 +35,7 @@ from .oracles import (
     dfs_components,
     fps_oracle,
     group_slot_sums_oracle,
+    id_map_oracle,
     lloyd_oracle,
     transmittance_oracle,
     voxel_adjacency,
@@ -303,6 +306,24 @@ def _check_records_in_ranges(rng) -> None:
             f"{name} differs between two row ranges and one"
 
 
+def _check_id_map(rng) -> None:
+    # the crowded view's instance id map in runs of a few rows, each run
+    # written into its lane's own arrays, against a per-pixel sum of
+    # alpha * T per instance in depth order
+    out = _crowded_output(rng)
+    labels = rng.integers(0, 4, out.splats.count)
+    before = np.append(out.seg_start, out.slot.size)[
+        np.searchsorted(out.seg_pix, np.arange(out.camera.height + 1) * out.camera.width)]
+    with mock.patch.object(renderer, "_SEGMENT_ROWS", out.slot.size // 6):
+        runs = [run for group in renderer._row_runs(before) for run in group]
+        got = render_instance_id_map(out.splats, labels, out.camera)
+    assert len(runs) > 2 * renderer.LANES, "view not cut into runs of a few rows"
+    want = id_map_oracle(out, labels)
+    assert len(set(want[want != NO_INSTANCE].tolist())) > 1, "one instance wins every pixel"
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+        "id map differs from the per-pixel votes"
+
+
 def _check_rgb() -> None:
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(6, 6, 3))
@@ -324,6 +345,7 @@ CHECKS = [
     ("composite_vs_oracle", _check_composite),
     ("backward_groups_vs_oracle", _check_backward_groups),
     ("records_two_ranges_vs_one", _check_records_in_ranges),
+    ("id_map_vs_oracle", _check_id_map),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from igsplat import association, renderer
 from igsplat.association import (
-    MIN_VISIBLE_ALPHA,
     EmbeddingTable,
     NO_INSTANCE,
     associate_embeddings,
@@ -18,10 +17,9 @@ from igsplat.association import (
 )
 from igsplat.errors import DataError, UsageError
 from igsplat.losses import NO_MASK, MaskView
+from igsplat.oracles import id_map_oracle
 from igsplat.renderer import Camera, render
 from igsplat.scene_model import SplatSet
-
-from helpers import contributors
 
 
 def identity_camera(size=8, fx=20.0):
@@ -74,23 +72,6 @@ def test_id_map_visibility_floor():
     assert np.all(id_map == NO_INSTANCE)
 
 
-def reference_id_map(splats, labels, cam):
-    """Winner per pixel from the full render's contributor lists."""
-    out = render(splats, cam)
-    id_map = np.full((cam.height, cam.width), NO_INSTANCE, dtype=np.uint32)
-    for row in range(cam.height):
-        for col in range(cam.width):
-            if out.alpha[row, col] < MIN_VISIBLE_ALPHA:
-                continue
-            scores = {}
-            for splat, alpha, trans in contributors(out, row, col):
-                inst = int(labels[splat])
-                scores[inst] = scores.get(inst, 0.0) + alpha * trans
-            best = max(scores.values())
-            id_map[row, col] = min(i for i, v in scores.items() if v == best)
-    return id_map
-
-
 def test_id_map_matches_render_weights():
     rng = np.random.default_rng(9)
     n = 60
@@ -100,7 +81,7 @@ def test_id_map_matches_render_weights():
     labels = rng.integers(0, 5, n)
     cam = Camera(fx=14.0, fy=14.0, cx=7.6, cy=5.3, width=17, height=12,
                  rotation=np.eye(3), translation=np.zeros(3))
-    expected = reference_id_map(splats, labels, cam)
+    expected = id_map_oracle(render(splats, cam), labels)
     id_map = render_instance_id_map(splats, labels, cam)
     assert id_map.dtype == np.uint32
     assert np.array_equal(id_map, expected)
@@ -148,11 +129,14 @@ def test_id_map_runs_match_one_run(monkeypatch):
             assert got.tobytes() == want.tobytes(), band
 
 
-def test_id_map_holds_one_row_range_of_span_records(monkeypatch):
-    # A view of over 100k contributions in runs of at most 4096, so that
-    # its span records set the id map's peak. Built one row range at a
-    # time, the records hold the peak to at most 0.65 of what it is with
-    # the whole image's records at once (0.58 measured), with the same map.
+def test_id_map_holds_span_records_and_lane_runs(monkeypatch):
+    # A view of over 100k contributions in runs of at most 4096, many runs
+    # per lane. The id map holds the span records of every row range, or
+    # their build's temporaries, and on each lane one run in flight in the
+    # lane's own arrays: its peak is at most the whole view's span-record
+    # build peak plus, per lane, 80 bytes per contribution of its longest
+    # run (56-75 measured), and below the 20 bytes per contribution that a
+    # whole-view Raster alone would hold.
     rng = np.random.default_rng(21)
     n = 2000
     centers = np.column_stack([rng.uniform(-0.9, 0.9, n), rng.uniform(-0.9, 0.9, n),
@@ -162,19 +146,26 @@ def test_id_map_holds_one_row_range_of_span_records(monkeypatch):
                  rotation=np.eye(3), translation=np.zeros(3))
     labels = np.arange(n) % 7
     monkeypatch.setattr(renderer, "_SEGMENT_ROWS", 4096)
-    peaks, maps = [], []
-    for record_rows in (renderer._record_rows, lambda u, v, r, w, h: [slice(0, h)]):
-        monkeypatch.setattr(renderer, "_record_rows", record_rows)
-        render_instance_id_map(splats, labels, cam)
+    out = render(splats, cam)
+    proj = out.projected
+    before = np.append(out.seg_start, out.slot.size)[np.searchsorted(out.seg_pix, np.arange(129) * 128)]
+    groups = renderer._row_runs(before)
+    assert out.slot.size >= 100_000 and min(len(group) for group in groups) >= 10
+    longest = sum(max(run.stop - run.start for _, run in group) for group in groups)
+    want = render_instance_id_map(splats, labels, cam)
+    peaks = []
+    for build in (lambda: renderer._span_records(proj.u, proj.v, proj.radius_px, 128, 128, slice(0, 128)),
+                  lambda: render_instance_id_map(splats, labels, cam)):
         tracemalloc.start()
         try:
-            maps.append(render_instance_id_map(splats, labels, cam))
+            got = build()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert render(splats, cam).slot.size >= 100_000
-    assert maps[0].tobytes() == maps[1].tobytes()
-    assert peaks[0] <= 0.65 * peaks[1], peaks
+    records, peak = peaks
+    assert got.tobytes() == want.tobytes()
+    assert peak <= records + 80 * longest, (peak, records, longest)
+    assert peak < 20 * out.slot.size, peak
 
 
 def test_id_map_pool_raises_label_count_mismatch():

@@ -30,7 +30,6 @@ from igsplat.renderer import (
     _build_contributions,
     load_camera,
     project_splats,
-    raster_bands,
     rasterize,
     read_raw_f32,
     render,
@@ -586,6 +585,33 @@ def test_backward_matches_finite_differences():
     assert worst_fd_error(splats, objective, add_grads(color_grads, feature_grads), GRAD_FIELDS) <= 1e-4
 
 
+def test_backward_matches_finite_differences_past_zero_opacity_and_sub_pixel_splats():
+    # the cover scene plus a zero-opacity splat over the whole image and a
+    # sub-pixel one, of cutoff radius 0.6 px, over one pixel 0.18 px off
+    # its centre: the zero-opacity splat weighs nothing, so its colour and
+    # feature gradients are exactly zero
+    cover, cam = random_cover_scene(n=5, seed=11)
+    rng = np.random.default_rng(3)
+    splats = make_splats(np.vstack([cover.centers, [[0.05, -0.05, 0.75], [0.08125, -0.075, 0.5]]]),
+                         colors=np.vstack([cover.colors, rng.uniform(0.2, 0.8, (2, 3))]),
+                         opacities=np.append(cover.opacities, [0.0, 0.8]),
+                         scales=np.append(cover.scales, [1.1, 0.025]),
+                         features=np.vstack([cover.features, rng.uniform(0.0, 1.0, (2, 6))]))
+    g_color, g_feat = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 6))
+    out = render(splats, cam)
+    sub_pixel = np.flatnonzero(out.projected.indices == 6)
+    assert out.projected.radius_px[sub_pixel] < 1.0 and np.count_nonzero(out.slot == sub_pixel) == 1
+    color_grads, feature_grads = render_backward(out, g_color, g_feat, feature_geometry=True)
+    assert not color_grads.colors[5].any() and not feature_grads.features[5].any()
+    assert color_grads.colors[6].all() and color_grads.centers[6].any()
+
+    def objective(s):
+        o = render(s, cam)
+        return (o.color * g_color).sum() + (o.feature * g_feat).sum()
+
+    assert worst_fd_error(splats, objective, add_grads(color_grads, feature_grads), GRAD_FIELDS) <= 1e-4
+
+
 @pytest.mark.parametrize("chain", ["color", "feature"])
 def test_backward_chain_matches_finite_differences(chain):
     # each chain alone is the gradient of its own image objective
@@ -652,36 +678,57 @@ def test_fused_backward_chains_equal_single_chain_calls():
             assert getattr(feature_grads, field).any() == feature_geometry
 
 
-def test_raster_bands_give_the_one_band_bits():
-    # runs of whole rows, down to one row each: concatenated, the runs are
-    # the one-run raster byte for byte, each run scanned on its own
+def lane_runs(splats, cam):
+    """The runs ``_forward`` visits when its lanes write into their own
+    arrays, copied, in row order, each as (slot, alpha_i, trans, seg_start,
+    seg_pix, weight) with seg_start counted from the run's first entry;
+    and the Raster it returns, which holds the alpha image alone."""
+    runs = []
+    ras = renderer._forward(splats, cam, lambda proj: lambda *run: runs.append([a.copy() for a in run]),
+                            keep=False)
+    return sorted(runs, key=lambda run: int(run[4][0])), ras
+
+
+def joined_runs(runs, ras):
+    """The Raster fields of the ``lane_runs`` ``runs`` end to end, after
+    the empty arrays of ``ras``, which keep the dtypes of a view without
+    runs, and its alpha image."""
+    firsts = np.cumsum([0] + [run[0].size for run in runs])
+    fields = {name: np.concatenate([getattr(ras, name)] + [run[i] for run in runs])
+              for i, name in enumerate(("slot", "alpha_i", "trans"))}
+    fields["seg_start"] = np.concatenate([ras.seg_start]
+                                         + [run[3] + first for run, first in zip(runs, firsts)])
+    fields["seg_pix"] = np.concatenate([ras.seg_pix] + [run[4] for run in runs])
+    return {**fields, "alpha": ras.alpha}
+
+
+def test_lane_runs_give_the_one_run_bits():
+    # runs of whole rows, down to one row each, written into each lane's
+    # own arrays: concatenated, the visited runs are rasterize's Raster
+    # byte for byte, each run scanned on its own
     splats, cam = dense_view(n=500, size=48)
     whole = rasterize(splats, cam)
     rows_with_pairs = np.unique(whole.seg_pix // cam.width).size
     for contributions in (1, 997, whole.slot.size // 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(renderer, "_SEGMENT_ROWS", contributions)
-            runs, weights = zip(*raster_bands(splats, cam))
+            runs, ras = lane_runs(splats, cam)
         assert len(runs) > 1
         assert contributions > 1 or len(runs) == rows_with_pairs
-        for field in ("slot", "alpha_i", "trans", "seg_pix"):
-            got = np.concatenate([getattr(run, field) for run in runs])
-            assert got.dtype == getattr(whole, field).dtype
+        # the lanes' arrays hold the runs, not the returned Raster
+        assert ras.slot.size == ras.seg_start.size == 0
+        for field, got in joined_runs(runs, ras).items():
+            assert got.dtype == getattr(whole, field).dtype, (contributions, field)
             assert got.tobytes() == getattr(whole, field).tobytes(), (contributions, field)
-        firsts = np.cumsum([0] + [run.slot.size for run in runs[:-1]])
-        starts = np.concatenate([run.seg_start + first for run, first in zip(runs, firsts)])
-        assert starts.tobytes() == whole.seg_start.tobytes()
-        assert sum(run.alpha for run in runs).tobytes() == whole.alpha.tobytes()
         # each run's weights are its alpha * T
-        for run, weight in zip(runs, weights):
-            assert weight.tobytes() == np.multiply(run.alpha_i, run.trans).tobytes()
+        for slot, alpha_i, trans, _, _, weight in runs:
+            assert weight.tobytes() == np.multiply(alpha_i, trans).tobytes()
         # a run holds whole rows
-        assert all(run.seg_pix[0] // cam.width > prev.seg_pix[-1] // cam.width
-                   for prev, run in zip(runs, runs[1:]))
+        assert all(run[4][0] // cam.width > prev[4][-1] // cam.width for prev, run in zip(runs, runs[1:]))
     behind = SplatSet(splats.centers * [1, 1, -1], splats.colors, splats.opacities,
                       splats.scales, splats.features, splats.parent)
-    ((empty, weight),) = raster_bands(behind, cam)
-    assert empty.slot.size == 0 and weight.size == 0 and not empty.alpha.any()
+    runs, empty = lane_runs(behind, cam)
+    assert not runs and empty.slot.size == 0 and not empty.alpha.any()
 
 
 def test_csc_matvec_over_blocks_equals_bincount():
@@ -895,18 +942,19 @@ def count_lane_tasks(monkeypatch) -> list:
 def test_forward_runs_and_lanes_give_one_run_bits(monkeypatch, view):
     # render on the lanes, at the default run size, in runs of about 97
     # contributions and of one row, on two lanes and on one, against the
-    # view as one run on one lane; its Raster also against raster_bands'
-    # one run, which runs on the calling thread
+    # view as one run on one lane; its Raster also against that one run
+    # written into the lane's own arrays
     splats, cam = FORWARD_VIEWS[view]()
     tasks = count_lane_tasks(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
         force_groups(patch, [0, cam.height])
         want = render(splats, cam)
-        ((one_run, _),) = raster_bands(splats, cam)
-    for name in RASTER_FIELDS:
-        assert getattr(one_run, name).dtype == getattr(want, name).dtype, name
-        assert getattr(one_run, name).tobytes() == getattr(want, name).tobytes(), name
+        runs, ras = lane_runs(splats, cam)
+    assert len(runs) == (view != "culled")
+    for name, one_run in joined_runs(runs, ras).items():
+        assert one_run.dtype == getattr(want, name).dtype, name
+        assert one_run.tobytes() == getattr(want, name).tobytes(), name
     rows_with_pairs = np.unique(want.seg_pix // cam.width).size
     assert (view == "one_row") == (rows_with_pairs == 1)
     assert (view == "culled") == (want.slot.size == 0)
@@ -969,16 +1017,15 @@ def test_concurrent_renders_give_one_run_bits(monkeypatch):
 def test_pix_and_clamped_read_as_the_arrays_they_rebuild(view):
     # The Raster stores neither; each read rebuilds them. ``pix`` is each
     # segment's pixel repeated over its contributions, int32, in
-    # ``_build_contributions``' order, one per contribution, on the whole
-    # view and over raster_bands' runs; ``clamped`` marks the alphas that
-    # passed ALPHA_MAX before the clamp, as formed from that build's d2.
+    # ``_build_contributions``' order, one per contribution; ``clamped``
+    # marks the alphas that passed ALPHA_MAX before the clamp, as formed
+    # from that build's d2.
     splats, cam = FORWARD_VIEWS[view]()
     out = render(splats, cam)
     q = out.slot.size
     assert out.pix.dtype == np.int32 and out.pix.size == q
     seg_len = np.diff(out.seg_start, append=q)
     assert out.pix.tobytes() == np.repeat(out.seg_pix, seg_len).astype(np.int32).tobytes()
-    assert np.concatenate([run.pix for run, _ in raster_bands(splats, cam)]).tobytes() == out.pix.tobytes()
     proj = out.projected
     pix, slot, d2 = _build_contributions(proj.u, proj.v, proj.radius_px, cam.width, cam.height)[:3]
     assert out.pix.tobytes() == pix.astype(np.int32).tobytes()
